@@ -273,7 +273,7 @@ def cmd_run(args) -> int:
             project_before_augment=cfg.project_before_augment,
             strict=cfg.strict,
         )
-    except InvalidParameterError:
+    except InvalidParameterError:  # a DelayDmdError, yet a usage error: exit 64 in main
         raise
     except DelayDmdError as exc:
         print(f"variant failure: {type(exc).__name__}: {exc}", file=sys.stderr)
@@ -387,9 +387,6 @@ def main(argv=None) -> int:
     except InvalidParameterError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
-        print(f"I/O error: {exc}", file=sys.stderr)
-        return EXIT_IO
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO

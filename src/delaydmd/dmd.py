@@ -126,21 +126,22 @@ class DmdModel:
             raise InvalidParameterError("rank must equal the number of retained eigenvalues")
 
 
-def _truncated_pencil(x1, x2, policy, aq_limit=None):
+def _truncated_pencil(x1, x2, policy, rank_limit=None):
     """SVD-truncate x1, form the low-rank map U* x2 V / sigma, eigendecompose.
 
-    ``aq_limit`` caps the nominal truncation rank; exceeding it means the
-    sketch cannot support the requested rank.
+    ``rank_limit`` is a (cap, name) pair that caps the nominal truncation
+    rank; exceeding it means the sketch cannot support the requested rank.
     """
     svd = thin_svd(x1)
     sigma = svd.singular_values
     r_nominal = policy.resolve(sigma)
     if r_nominal < 1:
         raise DegenerateDataError("no singular values above the truncation threshold")
-    if aq_limit is not None and r_nominal > aq_limit:
+    if rank_limit is not None and r_nominal > rank_limit[0]:
+        cap, name = rank_limit
         raise InsufficientMeasurementsError(
-            f"truncation rank {r_nominal} exceeds measurements*q = {aq_limit}; "
-            f"the sketch needs a*q >= r"
+            f"truncation rank {r_nominal} exceeds {name} = {cap}; "
+            f"the sketch needs {name} >= r"
         )
     r = min(r_nominal, int(np.count_nonzero(sigma > 0.0)))
     if r < 1:
@@ -244,8 +245,8 @@ def dmd_projected(x: SnapshotMatrix, q: int, op: ProjectionOperator,
     sketched first and the embedding applied to the sketch, which is a
     different factorization; the operator then acts on M-dimensional states.
 
-    The nominal truncation rank must not exceed a*q, where a is the
-    operator's measurement count; the sketch cannot support more.
+    The nominal truncation rank must not exceed the sketch's row count: a,
+    the operator's measurement count, or a*q with ``project_before_augment``.
     """
     pair = hankel_augment(x, q)
     first = pair.x1_aug[:, 0]
@@ -261,6 +262,7 @@ def dmd_projected(x: SnapshotMatrix, q: int, op: ProjectionOperator,
         sketched = SnapshotMatrix(apply_operator(op, x.data), dt=x.dt, t0=x.t0)
         sketch_pair = hankel_augment(sketched, q)
         z1, z2 = sketch_pair.x1_aug, sketch_pair.x2_aug
+        rank_limit = (op.a * q, "measurements*q")
     else:
         if op.d != pair.x1_aug.shape[0]:
             raise ShapeMismatchError(
@@ -269,7 +271,8 @@ def dmd_projected(x: SnapshotMatrix, q: int, op: ProjectionOperator,
             )
         z1 = apply_operator(op, pair.x1_aug)
         z2 = apply_operator(op, pair.x2_aug)
-    u_z, sigma_z, v_z, eig = _truncated_pencil(z1, z2, policy, aq_limit=op.a * q)
+        rank_limit = (op.a, "measurements")
+    u_z, sigma_z, v_z, eig = _truncated_pencil(z1, z2, policy, rank_limit)
     # Full-space modes from the unprojected shifted matrix, exact-DMD style.
     modes = pair.x2_aug.astype(complex) @ ((v_z / sigma_z) @ eig.eigenvectors)
     return _finish_model(modes, eig.eigenvalues, first, x.dt,

@@ -59,6 +59,10 @@ class InvalidStartVectorError(DelayDmdError):
     """Arnoldi start vector is zero."""
 
 
+class RankDeficientBasisError(DelayDmdError):
+    """A random block meant to span a basis lost rank in its QR factorization."""
+
+
 class ShapeMismatchError(DelayDmdError):
     """Operands have incompatible dimensions."""
 
@@ -68,4 +72,4 @@ class ZeroInitialConditionError(DelayDmdError):
 
 
 class InsufficientMeasurementsError(DelayDmdError):
-    """Sketch rows times delay depth fall short of the truncation rank."""
+    """The sketch has fewer rows than the truncation rank."""

@@ -1,24 +1,26 @@
-"""Measurement-reduction operators and the Arnoldi process behind the
-Krylov-based one.
+"""Measurement-reduction operators and the Arnoldi process.
 
 Five operator kinds are supported: ``identity`` (no reduction), ``sampling``
 (random row extraction without replacement), ``gaussian`` (dense random
 projection, entry variance 1/a), ``achlioptas`` (sparse three-point random
-projection) and ``krylov`` (orthonormal rows from an Arnoldi run on a seeded
-random matrix). All constructors are pure functions of their arguments.
+projection) and ``krylov`` (orthonormal rows spanning the all-ones vector
+plus a random subspace). The Krylov rows come from one thin QR of a seeded
+Gaussian block; their row span has the same distribution as that of an
+Arnoldi run on a seeded d-by-d Gaussian matrix, which earlier versions
+performed, but a given seed now maps to a different draw. All constructors
+are pure functions of their arguments.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
 
 from .errors import (
     InvalidParameterError,
     InvalidStartVectorError,
+    RankDeficientBasisError,
     ShapeMismatchError,
 )
 
@@ -120,7 +122,7 @@ def achlioptas_operator(d: int, a: int, s: int, seed: int) -> ProjectionOperator
     Entries are ``sqrt(s)`` times -1, 0, +1 with probabilities 1/(2s),
     1 - 1/s, 1/(2s), then the whole matrix is scaled by 1/sqrt(a) so the
     expected column gram is the identity. With s = 3 about two thirds of
-    the entries are exactly zero; :func:`apply` exploits that sparsity.
+    the entries are exactly zero.
     """
     if s not in (1, 3):
         raise InvalidParameterError(f"sparsity s must be 1 or 3, got {s}")
@@ -180,13 +182,15 @@ def arnoldi(a_matrix, b, m: int, tol: float | None = None) -> ArnoldiResult:
 
 
 def krylov_operator(d: int, a: int, seed: int) -> ProjectionOperator:
-    """Orthonormal-row operator built from an Arnoldi run on a seeded random matrix.
+    """Orthonormal rows spanning the all-ones vector and a random subspace.
 
-    Runs ``a`` Arnoldi steps on a d-by-d standard-normal matrix with the
-    all-ones start vector and transposes the basis, giving a + 1 rows (the
-    normalized start vector plus one vector per step). If the iteration
-    breaks down early the operator has fewer rows and a warning reports how
-    many steps completed.
+    Row 0 is 1/sqrt(d); rows 1..a are Q* from one thin QR of a seeded
+    d-by-a Gaussian block appended to it, signs fixed so diag(R) > 0. The
+    row span has the same distribution as the Krylov space K_(a+1)(G, 1) of a
+    d-by-d Gaussian G, which earlier versions built by Arnoldi (Q G Q* has
+    the law of G for each orthogonal Q fixing 1), but a given seed now maps
+    to a different draw. Raises :class:`RankDeficientBasisError` if any
+    |R_ii| falls below 1e-12 max |R_ii|, which has probability zero.
     """
     if a < 1:
         raise InvalidParameterError(f"subspace dimension must be positive, got {a}")
@@ -195,25 +199,19 @@ def krylov_operator(d: int, a: int, seed: int) -> ProjectionOperator:
             f"subspace dimension {a} needs a + 1 <= d = {d} basis vectors"
         )
     rng = np.random.default_rng(seed)
-    random_matrix = rng.standard_normal((d, d))
-    result = arnoldi(random_matrix, np.ones(d), a)
-    del random_matrix
-    if result.breakdown:
-        warnings.warn(
-            f"Arnoldi broke down after {result.steps_completed} of {a} steps; "
-            f"operator has {result.v_basis.shape[1]} rows",
-            RuntimeWarning,
-        )
-    basis = result.v_basis
-    return ProjectionOperator(kind="krylov", matrix=basis.T.copy(),
-                              a=basis.shape[1], seed=seed)
+    block = np.column_stack([np.full(d, 1.0 / np.sqrt(d)), rng.standard_normal((d, a))])
+    q, r = np.linalg.qr(block)
+    diag = np.diag(r)
+    if np.min(np.abs(diag)) < 1e-12 * np.max(np.abs(diag)):
+        raise RankDeficientBasisError("random block lost rank in QR; try another seed")
+    q *= np.sign(diag)
+    return ProjectionOperator(kind="krylov", matrix=q.T.copy(), a=a + 1, seed=seed)
 
 
 def apply(op: ProjectionOperator, x) -> np.ndarray:
     """Project the columns of ``x`` down to measurement space.
 
-    Sampling extracts rows directly and the Achlioptas kind multiplies in
-    sparse form; the other kinds use a dense product.
+    Sampling extracts rows directly; the other kinds use a dense product.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
@@ -226,8 +224,6 @@ def apply(op: ProjectionOperator, x) -> np.ndarray:
         return x
     if op.kind == "sampling":
         return x[op.indices, :]
-    if op.kind == "achlioptas":
-        return scipy.sparse.csr_matrix(op.matrix) @ x
     return op.matrix @ x
 
 

@@ -219,8 +219,6 @@ def load(path) -> SnapshotMatrix:
     try:
         with open(meta_path) as fh:
             meta = json.load(fh)
-    except FileNotFoundError:
-        raise
     except json.JSONDecodeError as exc:
         raise SnapshotParseError(f"{meta_path}: invalid JSON at line {exc.lineno}") from exc
     for field in ("m", "n", "dt"):
@@ -228,8 +226,6 @@ def load(path) -> SnapshotMatrix:
             raise SnapshotParseError(f"{meta_path}: missing required field {field!r}")
     try:
         data = np.loadtxt(csv_path, delimiter=",", ndmin=2)
-    except FileNotFoundError:
-        raise
     except ValueError:
         data = _parse_csv_slow(csv_path)
     m, n = int(meta["m"]), int(meta["n"])

@@ -3,8 +3,7 @@
 Runs the two benchmarks at full size (100x100 grids) exactly once per
 session and checks each criterion against the shared reports. Run with
 ``pytest tests/test_acceptance.py -v -s`` to see one pass/fail line per
-criterion; expect a couple of minutes, dominated by the Krylov operator
-construction at state dimension 20000.
+criterion; expect about ten seconds.
 """
 
 import json

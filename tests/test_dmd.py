@@ -23,6 +23,7 @@ from delaydmd.errors import (
 )
 from delaydmd.problems import SignalParams, generate_signal
 from delaydmd.projections import (
+    ProjectionOperator,
     achlioptas_operator,
     gaussian_operator,
     identity_operator,
@@ -195,6 +196,42 @@ class TestDmdProjected:
         model = dmd_projected(x, 1, op, RankPolicy.fixed(2))
         np.testing.assert_allclose(sorted_eigs(model.eigenvalues_discrete),
                                    [0.5, 0.9], atol=1e-8)
+
+    def test_guard_counts_sketch_rows_after_augment(self):
+        # Projecting the q = 2 embedding leaves a rows, not a*q; a rank-4 fit
+        # through 2 or 3 rows used to pass and return spurious modes.
+        x = generate_signal(SignalParams(grid=GridMeta(20, 20, -2, 2, -2, 2)))
+        for a in (2, 3):
+            op = gaussian_operator(2 * x.m, a, seed=0)
+            with pytest.raises(InsufficientMeasurementsError, match=f"measurements = {a}"):
+                dmd_projected(x, 2, op, RankPolicy.fixed(4))
+        model = dmd_projected(x, 2, gaussian_operator(2 * x.m, 4, seed=0), RankPolicy.fixed(4))
+        freqs = sorted({round(abs(w.imag) / (2 * np.pi), 3) for w in model.exponents})
+        assert freqs == [1.3, 8.4]
+
+    def test_guard_counts_a_times_q_before_augment(self):
+        x = generate_signal(SignalParams(grid=GridMeta(20, 20, -2, 2, -2, 2)))
+        with pytest.raises(InsufficientMeasurementsError, match="measurements\\*q = 2"):
+            dmd_projected(x, 2, gaussian_operator(x.m, 1, seed=0), RankPolicy.fixed(4),
+                          project_before_augment=True)
+        model = dmd_projected(x, 2, gaussian_operator(x.m, 2, seed=0), RankPolicy.fixed(4),
+                              project_before_augment=True)
+        assert model.rank == 4
+
+    @settings(deadline=None, max_examples=15)
+    @given(op_seed=st.integers(0, 2**32 - 1), rot_seed=st.integers(0, 2**32 - 1))
+    def test_fit_depends_only_on_row_span(self, op_seed, rot_seed):
+        # For orthonormal R and orthogonal Q, Q R has the same row span; the
+        # sketched pencil and hence the eigenvalues must not change.
+        x = small_signal_snapshots()
+        op = krylov_operator(2 * x.m, 29, op_seed)
+        rot, _ = np.linalg.qr(np.random.default_rng(rot_seed).standard_normal((op.a, op.a)))
+        rotated = ProjectionOperator(kind="krylov", matrix=rot @ op.matrix, a=op.a,
+                                     seed=None)
+        mu = dmd_projected(x, 2, op).eigenvalues_discrete
+        mu_rot = dmd_projected(x, 2, rotated).eigenvalues_discrete
+        assert mu.shape == mu_rot.shape
+        np.testing.assert_allclose(sorted_eigs(mu), sorted_eigs(mu_rot), atol=1e-10)
 
     def test_project_before_augment_variant(self):
         x = small_signal_snapshots()

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from delaydmd.errors import (
     InvalidParameterError,
     InvalidStartVectorError,
+    RankDeficientBasisError,
     ShapeMismatchError,
 )
 from delaydmd.projections import (
@@ -144,6 +145,31 @@ class TestKrylovOperator:
     def test_dimension_validation(self):
         with pytest.raises(InvalidParameterError):
             krylov_operator(10, 10, seed=0)
+
+    def test_ones_row_then_orthogonal_complement(self):
+        d = 500
+        op = krylov_operator(d, 40, seed=17)
+        np.testing.assert_allclose(op.matrix[0], 1.0 / np.sqrt(d), rtol=0, atol=1e-12)
+        assert np.max(np.abs(op.matrix[1:] @ np.ones(d))) < 1e-12
+        assert np.max(np.abs(op.matrix @ op.matrix.T - np.eye(op.a))) < 1e-12
+
+    def test_full_size(self):
+        # The stock double-gyre size: q = 2 embedding of a 100x100 grid.
+        op = krylov_operator(20000, 99, seed=18)
+        assert op.matrix.shape == (100, 20000)
+        assert gram_deviation(op) < 1e-12
+        np.testing.assert_allclose(op.matrix[0], 1.0 / np.sqrt(20000), rtol=0, atol=1e-12)
+
+    def test_rank_loss_raises(self, monkeypatch):
+        # A Gaussian block loses rank with probability zero, so feed one
+        # whose random columns repeat the ones vector.
+        class OnesGenerator:
+            def standard_normal(self, shape):
+                return np.ones(shape)
+
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: OnesGenerator())
+        with pytest.raises(RankDeficientBasisError):
+            krylov_operator(50, 3, seed=0)
 
 
 class TestApply:
