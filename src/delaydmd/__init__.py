@@ -48,9 +48,11 @@ from .projections import (
     sampling_operator,
 )
 from .snapshots import (
+    DelayEmbedding,
     GridMeta,
     HankelPair,
     SnapshotMatrix,
+    delay_embed,
     hankel_augment,
     load,
     save,

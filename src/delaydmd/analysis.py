@@ -22,11 +22,16 @@ from .dmd import (
 )
 from .errors import DelayDmdError, InvalidParameterError, ShapeMismatchError
 from .problems import DoubleGyreParams, SignalParams, generate_double_gyre, generate_signal
-from .snapshots import GridMeta, SnapshotMatrix, train_test_split
+from .snapshots import GridMeta, SnapshotMatrix, delay_embed, train_test_split
 
 # Norms below this floor count as zero when normalizing per-snapshot errors,
 # so an identically-zero snapshot cannot divide by zero.
 ERROR_NORM_FLOOR = 1e-12
+
+# A truth window may start this many steps off a whole-step offset from the
+# model's origin (float roundoff in t0 arithmetic) before it counts as
+# misaligned.
+OFFSET_STEP_TOL = 1e-9
 
 VARIANT_NAMES = ("classic", "sampling", "gaussian", "achlioptas", "krylov")
 
@@ -54,7 +59,7 @@ def relative_error_series(model: DmdModel, x_true: SnapshotMatrix,
 
     Each entry is ||truth - prediction|| / max(||truth||, floor). The truth
     window may start later than the model's origin as long as the offset is
-    a whole number of steps.
+    a whole number of steps; all columns are predicted in one product.
     """
     if model.base_m != x_true.m:
         raise ShapeMismatchError(
@@ -62,13 +67,21 @@ def relative_error_series(model: DmdModel, x_true: SnapshotMatrix,
         )
     if abs(model.dt - x_true.dt) > 1e-12 * max(model.dt, x_true.dt):
         raise ShapeMismatchError(f"time steps differ: {model.dt} vs {x_true.dt}")
-    offset = int(round((x_true.t0 - model.t0) / model.dt))
-    errors = np.empty(x_true.n)
-    for k in range(x_true.n):
-        truth = x_true.data[:, k]
-        pred = predict(model, k + offset)
-        errors[k] = (np.linalg.norm(truth - pred)
-                     / max(np.linalg.norm(truth), ERROR_NORM_FLOOR))
+    steps = (x_true.t0 - model.t0) / model.dt
+    offset = round(steps)
+    if abs(steps - offset) > OFFSET_STEP_TOL:
+        raise ShapeMismatchError(
+            f"truth starts at t0 = {x_true.t0!r} and the model at t0 = {model.t0!r}, "
+            f"{steps:.12g} steps apart; the offset must be a whole number of steps"
+        )
+    if offset < 0:
+        raise ShapeMismatchError(
+            f"truth starts at t0 = {x_true.t0!r}, {-offset} steps before the model's "
+            f"origin t0 = {model.t0!r}; the model cannot predict backwards"
+        )
+    pred = predict(model, offset + np.arange(x_true.n))
+    errors = (np.linalg.norm(x_true.data - pred, axis=0)
+              / np.maximum(np.linalg.norm(x_true.data, axis=0), ERROR_NORM_FLOOR))
     return ErrorSeries(times=x_true.times(), rel_error=errors, n_train=n_train)
 
 
@@ -278,18 +291,23 @@ def run_comparison(problem, variant_specs, master_seed: int = 0, *,
     state_dim = data.m if project_before_augment else q * data.m
 
     results = []
+    # Built by the first variant and shared; built inside the per-variant try
+    # so that an invalid q fails each variant rather than the whole run.
+    embedding = None
     for spec in variant_specs:
         result = VariantResult(variant=spec.name, measurements=spec.measurements)
         started = time.perf_counter()
         try:
+            if embedding is None:
+                embedding = delay_embed(train, q)
             if spec.name == "classic":
-                model = dmd_tdc(train, q, rank_policy)
+                model = dmd_tdc(embedding, q, rank_policy)
                 result.measurements = data.m
             else:
                 op = _build_operator(spec, state_dim, derive_seed(master_seed, spec.name))
                 result.gram_deviation = projections.gram_deviation(op)
                 result.measurements = op.a
-                model = dmd_projected(train, q, op, rank_policy,
+                model = dmd_projected(embedding, q, op, rank_policy,
                                       project_before_augment=project_before_augment)
             result.wall_time = time.perf_counter() - started
             result.model = model

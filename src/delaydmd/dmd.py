@@ -7,6 +7,18 @@ eigenvalue pairs a raw state cannot. ``dmd_projected`` additionally sketches
 the embedded pair through a measurement-reduction operator and recovers
 full-space modes from the unprojected shifted matrix, so the model still
 predicts in the original state space.
+
+Both delay fits run on the embedding held in the QR basis of the raw
+snapshots (:func:`~delaydmd.snapshots.delay_embed`): one thin QR X = Q R of
+the M-by-N training snapshots turns the (q*M)-row Hankel pair into a pair
+with q*min(M, N) rows and the same singular values, right singular vectors,
+pencil and least-squares solutions. The unsketched SVD, exact-mode recovery
+and the amplitude solve all work on that compressed pair; full-space modes
+are expanded blockwise through Q only when the model is built. A sketched
+fit forms the explicit Hankel matrix once, to apply the operator to it.
+Mode columns may differ from those of a fit on the explicit Hankel pair by
+a sign or phase per column; the amplitudes compensate, so spectra and
+predictions agree to roundoff.
 """
 
 from __future__ import annotations
@@ -25,9 +37,9 @@ from .errors import (
     ShapeMismatchError,
     ZeroInitialConditionError,
 )
-from .numerics import eig_dense, pseudoinverse_apply, thin_svd
+from .numerics import eig_dense, pseudoinverse_apply, real_complex_matmul, thin_svd
 from .projections import ProjectionOperator, apply as apply_operator
-from .snapshots import SnapshotMatrix, hankel_augment
+from .snapshots import DelayEmbedding, SnapshotMatrix, delay_embed, hankel_block
 
 # Discrete eigenvalues below this modulus cannot be mapped to a finite
 # continuous exponent; they are dropped with a warning.
@@ -169,13 +181,16 @@ def _drop_zero_eigenvalues(mu, modes):
     return mu, modes
 
 
-def _finish_model(modes, mu, first_column, dt, *, q, base_m, t0, variant,
-                  measurements=None) -> DmdModel:
-    mu, modes = _drop_zero_eigenvalues(mu, modes)
+def _finish_model(coeffs, mu, first_column, dt, *, q, base_m, t0, variant,
+                  measurements=None, expand=None) -> DmdModel:
+    """Drop zero eigenvalues, solve for the amplitudes of ``first_column`` in
+    the ``coeffs`` basis and build the model; ``expand`` maps the columns
+    of ``coeffs`` to full-space modes when they are compressed coordinates."""
+    mu, coeffs = _drop_zero_eigenvalues(mu, coeffs)
     exponents = np.log(mu) / dt
-    amplitudes = pseudoinverse_apply(modes, first_column)
+    amplitudes = pseudoinverse_apply(coeffs, first_column)
     return DmdModel(
-        modes=modes,
+        modes=coeffs if expand is None else expand(coeffs),
         eigenvalues_discrete=mu,
         exponents=exponents,
         amplitudes=amplitudes,
@@ -215,26 +230,67 @@ def dmd_classic(x1, x2, dt: float, policy: RankPolicy = DEFAULT_RANK_POLICY,
                          q=1, base_m=x1.shape[0], t0=t0, variant="classic")
 
 
-def dmd_tdc(x: SnapshotMatrix, q: int, policy: RankPolicy = DEFAULT_RANK_POLICY) -> DmdModel:
+def _as_embedding(x, q: int) -> DelayEmbedding:
+    if isinstance(x, DelayEmbedding):
+        if x.q != q:
+            raise InvalidParameterError(f"embedding has depth q = {x.q}, fit asked for q = {q}")
+        return x
+    return delay_embed(x, q)
+
+
+def _fit_delay(emb: DelayEmbedding, policy: RankPolicy, op: ProjectionOperator | None,
+               project_before_augment: bool) -> DmdModel:
+    """The delay fit on a compressed embedding, sketched through ``op`` if given."""
+    x, q = emb.snapshots, emb.q
+    if not np.any(x.data[:, :q] != 0.0):
+        raise ZeroInitialConditionError(
+            "first embedded snapshot is zero; start the fit at a nonzero sample"
+        )
+    if op is None:
+        u, _, _, eig = _truncated_pencil(emb.x1, emb.x2, policy)
+        coeffs = u.astype(complex) @ eig.eigenvectors
+        variant, measurements = "tdc", None
+    else:
+        if project_before_augment:
+            if op.d != x.m:
+                raise ShapeMismatchError(
+                    f"operator acts on {op.d}-dim states but snapshots have {x.m} rows"
+                )
+            # Sketching each delay block equals embedding the sketched snapshots.
+            sketch = hankel_block(apply_operator(op, x.data), q)
+            rank_limit = (op.a * q, "measurements*q")
+        else:
+            if op.d != q * x.m:
+                raise ShapeMismatchError(
+                    f"operator acts on {op.d}-dim states but the embedded pair has "
+                    f"{q * x.m} rows"
+                )
+            sketch = apply_operator(op, hankel_block(x.data, q))
+            rank_limit = (op.a, "measurements")
+        _, sigma_z, v_z, eig = _truncated_pencil(sketch[:, :-1], sketch[:, 1:],
+                                                 policy, rank_limit)
+        # Exact-DMD modes from the unprojected shifted matrix, in compressed form.
+        coeffs = real_complex_matmul(emb.x2, (v_z / sigma_z) @ eig.eigenvectors)
+        variant, measurements = f"projected({op.kind})", op.a
+    return _finish_model(coeffs, eig.eigenvalues, emb.x1[:, 0], x.dt,
+                         q=q, base_m=x.m, t0=x.t0, variant=variant,
+                         measurements=measurements, expand=emb.expand)
+
+
+def dmd_tdc(x: SnapshotMatrix | DelayEmbedding, q: int,
+            policy: RankPolicy = DEFAULT_RANK_POLICY) -> DmdModel:
     """Delay-embed the snapshots to depth q, then fit as in dmd_classic.
 
     With q = 1 this reduces exactly to the classic fit on the split pair.
     The model remembers q and the raw state size so predictions can be cut
-    back down to the original state.
+    back down to the original state. ``x`` may also be a prebuilt
+    :class:`~delaydmd.snapshots.DelayEmbedding` of depth q, which saves its
+    QR when several fits share the data.
     """
-    pair = hankel_augment(x, q)
-    first = pair.x1_aug[:, 0]
-    if not np.any(first != 0.0):
-        raise ZeroInitialConditionError(
-            "first embedded snapshot is zero; start the fit at a nonzero sample"
-        )
-    u, _, _, eig = _truncated_pencil(pair.x1_aug, pair.x2_aug, policy)
-    modes = u.astype(complex) @ eig.eigenvectors
-    return _finish_model(modes, eig.eigenvalues, first, x.dt,
-                         q=q, base_m=x.m, t0=x.t0, variant="tdc")
+    return _fit_delay(_as_embedding(x, q), policy, None, False)
 
 
-def dmd_projected(x: SnapshotMatrix, q: int, op: ProjectionOperator,
+def dmd_projected(x: SnapshotMatrix | DelayEmbedding, q: int, op: ProjectionOperator,
                   policy: RankPolicy = DEFAULT_RANK_POLICY,
                   *, project_before_augment: bool = False) -> DmdModel:
     """Sketch the delay-embedded pair through ``op``, fit in sketch space,
@@ -244,55 +300,30 @@ def dmd_projected(x: SnapshotMatrix, q: int, op: ProjectionOperator,
     must be q*M). With ``project_before_augment`` the raw snapshots are
     sketched first and the embedding applied to the sketch, which is a
     different factorization; the operator then acts on M-dimensional states.
+    ``x`` may be snapshots or a prebuilt embedding of depth q, as in
+    :func:`dmd_tdc`.
 
     The nominal truncation rank must not exceed the sketch's row count: a,
     the operator's measurement count, or a*q with ``project_before_augment``.
     """
-    pair = hankel_augment(x, q)
-    first = pair.x1_aug[:, 0]
-    if not np.any(first != 0.0):
-        raise ZeroInitialConditionError(
-            "first embedded snapshot is zero; start the fit at a nonzero sample"
-        )
-    if project_before_augment:
-        if op.d != x.m:
-            raise ShapeMismatchError(
-                f"operator acts on {op.d}-dim states but snapshots have {x.m} rows"
-            )
-        sketched = SnapshotMatrix(apply_operator(op, x.data), dt=x.dt, t0=x.t0)
-        sketch_pair = hankel_augment(sketched, q)
-        z1, z2 = sketch_pair.x1_aug, sketch_pair.x2_aug
-        rank_limit = (op.a * q, "measurements*q")
-    else:
-        if op.d != pair.x1_aug.shape[0]:
-            raise ShapeMismatchError(
-                f"operator acts on {op.d}-dim states but the embedded pair has "
-                f"{pair.x1_aug.shape[0]} rows"
-            )
-        z1 = apply_operator(op, pair.x1_aug)
-        z2 = apply_operator(op, pair.x2_aug)
-        rank_limit = (op.a, "measurements")
-    u_z, sigma_z, v_z, eig = _truncated_pencil(z1, z2, policy, rank_limit)
-    # Full-space modes from the unprojected shifted matrix, exact-DMD style.
-    modes = pair.x2_aug.astype(complex) @ ((v_z / sigma_z) @ eig.eigenvectors)
-    return _finish_model(modes, eig.eigenvalues, first, x.dt,
-                         q=q, base_m=x.m, t0=x.t0,
-                         variant=f"projected({op.kind})", measurements=op.a)
+    return _fit_delay(_as_embedding(x, q), policy, op, project_before_augment)
 
 
-def predict(model: DmdModel, k: int) -> np.ndarray:
+def predict(model: DmdModel, k) -> np.ndarray:
     """State at step k (time t0 + k*dt), cut to the raw state size.
 
-    Extrapolation beyond the training window is permitted; the caller
-    decides how far to trust it.
+    ``k`` may also be a 1-d array of steps; the states are then the columns
+    of the result, computed in one product. Extrapolation beyond the
+    training window is permitted; the caller decides how far to trust it.
     """
-    if k < 0:
+    if np.any(np.asarray(k) < 0):
         raise InvalidParameterError(f"step index must be nonnegative, got {k}")
     if model.modes is None:
         raise InvalidParameterError("model carries no modes; refit or reload with modes")
-    coeff = np.exp(model.exponents * (k * model.dt)) * model.amplitudes
-    state = model.modes @ coeff
-    return state.real[: model.base_m]
+    times = np.atleast_1d(k) * model.dt
+    coeff = np.exp(np.outer(model.exponents, times)) * model.amplitudes[:, None]
+    states = (model.modes[: model.base_m] @ coeff).real
+    return states if np.ndim(k) else states[:, 0]
 
 
 def pod_modes(x: SnapshotMatrix, policy: RankPolicy = DEFAULT_RANK_POLICY) -> np.ndarray:
@@ -382,7 +413,13 @@ def save_model(model: DmdModel, path, include_modes: bool = False) -> None:
 
 
 def load_model(path) -> DmdModel:
-    """Reload a model JSON; picks up ``<stem>.modes.csv`` when present."""
+    """Reload a model JSON; picks up ``<stem>.modes.csv`` when present.
+
+    Raises
+    ------
+    ShapeMismatchError
+        If the modes file is not 2*q*base_m rows by rank columns.
+    """
     path = Path(path)
     with open(path) as fh:
         d = json.load(fh)
@@ -390,7 +427,14 @@ def load_model(path) -> DmdModel:
     modes_path = path.with_suffix(".modes.csv")
     if modes_path.exists():
         stacked = np.loadtxt(modes_path, delimiter=",", ndmin=2)
-        half = stacked.shape[0] // 2
+        expected = (2 * int(d["q"]) * int(d["base_m"]), int(d["rank"]))
+        if stacked.shape != expected:
+            raise ShapeMismatchError(
+                f"{modes_path}: modes are {stacked.shape[0]}x{stacked.shape[1]}, expected "
+                f"{expected[0]}x{expected[1]} (real and imaginary blocks of "
+                f"q*base_m rows, one column per eigenvalue)"
+            )
+        half = expected[0] // 2
         modes = stacked[:half] + 1j * stacked[half:]
     return DmdModel(
         modes=modes,

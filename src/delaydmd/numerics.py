@@ -139,3 +139,16 @@ def pseudoinverse_apply(phi, x) -> np.ndarray:
         )
     coeffs = (u[:, keep].conj().T @ x) / s[keep]
     return vh[keep, :].conj().T @ coeffs
+
+
+def real_complex_matmul(a, z) -> np.ndarray:
+    """``a @ z`` for real ``a`` and complex ``z`` as one real product.
+
+    The real and imaginary parts of ``z`` are interleaved column by column,
+    multiplied in one real product and the result read back as complex,
+    which takes half the arithmetic of promoting ``a`` to complex. Leading
+    axes of ``z`` broadcast as in ``np.matmul``.
+    """
+    z = np.asarray(z, dtype=complex)
+    pairs = np.stack([z.real, z.imag], axis=-1).reshape(*z.shape[:-1], 2 * z.shape[-1])
+    return (np.asarray(a, dtype=float) @ pairs).view(complex)

@@ -4,6 +4,11 @@ A snapshot matrix stores one state vector per column at successive, equally
 spaced times. Files are stored as a bare CSV of the matrix (one row per
 spatial node, no header) plus a ``<name>.meta.json`` sidecar holding
 ``{m, n, dt, t0, grid?}``.
+
+The delay embedding comes in two forms: the explicit Hankel matrix
+(:func:`hankel_block`, :func:`hankel_augment`) and :func:`delay_embed`, which
+holds the same matrix in the QR basis of the raw snapshots with q*min(M, N)
+rows instead of q*M.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from .errors import (
     SnapshotConsistencyError,
     SnapshotParseError,
 )
+from .numerics import real_complex_matmul
 
 # Enough significant digits to round-trip an IEEE double through text.
 _FLOAT_FMT = "%.17g"
@@ -128,18 +134,66 @@ def split(x: SnapshotMatrix):
     return x.data[:, :-1], x.data[:, 1:]
 
 
+def hankel_block(data: np.ndarray, q: int) -> np.ndarray:
+    """The (q*M)-by-(N-q+1) Hankel matrix of M-by-N data: block b of column j
+    is column j+b of the data. Its first N-q columns are ``x1_aug`` and its
+    last N-q are ``x2_aug``."""
+    n = data.shape[1]
+    if not 1 <= q <= n - 1:
+        raise InvalidDelayError(f"q must satisfy 1 <= q <= N-1 = {n - 1}, got {q}")
+    return np.vstack([data[:, b:b + n - q + 1] for b in range(q)])
+
+
 def hankel_augment(x: SnapshotMatrix, q: int) -> HankelPair:
     """Stack q consecutive snapshots per column to form the delay-embedded pair.
 
-    With M-row data and N snapshots the result is a (q*M)-by-(N-q) pair;
-    q = 1 reproduces ``split``.
+    With M-row data and N snapshots the result is a (q*M)-by-(N-q) pair of
+    column views into one Hankel matrix; q = 1 reproduces ``split``.
     """
-    if not 1 <= q <= x.n - 1:
-        raise InvalidDelayError(f"q must satisfy 1 <= q <= N-1 = {x.n - 1}, got {q}")
-    ncols = x.n - q
-    x1 = np.vstack([x.data[:, b:b + ncols] for b in range(q)])
-    x2 = np.vstack([x.data[:, b + 1:b + 1 + ncols] for b in range(q)])
-    return HankelPair(x1_aug=x1, x2_aug=x2, q=q, base_m=x.m, base_n=x.n)
+    block = hankel_block(x.data, q)
+    return HankelPair(x1_aug=block[:, :-1], x2_aug=block[:, 1:],
+                      q=q, base_m=x.m, base_n=x.n)
+
+
+@dataclass(frozen=True)
+class DelayEmbedding:
+    """The depth-q Hankel matrix of some snapshots, held in their QR basis.
+
+    With X = ``basis`` @ R a thin QR of the raw snapshots, every delay block
+    X[:, b:b+n] equals ``basis`` @ R[:, b:b+n], so the Hankel matrix equals
+    (I_q kron ``basis``) @ ``compressed``, where ``compressed`` stacks the q
+    shifted column blocks of R. Since (I_q kron ``basis``) has orthonormal
+    columns, SVDs, pencils and least-squares solves on ``compressed`` give
+    those of the Hankel matrix, and :meth:`expand` maps compressed vectors
+    back to the (q*M)-dim embedded state.
+    """
+
+    snapshots: SnapshotMatrix
+    q: int
+    basis: np.ndarray
+    compressed: np.ndarray
+
+    @property
+    def x1(self) -> np.ndarray:
+        """Compressed counterpart of ``HankelPair.x1_aug``."""
+        return self.compressed[:, :-1]
+
+    @property
+    def x2(self) -> np.ndarray:
+        """Compressed counterpart of ``HankelPair.x2_aug``."""
+        return self.compressed[:, 1:]
+
+    def expand(self, coeffs: np.ndarray) -> np.ndarray:
+        """Embedded-state columns (q*M rows) from compressed ones (q*k rows)."""
+        r = coeffs.shape[1]
+        blocks = coeffs.reshape(self.q, self.basis.shape[1], r)
+        return real_complex_matmul(self.basis, blocks).reshape(self.q * self.snapshots.m, r)
+
+
+def delay_embed(x: SnapshotMatrix, q: int) -> DelayEmbedding:
+    """Embed the snapshots to depth q through one thin QR of the raw data."""
+    basis, r = np.linalg.qr(x.data)
+    return DelayEmbedding(snapshots=x, q=q, basis=basis, compressed=hankel_block(r, q))
 
 
 def train_test_split(x: SnapshotMatrix, n_train: int):

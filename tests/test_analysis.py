@@ -1,5 +1,6 @@
 """Error metrics, mode fields, comparison runs and report serialization."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -17,9 +18,10 @@ from delaydmd.analysis import (
     write_error_csv,
     write_spectrum_csv,
 )
-from delaydmd.dmd import RankPolicy, dmd_tdc
+from delaydmd.dmd import RankPolicy, dmd_tdc, predict
 from delaydmd.errors import (
     InsufficientMeasurementsError,
+    InvalidDelayError,
     InvalidParameterError,
     ShapeMismatchError,
 )
@@ -82,6 +84,34 @@ class TestRelativeErrorSeries:
         other = SnapshotMatrix(np.ones((3, 4)), dt=signal_model.dt)
         with pytest.raises(ShapeMismatchError):
             relative_error_series(signal_model, other)
+
+    def test_half_step_offset_raises(self, signal_data, signal_model):
+        _, test = train_test_split(signal_data, 30)
+        shifted = SnapshotMatrix(test.data, dt=test.dt, t0=test.t0 + 0.5 * test.dt)
+        with pytest.raises(ShapeMismatchError, match="whole number of steps") as info:
+            relative_error_series(signal_model, shifted)
+        assert repr(shifted.t0) in str(info.value)
+        assert repr(signal_model.t0) in str(info.value)
+
+    def test_truth_before_model_origin_raises(self, signal_data, signal_model):
+        early = SnapshotMatrix(signal_data.data, dt=signal_data.dt,
+                               t0=signal_data.t0 - 2 * signal_data.dt)
+        with pytest.raises(ShapeMismatchError, match="2 steps before"):
+            relative_error_series(signal_model, early)
+
+    def test_matches_predict_column_by_column(self, signal_data, signal_model):
+        _, test = train_test_split(signal_data, 30)
+        series = relative_error_series(signal_model, test)
+        for k in range(test.n):
+            truth = test.data[:, k]
+            pred = predict(signal_model, 30 + k)
+            expected = np.linalg.norm(truth - pred) / np.linalg.norm(truth)
+            assert series.rel_error[k] == pytest.approx(expected, rel=1e-12, abs=1e-15)
+
+    def test_model_without_modes_raises(self, signal_data, signal_model):
+        bare = dataclasses.replace(signal_model, modes=None)
+        with pytest.raises(InvalidParameterError, match="no modes"):
+            relative_error_series(bare, signal_data)
 
 
 class TestModeField:
@@ -179,6 +209,14 @@ class TestRunComparison:
         ga = report.variant("gaussian")
         assert ga.failed and "InsufficientMeasurements" in ga.error_message
         assert not report.variant("classic").failed
+
+    def test_invalid_q_fails_each_variant_non_strict(self):
+        specs = [VariantSpec("classic"), VariantSpec("gaussian", measurements=20)]
+        report = run_comparison(small_signal_params(), specs, 0, q=30, n_train=30)
+        for v in report.variants:
+            assert v.failed and v.error_message.startswith("InvalidDelayError")
+        with pytest.raises(InvalidDelayError):
+            run_comparison(small_signal_params(), specs, 0, q=30, n_train=30, strict=True)
 
     def test_failure_raises_strict(self):
         specs = [VariantSpec("gaussian", measurements=1)]

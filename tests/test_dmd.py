@@ -19,18 +19,21 @@ from delaydmd.dmd import (
 from delaydmd.errors import (
     InsufficientMeasurementsError,
     InvalidParameterError,
+    ShapeMismatchError,
     ZeroInitialConditionError,
 )
+from delaydmd.numerics import eig_dense, pseudoinverse_apply, thin_svd
 from delaydmd.problems import SignalParams, generate_signal
 from delaydmd.projections import (
     ProjectionOperator,
     achlioptas_operator,
+    apply,
     gaussian_operator,
     identity_operator,
     krylov_operator,
     sampling_operator,
 )
-from delaydmd.snapshots import GridMeta, SnapshotMatrix, split
+from delaydmd.snapshots import GridMeta, SnapshotMatrix, delay_embed, hankel_augment, split
 
 
 def snaps(data, dt=0.1, **kw):
@@ -47,6 +50,46 @@ def simulate_linear(a, x0, n):
 
 def sorted_eigs(values):
     return np.sort_complex(np.asarray(values))
+
+
+def random_snapshots(shape_kind, seed):
+    """Random test data of three shapes: M < N and M > N (orbits of a random
+    orthogonal map, so every fit is well conditioned), and rank-deficient
+    data whose columns repeat with period 4."""
+    rng = np.random.default_rng(seed)
+    if shape_kind == "repeated":
+        return snaps(rng.standard_normal((12, 4))[:, np.arange(10) % 4])
+    m, n = {"wide": (3, 12), "tall": (15, 8)}[shape_kind]
+    a, _ = np.linalg.qr(rng.standard_normal((m, m)))
+    return snaps(simulate_linear(a, rng.standard_normal(m), n))
+
+
+def assert_same_spectrum(mu, reference, atol):
+    """Equal eigenvalue sets, matched nearest to nearest in both directions."""
+    assert mu.shape == reference.shape
+    dist = np.abs(mu[:, None] - reference[None, :])
+    assert np.max(dist.min(axis=1)) <= atol
+    assert np.max(dist.min(axis=0)) <= atol
+
+
+def assert_same_predictions(model, reference, n, m, rtol):
+    """Model predictions match ``reference(k)`` (first m rows) for k < n."""
+    for k in range(n):
+        expected = reference(k)[:m]
+        err = np.linalg.norm(predict(model, k) - expected) / np.linalg.norm(expected)
+        assert err <= rtol
+
+
+def explicit_projected_fit(x, q, op):
+    """The sketched fit on the explicit (q*M)-row Hankel pair, as eigenvalues,
+    full-space modes and amplitudes: the reference for the compressed path."""
+    pair = hankel_augment(x, q)
+    svd = thin_svd(apply(op, pair.x1_aug))
+    r = RankPolicy.relative_threshold(1e-10).resolve(svd.singular_values)
+    v, sigma = svd.v[:, :r], svd.singular_values[:r]
+    eig = eig_dense((svd.u[:, :r].T @ apply(op, pair.x2_aug) @ v) / sigma)
+    modes = pair.x2_aug @ ((v / sigma) @ eig.eigenvectors)
+    return eig.eigenvalues, modes, pseudoinverse_apply(modes, pair.x1_aug[:, 0])
 
 
 def small_signal_snapshots(nx=16, nt=40):
@@ -250,6 +293,64 @@ class TestDmdProjected:
             dmd_projected(x, 1, op)
 
 
+class TestCompressedEmbedding:
+    """The delay fits run on the QR-compressed embedding; these compare them
+    with the same fits on the explicit Hankel pair."""
+
+    @settings(deadline=None, max_examples=30)
+    @given(shape_kind=st.sampled_from(["wide", "tall", "repeated"]),
+           seed=st.integers(0, 2**32 - 1), q=st.integers(1, 4))
+    def test_tdc_matches_classic_on_explicit_pair(self, shape_kind, seed, q):
+        x = random_snapshots(shape_kind, seed)
+        pair = hankel_augment(x, q)
+        reference = dmd_classic(pair.x1_aug, pair.x2_aug, dt=x.dt)
+        model = dmd_tdc(x, q)
+        assert_same_spectrum(model.eigenvalues_discrete,
+                             reference.eigenvalues_discrete, atol=1e-10)
+        assert_same_predictions(model, lambda k: predict(reference, k), x.n, x.m, 1e-8)
+
+    @settings(deadline=None, max_examples=30)
+    @given(shape_kind=st.sampled_from(["wide", "tall", "repeated"]),
+           seed=st.integers(0, 2**32 - 1), q=st.integers(1, 4),
+           kind=st.sampled_from(["gaussian", "sampling"]))
+    def test_projected_matches_explicit_sketch(self, shape_kind, seed, q, kind):
+        x = random_snapshots(shape_kind, seed)
+        d = q * x.m
+        make = gaussian_operator if kind == "gaussian" else sampling_operator
+        op = make(d, min(d, 7), seed)
+        mu, modes, amplitudes = explicit_projected_fit(x, q, op)
+        model = dmd_projected(x, q, op)
+        assert_same_spectrum(model.eigenvalues_discrete, mu, atol=1e-10)
+        assert_same_predictions(model, lambda k: (modes @ (mu**k * amplitudes)).real,
+                                x.n, x.m, 1e-8)
+
+    def test_prebuilt_embedding_gives_the_same_model(self):
+        x = small_signal_snapshots()
+        emb = delay_embed(x, 2)
+        op = gaussian_operator(2 * x.m, 30, seed=1)
+        for fit in (lambda y: dmd_tdc(y, 2), lambda y: dmd_projected(y, 2, op)):
+            shared, own = fit(emb), fit(x)
+            np.testing.assert_array_equal(shared.eigenvalues_discrete,
+                                          own.eigenvalues_discrete)
+            np.testing.assert_array_equal(shared.modes, own.modes)
+
+    def test_embedding_depth_must_match(self):
+        emb = delay_embed(small_signal_snapshots(), 2)
+        with pytest.raises(InvalidParameterError, match="q = 2"):
+            dmd_tdc(emb, 3)
+
+    def test_compressed_rows(self):
+        # q * min(M, N) rows instead of q * M, with the Hankel singular values.
+        x = small_signal_snapshots(nt=20)
+        emb = delay_embed(x, 3)
+        assert emb.compressed.shape == (3 * 20, 18)
+        pair = hankel_augment(x, 3)
+        np.testing.assert_allclose(thin_svd(emb.x1).singular_values,
+                                   thin_svd(pair.x1_aug).singular_values,
+                                   rtol=1e-12, atol=1e-12 * np.linalg.norm(x.data))
+        np.testing.assert_allclose(emb.expand(emb.x2), pair.x2_aug, atol=1e-12)
+
+
 class TestPredict:
     def test_reconstructs_first_snapshot(self):
         rng = np.random.default_rng(7)
@@ -275,6 +376,18 @@ class TestPredict:
         x = snaps(np.random.default_rng(8).standard_normal((3, 10)))
         model = dmd_tdc(x, 2)
         assert predict(model, 1).shape == (3,)
+
+    def test_array_of_steps_gives_columns(self):
+        x = snaps(np.random.default_rng(8).standard_normal((3, 10)))
+        model = dmd_tdc(x, 2)
+        steps = np.array([0, 4, 13])
+        states = predict(model, steps)
+        assert states.shape == (3, 3)
+        for j, k in enumerate(steps):
+            np.testing.assert_allclose(states[:, j], predict(model, int(k)),
+                                       rtol=1e-12, atol=1e-14)
+        with pytest.raises(InvalidParameterError, match="nonnegative"):
+            predict(model, np.array([2, -1]))
 
 
 class TestPodModes:
@@ -342,6 +455,18 @@ class TestModelSerialization:
         np.testing.assert_allclose(back.modes, model.modes, atol=1e-15)
         assert back.variant == model.variant and back.q == model.q
         np.testing.assert_allclose(predict(back, 4), predict(model, 4), atol=1e-12)
+
+    @pytest.mark.parametrize("keep_rows,keep_cols", [(-1, None), (-2, None), (None, -1)])
+    def test_truncated_modes_file_raises(self, tmp_path, keep_rows, keep_cols):
+        x = snaps(np.random.default_rng(12).standard_normal((4, 12)))
+        model = dmd_tdc(x, 2)
+        path = tmp_path / "model.json"
+        save_model(model, path, include_modes=True)
+        modes_path = tmp_path / "model.modes.csv"
+        stacked = np.loadtxt(modes_path, delimiter=",", ndmin=2)
+        np.savetxt(modes_path, stacked[:keep_rows, :keep_cols], delimiter=",")
+        with pytest.raises(ShapeMismatchError, match=f"model.modes.csv.*expected 16x{model.rank}"):
+            load_model(path)
 
     def test_spectrum_only_round_trip(self, tmp_path):
         x = snaps(np.random.default_rng(11).standard_normal((4, 12)))
