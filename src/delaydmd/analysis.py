@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -127,14 +127,22 @@ class VariantSpec:
             raise InvalidParameterError("sparsity_s must be 1 or 3")
 
 
+# The stock run of each built-in benchmark, in config-file form: what a
+# plain ``delaydmd run --problem <name>`` does, and the variant budgets of
+# :func:`default_variant_specs`.
+STOCK_RUNS = {
+    "double-gyre": {"q": 2, "n_train": 174, "rank": "fixed:20", "measurements": {
+        "sampling": 100, "gaussian": 200, "achlioptas": 100, "krylov": 100}},
+    "signal-2d": {"q": 2, "n_train": 64, "rank": "tol:1e-10", "measurements": {
+        "sampling": 100, "gaussian": 50, "achlioptas": 50, "krylov": 50}},
+}
+
+
 def default_variant_specs(problem_name: str) -> list[VariantSpec]:
     """The stock five-variant configurations for the built-in benchmarks."""
-    if problem_name == "double-gyre":
-        counts = {"sampling": 100, "gaussian": 200, "achlioptas": 100, "krylov": 100}
-    elif problem_name == "signal-2d":
-        counts = {"sampling": 100, "gaussian": 50, "achlioptas": 50, "krylov": 50}
-    else:
+    if problem_name not in STOCK_RUNS:
         raise InvalidParameterError(f"no default variants for problem {problem_name!r}")
+    counts = STOCK_RUNS[problem_name]["measurements"]
     specs = [VariantSpec("classic")]
     specs += [VariantSpec(name, measurements=a) for name, a in counts.items()]
     return specs
@@ -247,7 +255,9 @@ def derive_seed(master_seed: int, component: str) -> int:
     return int.from_bytes(digest, "big")
 
 
-def _generate_problem(problem, master_seed: int):
+def generate_problem(problem, master_seed: int):
+    """The problem's name and its snapshots; signal noise comes from the
+    ``"data"`` sub-seed."""
     if isinstance(problem, DoubleGyreParams):
         return "double-gyre", generate_double_gyre(problem)
     if isinstance(problem, SignalParams):
@@ -286,7 +296,7 @@ def run_comparison(problem, variant_specs, master_seed: int = 0, *,
     """
     if not variant_specs:
         raise InvalidParameterError("at least one variant is required")
-    problem_name, data = _generate_problem(problem, master_seed)
+    problem_name, data = generate_problem(problem, master_seed)
     train, _ = train_test_split(data, n_train)
     state_dim = data.m if project_before_augment else q * data.m
 
@@ -325,10 +335,7 @@ def run_comparison(problem, variant_specs, master_seed: int = 0, *,
         "n_train": n_train,
         "rank": rank_policy.describe(),
         "project_before_augment": project_before_augment,
-        "variants": [
-            {"name": s.name, "measurements": s.measurements, "sparsity_s": s.sparsity_s}
-            for s in variant_specs
-        ],
+        "variants": [asdict(s) for s in variant_specs],
     }
     seeds = {"master": master_seed}
     seeds.update({s.name: derive_seed(master_seed, s.name)

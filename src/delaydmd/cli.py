@@ -1,13 +1,15 @@
 """Command-line entry point: dataset generation, comparison runs, spectra.
 
-Configuration precedence is flags over ``--config`` file over built-in
-defaults; the defaults reproduce the two bundled benchmark setups. The
-master seed (flag, config file, or ``DELAYDMD_SEED``) is split into
-per-component sub-seeds by hashing the component name, so the random draws
-of one variant never depend on which other variants run.
+Settings come from one layered merge, lowest first: built-in defaults, the
+stock run of a built-in benchmark (``analysis.STOCK_RUNS``),
+``DELAYDMD_SEED`` (seed only, when neither the config file nor a flag sets
+one), the ``--config`` file, flags. The ``overrides`` and ``measurements``
+maps merge key by key. The master seed is split into per-component
+sub-seeds by hashing the component name, so the random draws of one
+variant never depend on which other variants run.
 
 Exit codes: 0 success, 2 variant failure under ``--strict``, 64 usage
-error, 74 I/O error.
+error (unknown config keys and malformed values included), 74 I/O error.
 """
 
 from __future__ import annotations
@@ -16,35 +18,38 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field as dc_field
+from dataclasses import MISSING, dataclass, field as dc_field, fields, replace
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import numpy as np
 
-from . import analysis, snapshots
-from .analysis import VariantSpec, default_variant_specs
+from . import analysis, dmd, snapshots
+from .analysis import STOCK_RUNS, VARIANT_NAMES, VariantSpec
 from .dmd import RankPolicy, load_model, save_model, spectrum as model_spectrum
 from .errors import DelayDmdError, InvalidParameterError
-from .problems import (
-    DoubleGyreParams,
-    SignalParams,
-    generate_double_gyre,
-    generate_signal,
-)
-from .snapshots import GridMeta
+from .problems import DoubleGyreParams, SignalParams
 
 EXIT_OK = 0
 EXIT_VARIANT_FAILURE = 2
 EXIT_USAGE = 64
 EXIT_IO = 74
 
-_PROBLEM_DEFAULTS = {
-    "double-gyre": {"q": 2, "n_train": 174, "rank": "fixed:20"},
-    "signal-2d": {"q": 2, "n_train": 64, "rank": "tol:1e-10"},
-}
+_PARAMS = {"double-gyre": DoubleGyreParams, "signal-2d": SignalParams}
 
-_GYRE_FIELDS = ("amp", "omega", "eps", "nt", "dt", "t0", "nx", "ny")
-_SIGNAL_FIELDS = ("f1", "f2", "noise_amp", "nt", "dt", "t_final", "t0", "nx", "ny")
+
+def _overridable(params) -> dict:
+    """Parameters a run may override, with their types: the fields of
+    ``params`` except the grid, plus the grid's ``nx`` and ``ny``."""
+    hints = {**get_type_hints(params), "nx": int, "ny": int}
+    del hints["grid"]
+    return {name: int if int in (hint, *get_args(hint)) else float
+            for name, hint in hints.items()}
+
+
+# Every parameter any problem may override, with its type.
+_OVERRIDE_TYPES = {name: kind for params in _PARAMS.values()
+                   for name, kind in _overridable(params).items()}
 
 
 class _UsageError(Exception):
@@ -56,49 +61,93 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-@dataclass
-class RunConfig:
-    """Fully resolved settings for one generate/run invocation."""
+# Setting parsers take the setting's name and the value a flag or a config
+# file gives; they raise InvalidParameterError naming the setting.
 
-    problem: str
-    q: int = 2
-    n_train: int | None = None
-    rank: RankPolicy = RankPolicy.relative_threshold(1e-10)
-    variant_specs: list[VariantSpec] = dc_field(default_factory=list)
-    seed: int = 0
-    out_dir: Path = Path(".")
-    strict: bool = False
-    project_before_augment: bool = False
-    emit_modes: list[int] = dc_field(default_factory=list)
-    overrides: dict = dc_field(default_factory=dict)
-
-
-def _parse_measurements(items) -> dict:
-    counts = {}
-    for item in items or []:
-        for part in item.split(","):
-            part = part.strip()
-            if not part:
-                continue
-            name, sep, value = part.partition("=")
-            if not sep:
-                raise InvalidParameterError(
-                    f"--measurements entries look like variant=count, got {part!r}"
-                )
+def _of(kinds, what, convert=None):
+    """A parser for values of ``kinds``, passed through ``convert``. A bool
+    passes only when ``kinds`` is bool (JSON ``true`` is no integer), and a
+    ValueError from ``convert`` marks a malformed value."""
+    def parse(name, value):
+        if isinstance(value, kinds) and (kinds is bool or not isinstance(value, bool)):
             try:
-                counts[name.strip()] = int(value)
+                return value if convert is None else convert(value)
             except ValueError:
-                raise InvalidParameterError(
-                    f"measurement count for {name!r} must be an integer, got {value!r}"
-                ) from None
+                pass
+        raise InvalidParameterError(f"{name} must be {what}, got {value!r}")
+    return parse
+
+
+_text = _of(str, "a string")
+_integer = _of((int, str), "an integer", int)
+_boolean = _of(bool, "true or false")
+_number = _of((int, float), "a number")
+
+
+def _comma_list(item):
+    """A parser for a comma list, as text or a JSON list, of ``item`` values."""
+    def parse(name, value):
+        if isinstance(value, str):
+            value = [part.strip() for part in value.split(",") if part.strip()]
+        return [item(name, v) for v in _of(list, "a comma list")(name, value)]
+    return parse
+
+
+def _measurements(name, value) -> dict:
+    """Counts per variant, as ``variant=count`` comma text or a JSON object."""
+    if isinstance(value, str):
+        value = {variant.strip(): count for variant, _, count
+                 in (part.partition("=") for part in _comma_list(_text)(name, value))}
+    counts = {}
+    for variant, count in _of(dict, "variant counts")(name, value).items():
+        if variant not in VARIANT_NAMES:
+            raise InvalidParameterError(f"{name}: unknown variant {variant!r}")
+        counts[variant] = _integer(f"{name} of {variant}", count)
     return counts
 
 
-def _parse_variant_names(text: str) -> list[str]:
-    names = [v.strip() for v in text.split(",") if v.strip()]
-    if not names:
-        raise InvalidParameterError("variant list is empty")
-    return names
+def _overrides(name, value) -> dict:
+    parsed = {}
+    for key, number in _of(dict, "problem parameters")(name, value).items():
+        # make_problem rejects names that do not apply to the problem.
+        parsed[key] = (_integer if _OVERRIDE_TYPES.get(key) is int else _number)(key, number)
+    return parsed
+
+
+def _setting(parse, default=MISSING, factory=MISSING):
+    """A RunConfig field with its parser; the default is the lowest layer."""
+    return dc_field(default=default, default_factory=factory, metadata={"parse": parse})
+
+
+# Budget of each reduced variant that neither a stock run nor the user sets.
+_MEASUREMENTS = 100
+
+
+@dataclass
+class RunConfig:
+    """Fully resolved settings for one generate/run invocation.
+
+    Each field is one setting, and their names are the only keys a config
+    file may hold. Without ``n_train`` a run trains on 80% of the columns.
+    """
+
+    problem: str = _setting(_text)
+    seed: int = _setting(_integer, 0)
+    q: int = _setting(_integer, 2)
+    n_train: int | None = _setting(_integer, None)
+    rank: RankPolicy = _setting(_of(str, "fixed:R or tol:T", RankPolicy.parse),
+                                dmd.DEFAULT_RANK_POLICY)
+    variants: list[str] = _setting(_comma_list(_text), factory=lambda: list(VARIANT_NAMES))
+    measurements: dict = _setting(_measurements, factory=dict)
+    sparsity: int = _setting(_integer, VariantSpec.sparsity_s)
+    out: Path = _setting(_of(str, "a path", Path), Path("."))
+    strict: bool = _setting(_boolean, False)
+    project_before_augment: bool = _setting(_boolean, False)
+    emit_modes: list[int] = _setting(_comma_list(_integer), factory=list)
+    overrides: dict = _setting(_overrides, factory=dict)
+
+
+_SETTINGS = {f.name: f.metadata["parse"] for f in fields(RunConfig)}
 
 
 def _load_config_file(path) -> dict:
@@ -109,151 +158,78 @@ def _load_config_file(path) -> dict:
         raise InvalidParameterError(f"{path}: invalid JSON ({exc})") from exc
 
 
-def _env_seed() -> int | None:
-    raw = os.environ.get("DELAYDMD_SEED")
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise InvalidParameterError(
-            f"DELAYDMD_SEED must be an integer, got {raw!r}"
-        ) from None
+def _parse(source: str, raw) -> dict:
+    """Parse one layer of raw settings; errors name the layer's source."""
+    parsed = {}
+    for key, value in _of(dict, "a JSON object")(source, raw).items():
+        if key not in _SETTINGS:
+            raise InvalidParameterError(
+                f"{source}: unknown setting {key!r}; use one of {', '.join(_SETTINGS)}"
+            )
+        try:
+            parsed[key] = _SETTINGS[key](key, value)
+        except InvalidParameterError as exc:
+            raise InvalidParameterError(f"{source}: {exc}") from None
+    return parsed
+
+
+def _merge(*layers: dict) -> dict:
+    """Merge parsed layers, lowest first; the two maps merge key by key."""
+    merged = {}
+    for layer in layers:
+        for key, value in layer.items():
+            if key in ("overrides", "measurements"):
+                value = {**merged.get(key, {}), **value}
+            merged[key] = value
+    return merged
 
 
 def build_config(args) -> RunConfig:
-    """Merge flags over config file over problem defaults."""
-    file_cfg = _load_config_file(args.config) if getattr(args, "config", None) else {}
-
-    problem = args.problem or file_cfg.get("problem")
-    if problem is None:
+    """Resolve every setting by the layered merge of the module docstring."""
+    path = getattr(args, "config", None)
+    file_layer = _parse(f"config file {path}", _load_config_file(path)) if path else {}
+    flags = {key: value for key, value in vars(args).items() if value is not None}
+    flag_layer = {key: value for key, value in flags.items() if key in _SETTINGS}
+    flag_layer["overrides"] = {key: value for key, value in flags.items()
+                               if key in _OVERRIDE_TYPES}
+    if "measurements" in flag_layer:  # one entry per repeated --measurements
+        flag_layer["measurements"] = ",".join(flag_layer["measurements"])
+    given = _merge(file_layer, _parse("flags", flag_layer))
+    if "problem" not in given:
         raise InvalidParameterError("a problem is required (--problem or config file)")
-    defaults = _PROBLEM_DEFAULTS.get(problem, {"q": 2, "n_train": None, "rank": "tol:1e-10"})
-
-    def pick(flag_value, key, fallback):
-        if flag_value is not None:
-            return flag_value
-        if key in file_cfg:
-            return file_cfg[key]
-        return fallback
-
-    seed = args.seed
-    if seed is None:
-        seed = file_cfg.get("seed")
-    if seed is None:
-        seed = _env_seed()
-    if seed is None:
-        seed = 0
-
-    rank_text = pick(getattr(args, "rank", None), "rank", defaults["rank"])
-    rank = rank_text if isinstance(rank_text, RankPolicy) else RankPolicy.parse(rank_text)
-
-    variant_names = None
-    if getattr(args, "variants", None) is not None:
-        variant_names = _parse_variant_names(args.variants)
-    elif "variants" in file_cfg:
-        variant_names = list(file_cfg["variants"])
-        if not variant_names:
-            raise InvalidParameterError("variant list is empty")
-
-    counts = dict(file_cfg.get("measurements", {}))
-    counts.update(_parse_measurements(getattr(args, "measurements", None)))
-    sparsity = pick(getattr(args, "sparsity", None), "sparsity", 3)
-
-    overrides = dict(file_cfg.get("overrides", {}))
-    flag_fields = set(_GYRE_FIELDS) | set(_SIGNAL_FIELDS)
-    for key in flag_fields:
-        value = getattr(args, key, None)
-        if value is not None:
-            overrides[key] = value
-
-    emit = getattr(args, "emit_modes", None)
-    if emit is None:
-        emit = file_cfg.get("emit_modes", "")
-        emit = ",".join(str(i) for i in emit) if isinstance(emit, list) else emit
-    try:
-        emit_modes = [int(s) for s in str(emit).split(",") if s.strip()]
-    except ValueError:
-        raise InvalidParameterError(f"--emit-modes takes integers, got {emit!r}") from None
-
-    cfg = RunConfig(
-        problem=problem,
-        q=int(pick(args.q, "q", defaults["q"])),
-        n_train=pick(getattr(args, "n_train", None), "n_train", defaults["n_train"]),
-        rank=rank,
-        seed=int(seed),
-        out_dir=Path(pick(getattr(args, "out", None), "out", ".")),
-        strict=bool(args.strict or file_cfg.get("strict", False)),
-        project_before_augment=bool(args.project_before_augment
-                                    or file_cfg.get("project_before_augment", False)),
-        emit_modes=emit_modes,
-        overrides=overrides,
-    )
-    cfg.variant_specs = _resolve_variants(cfg, variant_names, counts, int(sparsity))
-    return cfg
-
-
-def _resolve_variants(cfg: RunConfig, names, counts, sparsity) -> list[VariantSpec]:
-    if names is None and cfg.problem in _PROBLEM_DEFAULTS and not counts:
-        specs = default_variant_specs(cfg.problem)
-        return [VariantSpec(s.name, s.measurements, sparsity) if s.name == "achlioptas"
-                else s for s in specs]
-    if names is None:
-        names = list(analysis.VARIANT_NAMES)
-    if cfg.problem in _PROBLEM_DEFAULTS:
-        base = {s.name: s.measurements for s in default_variant_specs(cfg.problem)}
-    else:
-        base = {name: 100 for name in analysis.VARIANT_NAMES}
-        base["classic"] = None
-    specs = []
-    for name in names:
-        a = counts.get(name, base.get(name))
-        specs.append(VariantSpec(name,
-                                 measurements=None if name == "classic" else a,
-                                 sparsity_s=sparsity))
-    return specs
+    stock = _parse("stock run", STOCK_RUNS.get(given["problem"], {}))
+    env_seed = os.environ.get("DELAYDMD_SEED")
+    env = {}
+    if env_seed is not None and "seed" not in given:
+        env = _parse("DELAYDMD_SEED", {"seed": env_seed})
+    return RunConfig(**_merge(stock, env, given))
 
 
 def make_problem(cfg: RunConfig):
     """Instantiate the benchmark parameters or load the snapshot file."""
     ov = dict(cfg.overrides)
-    if cfg.problem.startswith("file:"):
-        if ov:
-            raise InvalidParameterError(
-                f"parameter overrides {sorted(ov)} do not apply to file problems"
-            )
-        return snapshots.load(cfg.problem[len("file:"):])
-    if cfg.problem == "double-gyre":
-        allowed, extent = _GYRE_FIELDS, (0.0, 2.0, 0.0, 1.0)
-    elif cfg.problem == "signal-2d":
-        allowed, extent = _SIGNAL_FIELDS, (-2.0, 2.0, -2.0, 2.0)
-    else:
+    is_file = cfg.problem.startswith("file:")
+    params = _PARAMS.get(cfg.problem)
+    if params is None and not is_file:
         raise InvalidParameterError(
-            f"unknown problem {cfg.problem!r}; use double-gyre, signal-2d or file:<path>"
+            f"unknown problem {cfg.problem!r}; use {', '.join(_PARAMS)} or file:<path>"
         )
-    for key in ov:
-        if key not in allowed:
-            raise InvalidParameterError(
-                f"parameter {key!r} does not apply to problem {cfg.problem}"
-            )
-    nx = int(ov.pop("nx", 100))
-    ny = int(ov.pop("ny", 100))
-    grid = GridMeta(nx, ny, *extent)
-    if cfg.problem == "double-gyre":
-        return DoubleGyreParams(grid=grid, **ov)
-    return SignalParams(grid=grid, **ov)
+    unknown = [key for key in ov if is_file or key not in _overridable(params)]
+    if unknown:
+        raise InvalidParameterError(f"parameters {unknown} do not apply to problem {cfg.problem}")
+    if is_file:
+        return snapshots.load(cfg.problem[len("file:"):])
+    grid = params().grid
+    grid = replace(grid, nx=ov.pop("nx", grid.nx), ny=ov.pop("ny", grid.ny))
+    return params(grid=grid, **ov)
 
 
 def cmd_generate(args) -> int:
     cfg = build_config(args)
-    problem = make_problem(cfg)
-    if isinstance(problem, snapshots.SnapshotMatrix):
+    if cfg.problem.startswith("file:"):
         raise InvalidParameterError("generate needs a synthetic problem, not file:")
-    if isinstance(problem, DoubleGyreParams):
-        data = generate_double_gyre(problem)
-    else:
-        data = generate_signal(problem, rng_seed=analysis.derive_seed(cfg.seed, "data"))
-    base = cfg.out_dir / cfg.problem
+    _, data = analysis.generate_problem(make_problem(cfg), cfg.seed)
+    base = cfg.out / cfg.problem
     snapshots.save(data, base)
     print(f"wrote {base}.csv and {base}.meta.json ({data.m}x{data.n})")
     return EXIT_OK
@@ -261,6 +237,9 @@ def cmd_generate(args) -> int:
 
 def cmd_run(args) -> int:
     cfg = build_config(args)
+    specs = [VariantSpec(name, None if name == "classic"
+                         else cfg.measurements.get(name, _MEASUREMENTS), cfg.sparsity)
+             for name in cfg.variants]
     problem = make_problem(cfg)
     n_train = cfg.n_train
     if n_train is None:
@@ -268,7 +247,7 @@ def cmd_run(args) -> int:
         n_train = max(2, min(n - 1, int(0.8 * n)))
     try:
         report = analysis.run_comparison(
-            problem, cfg.variant_specs, cfg.seed,
+            problem, specs, cfg.seed,
             q=cfg.q, n_train=int(n_train), rank_policy=cfg.rank,
             project_before_augment=cfg.project_before_augment,
             strict=cfg.strict,
@@ -282,7 +261,7 @@ def cmd_run(args) -> int:
     report.config["seed"] = cfg.seed
     report.config["overrides"] = cfg.overrides
 
-    out = cfg.out_dir
+    out = cfg.out
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "report.json", "w") as fh:
         json.dump(report.to_dict(), fh, indent=2)
@@ -327,23 +306,14 @@ def _add_common(p):
     p.add_argument("--seed", type=int, help="master seed (else DELAYDMD_SEED, else 0)")
     p.add_argument("--q", type=int, help="delay depth")
     p.add_argument("--out", help="output directory")
-    p.add_argument("--strict", action="store_true",
+    p.add_argument("--strict", action="store_true", default=None,
                    help="fail the whole run on any variant failure")
-    p.add_argument("--project-before-augment", action="store_true",
+    p.add_argument("--project-before-augment", action="store_true", default=None,
                    help="sketch raw states before delay embedding")
-    # Problem parameter overrides.
-    p.add_argument("--nt", type=int)
-    p.add_argument("--dt", type=float)
-    p.add_argument("--nx", type=int)
-    p.add_argument("--ny", type=int)
-    p.add_argument("--t0", type=float)
-    p.add_argument("--amp", type=float)
-    p.add_argument("--omega", type=float)
-    p.add_argument("--eps", type=float)
-    p.add_argument("--f1", type=float)
-    p.add_argument("--f2", type=float)
-    p.add_argument("--noise-amp", dest="noise_amp", type=float)
-    p.add_argument("--t-final", dest="t_final", type=float)
+    # Problem parameter overrides, one flag per overridable parameter.
+    for name, kind in _OVERRIDE_TYPES.items():
+        p.add_argument("--" + name.replace("_", "-"), dest=name, type=kind,
+                       help="problem parameter override")
 
 
 def build_parser() -> _Parser:
@@ -381,10 +351,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except InvalidParameterError as exc:
+    except (_UsageError, InvalidParameterError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
@@ -393,7 +360,3 @@ def main(argv=None) -> int:
     except DelayDmdError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_VARIANT_FAILURE
-
-
-if __name__ == "__main__":
-    sys.exit(main())

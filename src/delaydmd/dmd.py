@@ -138,6 +138,16 @@ class DmdModel:
             raise InvalidParameterError("rank must equal the number of retained eigenvalues")
 
 
+def _nonzero_rank(r_nominal: int, sigma: np.ndarray) -> int:
+    """``r_nominal`` capped at the number of nonzero singular values, with a
+    RuntimeWarning when the cap lowers it."""
+    r = min(r_nominal, int(np.count_nonzero(sigma > 0.0)))
+    if 0 < r < r_nominal:
+        warnings.warn(f"requested rank {r_nominal} lowered to {r}, the number of "
+                      f"nonzero singular values", RuntimeWarning)
+    return r
+
+
 def _truncated_pencil(x1, x2, policy, rank_limit=None):
     """SVD-truncate x1, form the low-rank map U* x2 V / sigma, eigendecompose.
 
@@ -155,7 +165,7 @@ def _truncated_pencil(x1, x2, policy, rank_limit=None):
             f"truncation rank {r_nominal} exceeds {name} = {cap}; "
             f"the sketch needs {name} >= r"
         )
-    r = min(r_nominal, int(np.count_nonzero(sigma > 0.0)))
+    r = _nonzero_rank(r_nominal, sigma)
     if r < 1:
         raise DegenerateDataError("data matrix is numerically zero")
     u = svd.u[:, :r]
@@ -332,8 +342,7 @@ def pod_modes(x: SnapshotMatrix, policy: RankPolicy = DEFAULT_RANK_POLICY) -> np
     if x.n < 2:
         raise DegenerateDataError("need at least 2 snapshots for a basis")
     svd = thin_svd(x.data)
-    r = min(policy.resolve(svd.singular_values),
-            int(np.count_nonzero(svd.singular_values > 0.0)))
+    r = _nonzero_rank(policy.resolve(svd.singular_values), svd.singular_values)
     if r < 1:
         raise DegenerateDataError("no singular values above the truncation threshold")
     return svd.u[:, :r]

@@ -230,10 +230,13 @@ def apply(op: ProjectionOperator, x) -> np.ndarray:
 def gram_deviation(op: ProjectionOperator) -> float:
     """Row-gram departure from orthonormality: ||R R* - I||_F / sqrt(a).
 
-    Exactly zero for sampling and identity, below 1e-10 for the Krylov kind,
-    and order D/a for the dense random kinds (their normalization targets
-    the column gram instead).
+    Exactly zero for sampling and identity, whose rows are distinct rows of
+    I_D, so it is returned without forming R R*; below 1e-10 for the Krylov
+    kind, and order D/a for the dense random kinds (their normalization
+    targets the column gram instead).
     """
+    if op.kind in ("sampling", "identity"):
+        return 0.0
     gram = op.matrix @ op.matrix.T
     return float(np.linalg.norm(gram - np.eye(op.a)) / np.sqrt(op.a))
 

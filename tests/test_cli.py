@@ -3,6 +3,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from delaydmd.cli import (
     EXIT_IO,
@@ -163,6 +164,86 @@ class TestSeedPrecedence:
         run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "out"))
         report = read_report(tmp_path / "out")
         assert report["config"]["q"] == 3 and report["config"]["n_train"] == 25
+
+
+class TestConfigFile:
+    BASE = {"problem": "signal-2d", "n_train": 30, "variants": ["classic"],
+            "overrides": {"nx": 12, "ny": 12, "nt": 40}}
+
+    def write(self, tmp_path, **entries):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({**self.BASE, **entries}))
+        return str(cfg)
+
+    @pytest.mark.parametrize("entries, named", [
+        ({"seed": "abc"}, "seed"),
+        ({"q": "two"}, "q"),
+        ({"n_train": "x"}, "n_train"),
+        ({"rank": 20}, "rank"),
+        ({"overrides": {"f1": "x"}}, "f1"),
+        ({"overrides": {"nt": 40.5}}, "nt"),
+        ({"overrides": {"nt": True}}, "nt"),
+        ({"strict": "yes"}, "strict"),
+        ({"project_before_augment": 1}, "project_before_augment"),
+        ({"emit_modes": "0,a"}, "emit_modes"),
+        ({"measurements": {"sampling": "many"}}, "sampling"),
+        ({"measurements": {"samplng": 30}}, "samplng"),
+        ({"variants": ["classic", 3]}, "variants"),
+        ({"out": ["a"]}, "out"),
+        ({"n-train": 30}, "n-train"),
+    ])
+    def test_malformed_value_is_usage_error(self, tmp_path, capsys, entries, named):
+        code = run_cli("run", "--config", self.write(tmp_path, **entries),
+                       "--out", str(tmp_path / "out"))
+        assert code == EXIT_USAGE
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_not_an_object_is_usage_error(self, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text("[1, 2]")
+        assert run_cli("run", "--config", str(cfg)) == EXIT_USAGE
+
+    def test_variants_string_is_a_comma_list(self, tmp_path):
+        code = run_cli("run", "--config", self.write(tmp_path, variants="classic, sampling",
+                                                     measurements={"sampling": 30}),
+                       "--out", str(tmp_path / "out"))
+        assert code == EXIT_OK
+        report = read_report(tmp_path / "out")
+        assert [v["variant"] for v in report["variants"]] == ["classic", "sampling"]
+
+    def test_maps_merge_key_by_key(self, tmp_path):
+        code = run_cli("run", "--config", self.write(tmp_path, variants="classic,sampling",
+                                                     measurements={"sampling": 30}),
+                       "--nx", "10", "--out", str(tmp_path / "out"))
+        assert code == EXIT_OK
+        config = read_report(tmp_path / "out")["config"]
+        assert config["overrides"] == {"nx": 10, "ny": 12, "nt": 40}
+        assert config["variants"][1]["measurements"] == 30
+
+    def test_malformed_env_seed_ignored_when_file_sets_seed(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("DELAYDMD_SEED", "abc")
+        code = run_cli("run", "--config", self.write(tmp_path, seed=4),
+                       "--out", str(tmp_path / "out"))
+        assert code == EXIT_OK
+        assert read_report(tmp_path / "out")["config"]["seed"] == 4
+
+    def test_malformed_env_seed_is_usage_error(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("DELAYDMD_SEED", "abc")
+        code = run_cli("run", "--config", self.write(tmp_path), "--out", str(tmp_path / "out"))
+        assert code == EXIT_USAGE
+
+
+class TestSparsity:
+    @pytest.mark.parametrize("extra", [[], ["--measurements", "sampling=100"]])
+    def test_every_spec_carries_the_flag(self, tmp_path, extra):
+        code = run_cli("run", "--problem", "signal-2d", *SMALL, "--sparsity", "1",
+                       *extra, "--out", str(tmp_path))
+        assert code == EXIT_OK
+        variants = read_report(tmp_path)["config"]["variants"]
+        assert [v["name"] for v in variants] == ["classic", "sampling", "gaussian",
+                                                 "achlioptas", "krylov"]
+        assert [v["sparsity_s"] for v in variants] == [1] * 5
 
 
 class TestSpectrumCommand:

@@ -154,6 +154,12 @@ class TestDmdClassic:
         assert model.rank == 1
         np.testing.assert_allclose(model.eigenvalues_discrete, [1.0])
 
+    def test_lowered_fixed_rank_warns(self):
+        x = np.random.default_rng(3).standard_normal((6, 4))
+        with pytest.warns(RuntimeWarning, match="requested rank 10 lowered to 3"):
+            model = dmd_classic(x[:, :3], x[:, 1:], dt=1.0, policy=RankPolicy.fixed(10))
+        assert model.rank == 3
+
 
 class TestDmdTdc:
     def test_depth_one_reduces_to_classic(self):
@@ -415,6 +421,12 @@ class TestPodModes:
         for k in range(2):
             assert abs(modes[:, k] @ v1n) > 1e-3
             assert abs(modes[:, k] @ v2n) > 1e-3
+
+    def test_lowered_fixed_rank_warns(self):
+        x = snaps(np.random.default_rng(4).standard_normal((6, 3)))
+        with pytest.warns(RuntimeWarning, match="requested rank 10 lowered to 3"):
+            modes = pod_modes(x, RankPolicy.fixed(10))
+        assert modes.shape == (6, 3)
 
 
 class TestSpectrum:

@@ -216,6 +216,9 @@ class TestGramDeviation:
     def test_sampling_exactly_zero(self):
         assert gram_deviation(sampling_operator(50, 12, seed=14)) == 0.0
 
+    def test_identity_exactly_zero(self):
+        assert gram_deviation(identity_operator(40)) == 0.0
+
     def test_krylov_tiny(self):
         assert gram_deviation(krylov_operator(200, 20, seed=15)) < 1e-10
 
