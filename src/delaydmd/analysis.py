@@ -283,6 +283,17 @@ def _build_operator(spec: VariantSpec, state_dim: int, seed: int):
     raise InvalidParameterError(f"no operator for variant {spec.name!r}")
 
 
+def _fit_sketched(spec, embedding, state_dim, seed, result, rank_policy,
+                  project_before_augment):
+    """Build the variant's operator, record its diagnostics on ``result`` and
+    fit. The operator is dropped on return, so at most one is alive at a time."""
+    op = _build_operator(spec, state_dim, seed)
+    result.gram_deviation = projections.gram_deviation(op)
+    result.measurements = op.a
+    return dmd_projected(embedding, embedding.q, op, rank_policy,
+                         project_before_augment=project_before_augment)
+
+
 def run_comparison(problem, variant_specs, master_seed: int = 0, *,
                    q: int = 2, n_train: int,
                    rank_policy: RankPolicy = DEFAULT_RANK_POLICY,
@@ -314,11 +325,9 @@ def run_comparison(problem, variant_specs, master_seed: int = 0, *,
                 model = dmd_tdc(embedding, q, rank_policy)
                 result.measurements = data.m
             else:
-                op = _build_operator(spec, state_dim, derive_seed(master_seed, spec.name))
-                result.gram_deviation = projections.gram_deviation(op)
-                result.measurements = op.a
-                model = dmd_projected(embedding, q, op, rank_policy,
-                                      project_before_augment=project_before_augment)
+                model = _fit_sketched(spec, embedding, state_dim,
+                                      derive_seed(master_seed, spec.name), result,
+                                      rank_policy, project_before_augment)
             result.wall_time = time.perf_counter() - started
             result.model = model
             result.spectrum = spectrum(model)

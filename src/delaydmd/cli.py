@@ -241,6 +241,9 @@ def cmd_run(args) -> int:
                          else cfg.measurements.get(name, _MEASUREMENTS), cfg.sparsity)
              for name in cfg.variants]
     problem = make_problem(cfg)
+    grid = getattr(problem, "grid", None)
+    if cfg.emit_modes and grid is None:
+        raise InvalidParameterError("--emit-modes needs a problem with a grid")
     n_train = cfg.n_train
     if n_train is None:
         n = problem.n if isinstance(problem, snapshots.SnapshotMatrix) else problem.nt
@@ -266,9 +269,6 @@ def cmd_run(args) -> int:
     with open(out / "report.json", "w") as fh:
         json.dump(report.to_dict(), fh, indent=2)
         fh.write("\n")
-    grid = getattr(problem, "grid", None)
-    if cfg.emit_modes and grid is None:
-        raise InvalidParameterError("--emit-modes needs a problem with a grid")
     for result in report.variants:
         if result.failed:
             print(f"{result.variant}: FAILED ({result.error_message})")

@@ -15,10 +15,12 @@ with q*min(M, N) rows and the same singular values, right singular vectors,
 pencil and least-squares solutions. The unsketched SVD, exact-mode recovery
 and the amplitude solve all work on that compressed pair; full-space modes
 are expanded blockwise through Q only when the model is built. A sketched
-fit forms the explicit Hankel matrix once, to apply the operator to it.
-Mode columns may differ from those of a fit on the explicit Hankel pair by
-a sign or phase per column; the amplitudes compensate, so spectra and
-predictions agree to roundoff.
+fit never forms the explicit Hankel matrix either: the operator is applied
+one delay block at a time (:func:`~delaydmd.projections.apply` with depth
+q), so the sketch allocates only its own a-by-(N-q+1) result. Mode columns
+may differ from those of a fit on the explicit Hankel pair by a sign or
+phase per column; the amplitudes compensate, so spectra and predictions
+agree to roundoff.
 """
 
 from __future__ import annotations
@@ -270,12 +272,7 @@ def _fit_delay(emb: DelayEmbedding, policy: RankPolicy, op: ProjectionOperator |
             sketch = hankel_block(apply_operator(op, x.data), q)
             rank_limit = (op.a * q, "measurements*q")
         else:
-            if op.d != q * x.m:
-                raise ShapeMismatchError(
-                    f"operator acts on {op.d}-dim states but the embedded pair has "
-                    f"{q * x.m} rows"
-                )
-            sketch = apply_operator(op, hankel_block(x.data, q))
+            sketch = apply_operator(op, x.data, q)
             rank_limit = (op.a, "measurements")
         _, sigma_z, v_z, eig = _truncated_pencil(sketch[:, :-1], sketch[:, 1:],
                                                  policy, rank_limit)

@@ -18,11 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    InvalidDelayError,
     InvalidParameterError,
     InvalidStartVectorError,
     RankDeficientBasisError,
     ShapeMismatchError,
 )
+from .snapshots import hankel_block
 
 KINDS = ("identity", "sampling", "gaussian", "achlioptas", "krylov")
 
@@ -112,7 +114,8 @@ def gaussian_operator(d: int, a: int, seed: int) -> ProjectionOperator:
     """
     _check_count(d, a)
     rng = np.random.default_rng(seed)
-    matrix = rng.standard_normal((a, d)) / np.sqrt(a)
+    matrix = rng.standard_normal((a, d))
+    np.divide(matrix, np.sqrt(a), out=matrix)
     return ProjectionOperator(kind="gaussian", matrix=matrix, a=a, seed=seed)
 
 
@@ -123,14 +126,24 @@ def achlioptas_operator(d: int, a: int, s: int, seed: int) -> ProjectionOperator
     1 - 1/s, 1/(2s), then the whole matrix is scaled by 1/sqrt(a) so the
     expected column gram is the identity. With s = 3 about two thirds of
     the entries are exactly zero.
+
+    The draw is that of ``rng.choice([-1, 0, 1], size=(a, d), p=probs)``,
+    which compares ``rng.random((a, d))`` against the normalized cumulative
+    probabilities; here each row is drawn and mapped in place, so no
+    a-by-d temporary is formed.
     """
     if s not in (1, 3):
         raise InvalidParameterError(f"sparsity s must be 1 or 3, got {s}")
     _check_count(d, a)
     rng = np.random.default_rng(seed)
-    probs = [1.0 / (2 * s), 1.0 - 1.0 / s, 1.0 / (2 * s)]
-    matrix = rng.choice(np.array([-1.0, 0.0, 1.0]), size=(a, d), p=probs)
-    matrix *= np.sqrt(s) / np.sqrt(a)
+    cdf = np.cumsum([1.0 / (2 * s), 1.0 - 1.0 / s, 1.0 / (2 * s)])
+    cdf /= cdf[-1]
+    scale = np.sqrt(s) / np.sqrt(a)
+    matrix = np.empty((a, d))
+    for row in matrix:
+        rng.random(out=row)
+        np.subtract(row >= cdf[1], row < cdf[0], out=row, dtype=float)
+        row *= scale
     return ProjectionOperator(kind="achlioptas", matrix=matrix, a=a, seed=seed,
                               sparsity_s=s)
 
@@ -208,23 +221,37 @@ def krylov_operator(d: int, a: int, seed: int) -> ProjectionOperator:
     return ProjectionOperator(kind="krylov", matrix=q.T.copy(), a=a + 1, seed=seed)
 
 
-def apply(op: ProjectionOperator, x) -> np.ndarray:
-    """Project the columns of ``x`` down to measurement space.
+def apply(op: ProjectionOperator, x, q: int = 1) -> np.ndarray:
+    """Project the columns of the depth-q Hankel matrix of ``x`` down to
+    measurement space, without forming that matrix.
 
-    Sampling extracts rows directly; the other kinds use a dense product.
+    Row b*M + i of the (q*M)-by-(N-q+1) Hankel matrix of the M-by-N data is
+    row i of ``x[:, b:b+N-q+1]``. Sampling gathers those entries directly;
+    the dense kinds sum one product per delay block, R[:, b*M:(b+1)*M] @
+    x[:, b:b+N-q+1], on strided views; identity returns the Hankel matrix
+    itself. With q = 1 this is the plain product with ``x``.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
         raise ShapeMismatchError(f"x must be 2-d, got shape {x.shape}")
-    if x.shape[0] != op.d:
+    m, n = x.shape
+    if q != 1 and not 1 <= q <= n - 1:
+        raise InvalidDelayError(f"q must satisfy 1 <= q <= N-1 = {n - 1}, got {q}")
+    if q * m != op.d:
         raise ShapeMismatchError(
-            f"operator expects {op.d} rows, data has {x.shape[0]}"
+            f"operator expects {op.d} rows, the depth-{q} Hankel matrix of the data "
+            f"has {q * m}"
         )
     if op.kind == "identity":
-        return x
+        return x if q == 1 else hankel_block(x, q)
+    cols = n - q + 1
     if op.kind == "sampling":
-        return x[op.indices, :]
-    return op.matrix @ x
+        blocks, rows = np.divmod(op.indices, m)
+        return x[rows[:, None], blocks[:, None] + np.arange(cols)]
+    out = op.matrix[:, :m] @ x[:, :cols]
+    for b in range(1, q):
+        out += op.matrix[:, b * m:(b + 1) * m] @ x[:, b:b + cols]
+    return out
 
 
 def gram_deviation(op: ProjectionOperator) -> float:

@@ -12,7 +12,7 @@ from delaydmd.cli import (
     EXIT_VARIANT_FAILURE,
     main,
 )
-from delaydmd.snapshots import load
+from delaydmd.snapshots import SnapshotMatrix, load, save
 
 SMALL = ["--nx", "12", "--ny", "12"]
 
@@ -115,6 +115,16 @@ class TestRun:
                 path = tmp_path / f"mode_classic_{k}_{part}.csv"
                 field = np.loadtxt(path, delimiter=",")
                 assert field.shape == (12, 12)
+
+    def test_emit_modes_without_grid_fails_before_fitting(self, tmp_path):
+        data = np.random.default_rng(0).standard_normal((20, 40))
+        save(SnapshotMatrix(data, dt=0.1), tmp_path / "gridless")
+        out = tmp_path / "out"
+        code = run_cli("run", "--problem", f"file:{tmp_path / 'gridless'}",
+                       "--variants", "classic", "--emit-modes", "0",
+                       "--out", str(out))
+        assert code == EXIT_USAGE
+        assert not out.exists() or not any(out.iterdir())
 
     def test_file_problem_round_trip(self, tmp_path):
         run_cli("generate", "--problem", "signal-2d", *SMALL, "--nt", "40",

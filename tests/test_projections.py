@@ -1,10 +1,13 @@
 """Operator construction, Arnoldi iteration and sketch application."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from delaydmd.errors import (
+    InvalidDelayError,
     InvalidParameterError,
     InvalidStartVectorError,
     RankDeficientBasisError,
@@ -21,6 +24,7 @@ from delaydmd.projections import (
     krylov_operator,
     sampling_operator,
 )
+from delaydmd.snapshots import hankel_block
 
 
 class TestSamplingOperator:
@@ -210,6 +214,102 @@ class TestApply:
         lhs = apply(op, alpha * x + beta * y)
         rhs = alpha * apply(op, x) + beta * apply(op, y)
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
+
+
+def _operator(kind, d, a, seed):
+    if kind == "identity":
+        return identity_operator(d)
+    if kind == "sampling":
+        return sampling_operator(d, a, seed)
+    if kind == "gaussian":
+        return gaussian_operator(d, a, seed)
+    if kind == "achlioptas":
+        return achlioptas_operator(d, a, 3, seed)
+    return krylov_operator(d, a - 1, seed)
+
+
+class TestStreamedSketch:
+    """``apply(op, x, q)`` projects the depth-q Hankel matrix of x unformed."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(kind=st.sampled_from(["identity", "sampling", "gaussian", "achlioptas",
+                                 "krylov"]),
+           q=st.integers(1, 4), m=st.integers(1, 12), extra=st.integers(1, 30),
+           a_frac=st.floats(0.1, 1.0), seed=st.integers(0, 2**16))
+    def test_matches_explicit_hankel(self, kind, q, m, extra, a_frac, seed):
+        # n = q + extra columns, so both wide (m < n) and tall (m > n) data occur.
+        x = np.random.default_rng(seed).standard_normal((m, q + extra))
+        d = q * m
+        a = max(1, int(a_frac * d))
+        if kind == "krylov":
+            assume(d >= 3)  # the start vector plus at least one random row
+            a = min(max(a, 2), d)
+        op = _operator(kind, d, a, seed)
+        streamed = apply(op, x, q)
+        explicit = apply(op, hankel_block(x, q))
+        assert streamed.shape == explicit.shape == (op.a, x.shape[1] - q + 1)
+        if kind in ("identity", "sampling"):
+            np.testing.assert_array_equal(streamed, explicit)
+        else:
+            scale = max(np.linalg.norm(explicit), 1.0)
+            assert np.linalg.norm(streamed - explicit) <= 1e-12 * scale
+
+    def test_depth_times_rows_must_match(self):
+        op = gaussian_operator(12, 3, seed=0)
+        x = np.ones((4, 10))
+        apply(op, x, 3)
+        with pytest.raises(ShapeMismatchError):
+            apply(op, x, 2)
+        with pytest.raises(ShapeMismatchError):
+            apply(sampling_operator(12, 3, seed=0), np.ones((5, 10)), 3)
+
+    @pytest.mark.parametrize("q", [0, -1, 10, 11])
+    def test_bad_depth_raises(self, q):
+        op = gaussian_operator(4, 2, seed=0)
+        with pytest.raises(InvalidDelayError):
+            apply(op, np.ones((4, 10)), q)
+
+    def test_depth_one_accepts_a_single_column(self):
+        op = gaussian_operator(4, 2, seed=0)
+        x = np.arange(4.0)[:, None]
+        np.testing.assert_array_equal(apply(op, x, 1), op.matrix @ x)
+
+    @pytest.mark.parametrize("factory", [
+        lambda d: gaussian_operator(d, 40, seed=1),
+        lambda d: sampling_operator(d, 40, seed=1),
+    ])
+    def test_no_hankel_sized_allocation(self, factory):
+        m, n, q = 400, 120, 8
+        x = np.random.default_rng(2).standard_normal((m, n))
+        op = factory(q * m)
+        hankel_bytes = q * m * (n - q + 1) * 8
+        tracemalloc.start()
+        try:
+            apply(op, x, q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < hankel_bytes / 4
+
+
+class TestPinnedDraws:
+    """A given seed keeps mapping to the same operator."""
+
+    @pytest.mark.parametrize("s", [1, 3])
+    @pytest.mark.parametrize("seed", [0, 7, 123])
+    def test_achlioptas_matches_choice_reference(self, s, seed):
+        d, a = 301, 17
+        rng = np.random.default_rng(seed)
+        probs = [1.0 / (2 * s), 1.0 - 1.0 / s, 1.0 / (2 * s)]
+        reference = rng.choice(np.array([-1.0, 0.0, 1.0]), size=(a, d), p=probs)
+        reference *= np.sqrt(s) / np.sqrt(a)
+        np.testing.assert_array_equal(achlioptas_operator(d, a, s, seed).matrix, reference)
+
+    @pytest.mark.parametrize("seed", [0, 7, 123])
+    def test_gaussian_matches_normal_reference(self, seed):
+        d, a = 301, 17
+        reference = np.random.default_rng(seed).standard_normal((a, d)) / np.sqrt(a)
+        np.testing.assert_array_equal(gaussian_operator(d, a, seed).matrix, reference)
 
 
 class TestGramDeviation:
