@@ -248,18 +248,12 @@ def cmd_run(args) -> int:
     if n_train is None:
         n = problem.n if isinstance(problem, snapshots.SnapshotMatrix) else problem.nt
         n_train = max(2, min(n - 1, int(0.8 * n)))
-    try:
-        report = analysis.run_comparison(
-            problem, specs, cfg.seed,
-            q=cfg.q, n_train=int(n_train), rank_policy=cfg.rank,
-            project_before_augment=cfg.project_before_augment,
-            strict=cfg.strict,
-        )
-    except InvalidParameterError:  # a DelayDmdError, yet a usage error: exit 64 in main
-        raise
-    except DelayDmdError as exc:
-        print(f"variant failure: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_VARIANT_FAILURE
+    report = analysis.run_comparison(
+        problem, specs, cfg.seed,
+        q=cfg.q, n_train=int(n_train), rank_policy=cfg.rank,
+        project_before_augment=cfg.project_before_augment,
+        strict=cfg.strict,
+    )
     report.config["problem"] = cfg.problem
     report.config["seed"] = cfg.seed
     report.config["overrides"] = cfg.overrides

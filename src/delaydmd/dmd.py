@@ -1,12 +1,15 @@
-"""The three DMD fitting pipelines and model evaluation.
+"""One exact-DMD fit core behind three entry points, and model evaluation.
 
-``dmd_classic`` fits a best-fit linear map between the before/after column
-pairs of a data matrix. ``dmd_tdc`` first stacks q consecutive snapshots per
-column (delay embedding), which lets purely oscillatory data carry complex
-eigenvalue pairs a raw state cannot. ``dmd_projected`` additionally sketches
-the embedded pair through a measurement-reduction operator and recovers
-full-space modes from the unprojected shifted matrix, so the model still
-predicts in the original state space.
+Every fit runs the same step on some before/after pair: truncate an SVD,
+eigendecompose the low-rank map, form the modes and solve for the
+amplitudes of the first column. The entry points differ only in the pair
+they hand it. ``dmd_classic`` passes a data matrix's column pairs as they
+are. ``dmd_tdc`` first stacks q consecutive snapshots per column (delay
+embedding), which lets purely oscillatory data carry complex eigenvalue
+pairs a raw state cannot. ``dmd_projected`` additionally sketches the
+embedded pair through a measurement-reduction operator; the core then fits
+in sketch space and recovers full-space modes from the unprojected shifted
+matrix, so the model still predicts in the original state space.
 
 Both delay fits run on the embedding held in the QR basis of the raw
 snapshots (:func:`~delaydmd.snapshots.delay_embed`): one thin QR X = Q R of
@@ -36,12 +39,13 @@ from .errors import (
     DegenerateDataError,
     InsufficientMeasurementsError,
     InvalidParameterError,
+    ModelParseError,
     ShapeMismatchError,
     ZeroInitialConditionError,
 )
 from .numerics import eig_dense, pseudoinverse_apply, real_complex_matmul, thin_svd
 from .projections import ProjectionOperator, apply as apply_operator
-from .snapshots import DelayEmbedding, SnapshotMatrix, delay_embed, hankel_block
+from .snapshots import DelayEmbedding, SnapshotMatrix, delay_embed, hankel_block, read_field
 
 # Discrete eigenvalues below this modulus cannot be mapped to a finite
 # continuous exponent; they are dropped with a warning.
@@ -140,79 +144,75 @@ class DmdModel:
             raise InvalidParameterError("rank must equal the number of retained eigenvalues")
 
 
-def _nonzero_rank(r_nominal: int, sigma: np.ndarray) -> int:
-    """``r_nominal`` capped at the number of nonzero singular values, with a
-    RuntimeWarning when the cap lowers it."""
-    r = min(r_nominal, int(np.count_nonzero(sigma > 0.0)))
-    if 0 < r < r_nominal:
-        warnings.warn(f"requested rank {r_nominal} lowered to {r}, the number of "
-                      f"nonzero singular values", RuntimeWarning)
-    return r
+def _truncate(svd, policy: RankPolicy, rank_limit=None) -> int:
+    """Truncation rank of ``svd`` under ``policy``: the nominal rank the
+    policy picks, lowered to the number of nonzero singular values with a
+    RuntimeWarning when that changes it.
 
-
-def _truncated_pencil(x1, x2, policy, rank_limit=None):
-    """SVD-truncate x1, form the low-rank map U* x2 V / sigma, eigendecompose.
-
-    ``rank_limit`` is a (cap, name) pair that caps the nominal truncation
-    rank; exceeding it means the sketch cannot support the requested rank.
+    ``rank_limit`` is a (cap, name) pair that caps the nominal rank;
+    exceeding it means the sketch cannot support the requested rank.
     """
-    svd = thin_svd(x1)
     sigma = svd.singular_values
     r_nominal = policy.resolve(sigma)
-    if r_nominal < 1:
-        raise DegenerateDataError("no singular values above the truncation threshold")
+    r = min(r_nominal, int(np.count_nonzero(sigma > 0.0)))
+    if r < 1:
+        raise DegenerateDataError("no nonzero singular values above the truncation threshold")
     if rank_limit is not None and r_nominal > rank_limit[0]:
         cap, name = rank_limit
         raise InsufficientMeasurementsError(
             f"truncation rank {r_nominal} exceeds {name} = {cap}; "
             f"the sketch needs {name} >= r"
         )
-    r = _nonzero_rank(r_nominal, sigma)
-    if r < 1:
-        raise DegenerateDataError("data matrix is numerically zero")
-    u = svd.u[:, :r]
-    sigma_r = sigma[:r]
-    v = svd.v[:, :r]
-    low_rank_map = (u.T @ x2 @ v) / sigma_r
-    eig = eig_dense(low_rank_map)
-    return u, sigma_r, v, eig
+    if r < r_nominal:
+        warnings.warn(f"requested rank {r_nominal} lowered to {r}, the number of "
+                      f"nonzero singular values", RuntimeWarning)
+    return r
 
 
-def _drop_zero_eigenvalues(mu, modes):
-    keep = np.abs(mu) > _ZERO_EIGENVALUE_CUTOFF
+def _fit(x1, x2, policy: RankPolicy, *, sketch=None, rank_limit=None,
+         expand=None, **model_fields) -> DmdModel:
+    """Exact DMD of the pair (x1, x2), the core of every fit.
+
+    Truncates the SVD of x1 under ``policy``, eigendecomposes the low-rank
+    map U* x2 V / sigma and takes the modes U W. With ``sketch`` (the
+    sketched x1 columns, then the sketched last x2 column) the SVD and the
+    map come from the sketch, its rank capped by ``rank_limit``, and the
+    modes are the exact modes x2 V W / sigma. Amplitudes fit the first
+    column of x1; ``expand`` maps compressed mode columns to full space.
+    ``model_fields`` (dt among them) go to the :class:`DmdModel`.
+    """
+    first = x1[:, 0]
+    if not np.any(first != 0.0):
+        raise ZeroInitialConditionError(
+            "first column of the fit is zero, so every mode amplitude would vanish; "
+            "start the fit at a nonzero sample"
+        )
+    fit_x1, fit_x2 = (x1, x2) if sketch is None else (sketch[:, :-1], sketch[:, 1:])
+    svd = thin_svd(fit_x1)
+    r = _truncate(svd, policy, rank_limit)
+    u, sigma, v = svd.u[:, :r], svd.singular_values[:r], svd.v[:, :r]
+    eig = eig_dense((u.T @ fit_x2 @ v) / sigma)
+    if sketch is None:
+        modes = u.astype(complex) @ eig.eigenvectors
+    else:
+        modes = real_complex_matmul(x2, (v / sigma) @ eig.eigenvectors)
+    keep = np.abs(eig.eigenvalues) > _ZERO_EIGENVALUE_CUTOFF
     if not np.all(keep):
         warnings.warn(
             f"dropping {int(np.sum(~keep))} eigenvalue(s) with modulus below "
             f"{_ZERO_EIGENVALUE_CUTOFF:g}; they have no finite continuous exponent",
             RuntimeWarning,
         )
-        mu = mu[keep]
-        modes = modes[:, keep]
-    if mu.size == 0:
+    if not np.any(keep):
         raise DegenerateDataError("every eigenvalue collapsed to zero")
-    return mu, modes
-
-
-def _finish_model(coeffs, mu, first_column, dt, *, q, base_m, t0, variant,
-                  measurements=None, expand=None) -> DmdModel:
-    """Drop zero eigenvalues, solve for the amplitudes of ``first_column`` in
-    the ``coeffs`` basis and build the model; ``expand`` maps the columns
-    of ``coeffs`` to full-space modes when they are compressed coordinates."""
-    mu, coeffs = _drop_zero_eigenvalues(mu, coeffs)
-    exponents = np.log(mu) / dt
-    amplitudes = pseudoinverse_apply(coeffs, first_column)
+    mu, modes = eig.eigenvalues[keep], modes[:, keep]
     return DmdModel(
-        modes=coeffs if expand is None else expand(coeffs),
+        modes=modes if expand is None else expand(modes),
         eigenvalues_discrete=mu,
-        exponents=exponents,
-        amplitudes=amplitudes,
+        exponents=np.log(mu) / model_fields["dt"],
+        amplitudes=pseudoinverse_apply(modes, first),
         rank=mu.size,
-        q=q,
-        base_m=base_m,
-        dt=dt,
-        t0=t0,
-        variant=variant,
-        measurements=measurements,
+        **model_fields,
     )
 
 
@@ -230,58 +230,8 @@ def dmd_classic(x1, x2, dt: float, policy: RankPolicy = DEFAULT_RANK_POLICY,
         raise ShapeMismatchError(f"x1 {x1.shape} and x2 {x2.shape} must match")
     if x1.ndim != 2 or x1.shape[1] < 1:
         raise ShapeMismatchError("x1 must be a matrix with at least one column")
-    first = x1[:, 0]
-    if not np.any(first != 0.0):
-        raise ZeroInitialConditionError(
-            "first snapshot is zero, so every mode amplitude would vanish; "
-            "start the fit at a nonzero sample"
-        )
-    u, _, _, eig = _truncated_pencil(x1, x2, policy)
-    modes = u.astype(complex) @ eig.eigenvectors
-    return _finish_model(modes, eig.eigenvalues, first, dt,
-                         q=1, base_m=x1.shape[0], t0=t0, variant="classic")
-
-
-def _as_embedding(x, q: int) -> DelayEmbedding:
-    if isinstance(x, DelayEmbedding):
-        if x.q != q:
-            raise InvalidParameterError(f"embedding has depth q = {x.q}, fit asked for q = {q}")
-        return x
-    return delay_embed(x, q)
-
-
-def _fit_delay(emb: DelayEmbedding, policy: RankPolicy, op: ProjectionOperator | None,
-               project_before_augment: bool) -> DmdModel:
-    """The delay fit on a compressed embedding, sketched through ``op`` if given."""
-    x, q = emb.snapshots, emb.q
-    if not np.any(x.data[:, :q] != 0.0):
-        raise ZeroInitialConditionError(
-            "first embedded snapshot is zero; start the fit at a nonzero sample"
-        )
-    if op is None:
-        u, _, _, eig = _truncated_pencil(emb.x1, emb.x2, policy)
-        coeffs = u.astype(complex) @ eig.eigenvectors
-        variant, measurements = "tdc", None
-    else:
-        if project_before_augment:
-            if op.d != x.m:
-                raise ShapeMismatchError(
-                    f"operator acts on {op.d}-dim states but snapshots have {x.m} rows"
-                )
-            # Sketching each delay block equals embedding the sketched snapshots.
-            sketch = hankel_block(apply_operator(op, x.data), q)
-            rank_limit = (op.a * q, "measurements*q")
-        else:
-            sketch = apply_operator(op, x.data, q)
-            rank_limit = (op.a, "measurements")
-        _, sigma_z, v_z, eig = _truncated_pencil(sketch[:, :-1], sketch[:, 1:],
-                                                 policy, rank_limit)
-        # Exact-DMD modes from the unprojected shifted matrix, in compressed form.
-        coeffs = real_complex_matmul(emb.x2, (v_z / sigma_z) @ eig.eigenvectors)
-        variant, measurements = f"projected({op.kind})", op.a
-    return _finish_model(coeffs, eig.eigenvalues, emb.x1[:, 0], x.dt,
-                         q=q, base_m=x.m, t0=x.t0, variant=variant,
-                         measurements=measurements, expand=emb.expand)
+    return _fit(x1, x2, policy,
+                q=1, base_m=x1.shape[0], dt=dt, t0=t0, variant="classic")
 
 
 def dmd_tdc(x: SnapshotMatrix | DelayEmbedding, q: int,
@@ -294,7 +244,12 @@ def dmd_tdc(x: SnapshotMatrix | DelayEmbedding, q: int,
     :class:`~delaydmd.snapshots.DelayEmbedding` of depth q, which saves its
     QR when several fits share the data.
     """
-    return _fit_delay(_as_embedding(x, q), policy, None, False)
+    emb = x if isinstance(x, DelayEmbedding) else delay_embed(x, q)
+    if emb.q != q:
+        raise InvalidParameterError(f"embedding has depth q = {emb.q}, fit asked for q = {q}")
+    s = emb.snapshots
+    return _fit(emb.x1, emb.x2, policy, expand=emb.expand,
+                q=q, base_m=s.m, dt=s.dt, t0=s.t0, variant="tdc")
 
 
 def dmd_projected(x: SnapshotMatrix | DelayEmbedding, q: int, op: ProjectionOperator,
@@ -313,7 +268,20 @@ def dmd_projected(x: SnapshotMatrix | DelayEmbedding, q: int, op: ProjectionOper
     The nominal truncation rank must not exceed the sketch's row count: a,
     the operator's measurement count, or a*q with ``project_before_augment``.
     """
-    return _fit_delay(_as_embedding(x, q), policy, op, project_before_augment)
+    emb = x if isinstance(x, DelayEmbedding) else delay_embed(x, q)
+    if emb.q != q:
+        raise InvalidParameterError(f"embedding has depth q = {emb.q}, fit asked for q = {q}")
+    s = emb.snapshots
+    if project_before_augment:
+        # Sketching each delay block equals embedding the sketched snapshots.
+        sketch = hankel_block(apply_operator(op, s.data), q)
+        rank_limit = (op.a * q, "measurements*q")
+    else:
+        sketch = apply_operator(op, s.data, q)
+        rank_limit = (op.a, "measurements")
+    return _fit(emb.x1, emb.x2, policy, sketch=sketch, rank_limit=rank_limit,
+                expand=emb.expand, q=q, base_m=s.m, dt=s.dt, t0=s.t0,
+                variant=f"projected({op.kind})", measurements=op.a)
 
 
 def predict(model: DmdModel, k) -> np.ndarray:
@@ -339,10 +307,7 @@ def pod_modes(x: SnapshotMatrix, policy: RankPolicy = DEFAULT_RANK_POLICY) -> np
     if x.n < 2:
         raise DegenerateDataError("need at least 2 snapshots for a basis")
     svd = thin_svd(x.data)
-    r = _nonzero_rank(policy.resolve(svd.singular_values), svd.singular_values)
-    if r < 1:
-        raise DegenerateDataError("no singular values above the truncation threshold")
-    return svd.u[:, :r]
+    return svd.u[:, :_truncate(svd, policy)]
 
 
 @dataclass(frozen=True)
@@ -423,17 +388,30 @@ def load_model(path) -> DmdModel:
 
     Raises
     ------
+    ModelParseError
+        If either file cannot be parsed or a field is missing or malformed.
     ShapeMismatchError
         If the modes file is not 2*q*base_m rows by rank columns.
     """
     path = Path(path)
-    with open(path) as fh:
-        d = json.load(fh)
+    try:
+        with open(path) as fh:
+            d = json.load(fh)
+    except ValueError as exc:
+        raise ModelParseError(f"{path}: not a model JSON ({exc})") from exc
+
+    def field(key, convert):
+        return read_field(d, key, convert, path, ModelParseError)
+
+    q, base_m, rank = field("q", int), field("base_m", int), field("rank", int)
     modes = None
     modes_path = path.with_suffix(".modes.csv")
     if modes_path.exists():
-        stacked = np.loadtxt(modes_path, delimiter=",", ndmin=2)
-        expected = (2 * int(d["q"]) * int(d["base_m"]), int(d["rank"]))
+        try:
+            stacked = np.loadtxt(modes_path, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise ModelParseError(f"{modes_path}: {exc}") from exc
+        expected = (2 * q * base_m, rank)
         if stacked.shape != expected:
             raise ShapeMismatchError(
                 f"{modes_path}: modes are {stacked.shape[0]}x{stacked.shape[1]}, expected "
@@ -444,14 +422,14 @@ def load_model(path) -> DmdModel:
         modes = stacked[:half] + 1j * stacked[half:]
     return DmdModel(
         modes=modes,
-        eigenvalues_discrete=_complex_array(d["eigenvalues_discrete"]),
-        exponents=_complex_array(d["exponents"]),
-        amplitudes=_complex_array(d["amplitudes"]),
-        rank=int(d["rank"]),
-        q=int(d["q"]),
-        base_m=int(d["base_m"]),
-        dt=float(d["dt"]),
-        t0=float(d["t0"]),
-        variant=d["variant"],
+        eigenvalues_discrete=field("eigenvalues_discrete", _complex_array),
+        exponents=field("exponents", _complex_array),
+        amplitudes=field("amplitudes", _complex_array),
+        rank=rank,
+        q=q,
+        base_m=base_m,
+        dt=field("dt", float),
+        t0=field("t0", float),
+        variant=field("variant", str),
         measurements=d.get("measurements"),
     )

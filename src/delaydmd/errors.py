@@ -39,6 +39,10 @@ class SnapshotParseError(DelayDmdError):
     """Snapshot file is malformed; message carries the offending position."""
 
 
+class ModelParseError(DelayDmdError):
+    """Model file is malformed; message names the file and the field."""
+
+
 class SnapshotConsistencyError(DelayDmdError):
     """Snapshot metadata disagrees with the stored data."""
 

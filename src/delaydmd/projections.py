@@ -6,9 +6,8 @@ projection, entry variance 1/a), ``achlioptas`` (sparse three-point random
 projection) and ``krylov`` (orthonormal rows spanning the all-ones vector
 plus a random subspace). The Krylov rows come from one thin QR of a seeded
 Gaussian block; their row span has the same distribution as that of an
-Arnoldi run on a seeded d-by-d Gaussian matrix, which earlier versions
-performed, but a given seed now maps to a different draw. All constructors
-are pure functions of their arguments.
+Arnoldi run on a seeded d-by-d Gaussian matrix. All constructors are pure
+functions of their arguments.
 """
 
 from __future__ import annotations
@@ -34,11 +33,12 @@ class ProjectionOperator:
     """An a-by-D matrix that maps full states to a measurements.
 
     ``indices`` is populated for the sampling kind (sorted ascending) and
-    ``sparsity_s`` for the Achlioptas kind.
+    ``sparsity_s`` for the Achlioptas kind. The identity kind may leave
+    ``matrix`` as None, with D = a, since nothing reads it.
     """
 
     kind: str
-    matrix: np.ndarray
+    matrix: np.ndarray | None
     a: int
     seed: int | None
     sparsity_s: int | None = None
@@ -47,6 +47,8 @@ class ProjectionOperator:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise InvalidParameterError(f"unknown operator kind {self.kind!r}")
+        if self.matrix is None and self.kind == "identity":
+            return
         m = np.asarray(self.matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != self.a:
             raise InvalidParameterError(
@@ -64,7 +66,7 @@ class ProjectionOperator:
     @property
     def d(self) -> int:
         """Dimension of the full state the operator accepts."""
-        return self.matrix.shape[1]
+        return self.a if self.matrix is None else self.matrix.shape[1]
 
 
 @dataclass(frozen=True)
@@ -87,7 +89,7 @@ def identity_operator(d: int) -> ProjectionOperator:
     """The no-op operator; useful as the reduction-free reference."""
     if d < 1:
         raise InvalidParameterError(f"dimension must be positive, got {d}")
-    return ProjectionOperator(kind="identity", matrix=np.eye(d), a=d, seed=None)
+    return ProjectionOperator(kind="identity", matrix=None, a=d, seed=None)
 
 
 def sampling_operator(d: int, a: int, seed: int) -> ProjectionOperator:
@@ -200,10 +202,9 @@ def krylov_operator(d: int, a: int, seed: int) -> ProjectionOperator:
     Row 0 is 1/sqrt(d); rows 1..a are Q* from one thin QR of a seeded
     d-by-a Gaussian block appended to it, signs fixed so diag(R) > 0. The
     row span has the same distribution as the Krylov space K_(a+1)(G, 1) of a
-    d-by-d Gaussian G, which earlier versions built by Arnoldi (Q G Q* has
-    the law of G for each orthogonal Q fixing 1), but a given seed now maps
-    to a different draw. Raises :class:`RankDeficientBasisError` if any
-    |R_ii| falls below 1e-12 max |R_ii|, which has probability zero.
+    d-by-d Gaussian G (Q G Q* has the law of G for each orthogonal Q fixing
+    1). Raises :class:`RankDeficientBasisError` if any |R_ii| falls below
+    1e-12 max |R_ii|, which has probability zero.
     """
     if a < 1:
         raise InvalidParameterError(f"subspace dimension must be positive, got {a}")

@@ -257,13 +257,26 @@ def _parse_csv_slow(csv_path: Path) -> np.ndarray:
     return np.asarray(rows, dtype=float)
 
 
+def read_field(record, key, convert, source, error=SnapshotParseError):
+    """``convert(record[key])`` for a record parsed from the file ``source``;
+    raises ``error`` naming the file and the field if it is missing or
+    ``convert`` rejects it."""
+    if not isinstance(record, dict) or key not in record:
+        raise error(f"{source}: missing required field {key!r}")
+    try:
+        return convert(record[key])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise error(f"{source}: cannot read field {key!r} ({type(exc).__name__}: {exc})") from exc
+
+
 def load(path) -> SnapshotMatrix:
     """Load a snapshot matrix written by :func:`save`.
 
     Raises
     ------
     SnapshotParseError
-        For missing/malformed metadata or unparseable CSV content.
+        For missing/malformed metadata or unparseable CSV content; the
+        message names the offending sidecar field or CSV position.
     SnapshotConsistencyError
         When the sidecar dimensions disagree with the CSV data.
     """
@@ -275,23 +288,21 @@ def load(path) -> SnapshotMatrix:
             meta = json.load(fh)
     except json.JSONDecodeError as exc:
         raise SnapshotParseError(f"{meta_path}: invalid JSON at line {exc.lineno}") from exc
-    for field in ("m", "n", "dt"):
-        if field not in meta:
-            raise SnapshotParseError(f"{meta_path}: missing required field {field!r}")
+    m, n, dt = (read_field(meta, key, kind, meta_path)
+                for key, kind in (("m", int), ("n", int), ("dt", float)))
     try:
         data = np.loadtxt(csv_path, delimiter=",", ndmin=2)
     except ValueError:
         data = _parse_csv_slow(csv_path)
-    m, n = int(meta["m"]), int(meta["n"])
     if data.shape != (m, n):
         raise SnapshotConsistencyError(
             f"{csv_path}: data is {data.shape[0]}x{data.shape[1]} "
             f"but sidecar declares {m}x{n}"
         )
-    grid = GridMeta.from_dict(meta["grid"]) if "grid" in meta else None
+    grid = read_field(meta, "grid", GridMeta.from_dict, meta_path) if "grid" in meta else None
     if grid is not None and grid.size != m:
         raise SnapshotConsistencyError(
             f"{meta_path}: grid nx*ny = {grid.size} does not match m = {m}"
         )
-    return SnapshotMatrix(data, dt=float(meta["dt"]), grid=grid,
-                          t0=float(meta.get("t0", 0.0)))
+    return SnapshotMatrix(data, dt=dt, grid=grid,
+                          t0=read_field(meta, "t0", float, meta_path) if "t0" in meta else 0.0)

@@ -272,6 +272,14 @@ class TestSpectrumCommand:
     def test_missing_file_is_io_error(self, tmp_path):
         assert run_cli("spectrum", str(tmp_path / "nope.json")) == EXIT_IO
 
+    def test_broken_model_is_one_error_line(self, tmp_path, capsys):
+        path = tmp_path / "model.json"
+        path.write_text('{"variant": "classic"}\n')
+        assert run_cli("spectrum", str(path)) == EXIT_VARIANT_FAILURE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ModelParseError:") and len(err.splitlines()) == 1
+        assert "Traceback" not in err
+
 
 class TestDeterministicReports:
     def test_identical_runs_identical_reports(self, tmp_path):

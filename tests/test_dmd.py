@@ -1,6 +1,8 @@
 """Fitting pipelines: hand-checked small cases, reduction identities,
 linear-system oracles and model round-trips."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,8 +19,10 @@ from delaydmd.dmd import (
     spectrum,
 )
 from delaydmd.errors import (
+    DegenerateDataError,
     InsufficientMeasurementsError,
     InvalidParameterError,
+    ModelParseError,
     ShapeMismatchError,
     ZeroInitialConditionError,
 )
@@ -299,6 +303,39 @@ class TestDmdProjected:
             dmd_projected(x, 1, op)
 
 
+class TestFitGuards:
+    """Every entry point reaches the guards of the shared fit core."""
+
+    @pytest.mark.parametrize("q", [1, 2])
+    def test_zero_first_embedded_column(self, q):
+        data = np.random.default_rng(0).standard_normal((3, 12))
+        data[:, :q] = 0.0
+        with pytest.raises(ZeroInitialConditionError):
+            dmd_tdc(snaps(data), q)
+
+    @pytest.mark.filterwarnings("ignore:dropping")
+    def test_every_eigenvalue_dropped(self):
+        with pytest.raises(DegenerateDataError):
+            dmd_classic(np.eye(2), np.zeros((2, 2)), dt=1.0)
+
+    @pytest.mark.parametrize("policy", [RankPolicy.fixed(2), RankPolicy.relative_threshold(1e-10)])
+    def test_pod_of_zero_data(self, policy):
+        with pytest.raises(DegenerateDataError):
+            pod_modes(snaps(np.zeros((4, 6))), policy)
+
+    @pytest.mark.parametrize("policy", [RankPolicy.fixed(2), RankPolicy.relative_threshold(1e-10)])
+    def test_sketch_of_zero_rows(self, policy):
+        data = np.random.default_rng(1).standard_normal((5, 10))
+        data[:2] = 0.0
+        indices = np.array([0, 1])
+        matrix = np.zeros((2, 5))
+        matrix[[0, 1], indices] = 1.0
+        op = ProjectionOperator(kind="sampling", matrix=matrix, a=2, seed=None,
+                                indices=indices)
+        with pytest.raises(DegenerateDataError):
+            dmd_projected(snaps(data), 1, op, policy)
+
+
 class TestCompressedEmbedding:
     """The delay fits run on the QR-compressed embedding; these compare them
     with the same fits on the explicit Hankel pair."""
@@ -490,3 +527,32 @@ class TestModelSerialization:
         assert [e.circle for e in spectrum(back)] == [e.circle for e in spectrum(model)]
         with pytest.raises(InvalidParameterError):
             predict(back, 0)
+
+    def _saved(self, tmp_path):
+        x = snaps(np.random.default_rng(13).standard_normal((4, 12)))
+        path = tmp_path / "model.json"
+        save_model(dmd_tdc(x, 2), path, include_modes=True)
+        return path
+
+    def test_missing_field_raises_parse_error(self, tmp_path):
+        path = self._saved(tmp_path)
+        record = json.loads(path.read_text())
+        del record["eigenvalues_discrete"]
+        path.write_text(json.dumps(record))
+        with pytest.raises(ModelParseError, match="model.json.*'eigenvalues_discrete'"):
+            load_model(path)
+
+    def test_non_json_raises_parse_error(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text("re,im\n1,2\n")
+        with pytest.raises(ModelParseError, match="model.json"):
+            load_model(path)
+
+    def test_non_numeric_modes_raise_parse_error(self, tmp_path):
+        path = self._saved(tmp_path)
+        modes_path = tmp_path / "model.modes.csv"
+        lines = modes_path.read_text().splitlines()
+        lines[0] = ",".join(["x"] * len(lines[0].split(",")))
+        modes_path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ModelParseError, match="model.modes.csv"):
+            load_model(path)

@@ -89,6 +89,23 @@ class TestAchlioptasOperator:
             achlioptas_operator(10, 2, s=2, seed=0)
 
 
+class TestIdentityOperator:
+    def test_stores_no_matrix(self):
+        tracemalloc.start()
+        try:
+            op = identity_operator(5000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert op.d == op.a == 5000
+
+    @pytest.mark.parametrize("kind", ["sampling", "gaussian", "achlioptas", "krylov"])
+    def test_other_kinds_need_a_matrix(self, kind):
+        with pytest.raises(InvalidParameterError):
+            ProjectionOperator(kind=kind, matrix=None, a=3, seed=0)
+
+
 class TestArnoldi:
     def test_identity_breaks_down_at_step_one(self):
         b = np.array([3.0, 0.0, 4.0])

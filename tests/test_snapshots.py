@@ -166,6 +166,20 @@ class TestPersistence:
         with pytest.raises(SnapshotParseError, match="dt"):
             load(tmp_path / "d")
 
+    @pytest.mark.parametrize("edit,named", [
+        (lambda meta: meta.update(dt="fast"), "'dt'"),
+        (lambda meta: meta["grid"].pop("nx"), "'grid'.*'nx'"),
+    ], ids=["dt-not-a-number", "grid-without-nx"])
+    def test_malformed_field_named(self, tmp_path, edit, named):
+        x = snaps(np.ones((6, 3)), grid=GridMeta(3, 2, 0.0, 1.0, 0.0, 1.0))
+        save(x, tmp_path / "d")
+        meta_path = tmp_path / "d.meta.json"
+        meta = json.loads(meta_path.read_text())
+        edit(meta)
+        meta_path.write_text(json.dumps(meta))
+        with pytest.raises(SnapshotParseError, match=f"d.meta.json.*{named}"):
+            load(tmp_path / "d")
+
     def test_grid_mismatch_is_consistency_error(self, tmp_path):
         x = snaps(np.ones((6, 3)), grid=GridMeta(3, 2, 0.0, 1.0, 0.0, 1.0))
         save(x, tmp_path / "d")
