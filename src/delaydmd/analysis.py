@@ -95,7 +95,7 @@ def mode_field(model: DmdModel, k: int, grid: GridMeta, part: str) -> np.ndarray
         raise ShapeMismatchError(
             f"grid has nx*ny = {grid.size} but modes have {model.base_m} raw rows"
         )
-    column = model.modes[: model.base_m, k]
+    column = model.modes[:, k]
     if part == "real":
         flat = column.real
     elif part == "imag":

@@ -8,8 +8,9 @@ maps merge key by key. The master seed is split into per-component
 sub-seeds by hashing the component name, so the random draws of one
 variant never depend on which other variants run.
 
-Exit codes: 0 success, 2 variant failure under ``--strict``, 64 usage
-error (unknown config keys and malformed values included), 74 I/O error.
+Exit codes: 0 success, 2 variant failure under ``--strict`` or a malformed
+input file (``SnapshotParseError``, ``ModelParseError``), 64 usage error
+(unknown config keys and malformed values included), 74 I/O error.
 """
 
 from __future__ import annotations

@@ -8,7 +8,7 @@ are. ``dmd_tdc`` first stacks q consecutive snapshots per column (delay
 embedding), which lets purely oscillatory data carry complex eigenvalue
 pairs a raw state cannot. ``dmd_projected`` additionally sketches the
 embedded pair through a measurement-reduction operator; the core then fits
-in sketch space and recovers full-space modes from the unprojected shifted
+in sketch space and recovers exact modes from the unprojected shifted
 matrix, so the model still predicts in the original state space.
 
 Both delay fits run on the embedding held in the QR basis of the raw
@@ -16,21 +16,21 @@ snapshots (:func:`~delaydmd.snapshots.delay_embed`): one thin QR X = Q R of
 the M-by-N training snapshots turns the (q*M)-row Hankel pair into a pair
 with q*min(M, N) rows and the same singular values, right singular vectors,
 pencil and least-squares solutions. The unsketched SVD, exact-mode recovery
-and the amplitude solve all work on that compressed pair; full-space modes
-are expanded blockwise through Q only when the model is built. A sketched
-fit never forms the explicit Hankel matrix either: the operator is applied
-one delay block at a time (:func:`~delaydmd.projections.apply` with depth
-q), so the sketch allocates only its own a-by-(N-q+1) result. Mode columns
-may differ from those of a fit on the explicit Hankel pair by a sign or
-phase per column; the amplitudes compensate, so spectra and predictions
-agree to roundoff.
+and the amplitude solve all work on that compressed pair; the model keeps
+only raw-state modes, the first delay block of each mapped through Q. A
+sketched fit never forms the explicit Hankel matrix either: the operator is
+applied one delay block at a time (:func:`~delaydmd.projections.apply` with
+depth q), so the sketch allocates only its own a-by-(N-q+1) result. Mode
+columns may differ from those of a fit on the explicit Hankel pair by a
+sign or phase per column; the amplitudes compensate, so spectra and
+predictions agree to roundoff.
 """
 
 from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -119,7 +119,8 @@ class DmdModel:
     ``eigenvalues_discrete`` are the per-step multipliers mu,
     ``exponents`` their continuous counterparts ln(mu)/dt, and
     ``amplitudes`` the coordinates of the first snapshot in the mode basis.
-    ``modes`` may be None for models reloaded from a spectrum-only file.
+    ``modes`` are raw-state modes (``base_m`` rows, one column per
+    eigenvalue), or None for models reloaded from a spectrum-only file.
     """
 
     modes: np.ndarray | None
@@ -178,7 +179,7 @@ def _fit(x1, x2, policy: RankPolicy, *, sketch=None, rank_limit=None,
     sketched x1 columns, then the sketched last x2 column) the SVD and the
     map come from the sketch, its rank capped by ``rank_limit``, and the
     modes are the exact modes x2 V W / sigma. Amplitudes fit the first
-    column of x1; ``expand`` maps compressed mode columns to full space.
+    column of x1; ``expand`` maps compressed modes to raw-state ones.
     ``model_fields`` (dt among them) go to the :class:`DmdModel`.
     """
     first = x1[:, 0]
@@ -239,8 +240,8 @@ def dmd_tdc(x: SnapshotMatrix | DelayEmbedding, q: int,
     """Delay-embed the snapshots to depth q, then fit as in dmd_classic.
 
     With q = 1 this reduces exactly to the classic fit on the split pair.
-    The model remembers q and the raw state size so predictions can be cut
-    back down to the original state. ``x`` may also be a prebuilt
+    The model's modes are the raw-state block of the embedded modes, so it
+    predicts the original state. ``x`` may also be a prebuilt
     :class:`~delaydmd.snapshots.DelayEmbedding` of depth q, which saves its
     QR when several fits share the data.
     """
@@ -256,7 +257,7 @@ def dmd_projected(x: SnapshotMatrix | DelayEmbedding, q: int, op: ProjectionOper
                   policy: RankPolicy = DEFAULT_RANK_POLICY,
                   *, project_before_augment: bool = False) -> DmdModel:
     """Sketch the delay-embedded pair through ``op``, fit in sketch space,
-    and recover full-space modes from the unprojected shifted matrix.
+    and recover raw-state modes from the unprojected shifted matrix.
 
     By default the operator acts on the embedded state (its column count
     must be q*M). With ``project_before_augment`` the raw snapshots are
@@ -285,7 +286,7 @@ def dmd_projected(x: SnapshotMatrix | DelayEmbedding, q: int, op: ProjectionOper
 
 
 def predict(model: DmdModel, k) -> np.ndarray:
-    """State at step k (time t0 + k*dt), cut to the raw state size.
+    """Raw state at step k (time t0 + k*dt).
 
     ``k`` may also be a 1-d array of steps; the states are then the columns
     of the result, computed in one product. Extrapolation beyond the
@@ -297,7 +298,7 @@ def predict(model: DmdModel, k) -> np.ndarray:
         raise InvalidParameterError("model carries no modes; refit or reload with modes")
     times = np.atleast_1d(k) * model.dt
     coeff = np.exp(np.outer(model.exponents, times)) * model.amplitudes[:, None]
-    states = (model.modes[: model.base_m] @ coeff).real
+    states = (model.modes @ coeff).real
     return states if np.ndim(k) else states[:, 0]
 
 
@@ -368,8 +369,8 @@ def model_to_dict(model: DmdModel) -> dict:
 
 def save_model(model: DmdModel, path, include_modes: bool = False) -> None:
     """Write the model JSON; with ``include_modes`` also write ``<path
-    stem>.modes.csv`` holding 2*D rows per mode column (real block stacked
-    on imaginary block)."""
+    stem>.modes.csv`` holding 2*base_m rows per mode column (real block
+    stacked on imaginary block)."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
@@ -389,9 +390,11 @@ def load_model(path) -> DmdModel:
     Raises
     ------
     ModelParseError
-        If either file cannot be parsed or a field is missing or malformed.
+        If either file cannot be parsed, a field is missing or malformed, or
+        the fields disagree (``rank`` is not the eigenvalue count, or the
+        eigenvalue, exponent and amplitude lists differ in length).
     ShapeMismatchError
-        If the modes file is not 2*q*base_m rows by rank columns.
+        If the modes file is not 2*base_m rows by rank columns.
     """
     path = Path(path)
     try:
@@ -403,33 +406,34 @@ def load_model(path) -> DmdModel:
     def field(key, convert):
         return read_field(d, key, convert, path, ModelParseError)
 
-    q, base_m, rank = field("q", int), field("base_m", int), field("rank", int)
-    modes = None
+    try:
+        model = DmdModel(
+            modes=None,
+            eigenvalues_discrete=field("eigenvalues_discrete", _complex_array),
+            exponents=field("exponents", _complex_array),
+            amplitudes=field("amplitudes", _complex_array),
+            rank=field("rank", int),
+            q=field("q", int),
+            base_m=field("base_m", int),
+            dt=field("dt", float),
+            t0=field("t0", float),
+            variant=field("variant", str),
+            measurements=d.get("measurements"),
+        )
+    except InvalidParameterError as exc:
+        raise ModelParseError(f"{path}: {exc}") from exc
     modes_path = path.with_suffix(".modes.csv")
-    if modes_path.exists():
-        try:
-            stacked = np.loadtxt(modes_path, delimiter=",", ndmin=2)
-        except ValueError as exc:
-            raise ModelParseError(f"{modes_path}: {exc}") from exc
-        expected = (2 * q * base_m, rank)
-        if stacked.shape != expected:
-            raise ShapeMismatchError(
-                f"{modes_path}: modes are {stacked.shape[0]}x{stacked.shape[1]}, expected "
-                f"{expected[0]}x{expected[1]} (real and imaginary blocks of "
-                f"q*base_m rows, one column per eigenvalue)"
-            )
-        half = expected[0] // 2
-        modes = stacked[:half] + 1j * stacked[half:]
-    return DmdModel(
-        modes=modes,
-        eigenvalues_discrete=field("eigenvalues_discrete", _complex_array),
-        exponents=field("exponents", _complex_array),
-        amplitudes=field("amplitudes", _complex_array),
-        rank=rank,
-        q=q,
-        base_m=base_m,
-        dt=field("dt", float),
-        t0=field("t0", float),
-        variant=field("variant", str),
-        measurements=d.get("measurements"),
-    )
+    if not modes_path.exists():
+        return model
+    try:
+        stacked = np.loadtxt(modes_path, delimiter=",", ndmin=2)
+    except ValueError as exc:
+        raise ModelParseError(f"{modes_path}: {exc}") from exc
+    base_m = model.base_m
+    if stacked.shape != (2 * base_m, model.rank):
+        raise ShapeMismatchError(
+            f"{modes_path}: modes are {stacked.shape[0]}x{stacked.shape[1]}, expected "
+            f"{2 * base_m}x{model.rank} (real and imaginary blocks of "
+            f"base_m rows, one column per eigenvalue)"
+        )
+    return replace(model, modes=stacked[:base_m] + 1j * stacked[base_m:])

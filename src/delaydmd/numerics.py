@@ -146,9 +146,8 @@ def real_complex_matmul(a, z) -> np.ndarray:
 
     The real and imaginary parts of ``z`` are interleaved column by column,
     multiplied in one real product and the result read back as complex,
-    which takes half the arithmetic of promoting ``a`` to complex. Leading
-    axes of ``z`` broadcast as in ``np.matmul``.
+    which takes half the arithmetic of promoting ``a`` to complex.
     """
     z = np.asarray(z, dtype=complex)
-    pairs = np.stack([z.real, z.imag], axis=-1).reshape(*z.shape[:-1], 2 * z.shape[-1])
+    pairs = np.stack([z.real, z.imag], axis=-1).reshape(z.shape[0], 2 * z.shape[1])
     return (np.asarray(a, dtype=float) @ pairs).view(complex)

@@ -165,7 +165,7 @@ class DelayEmbedding:
     shifted column blocks of R. Since (I_q kron ``basis``) has orthonormal
     columns, SVDs, pencils and least-squares solves on ``compressed`` give
     those of the Hankel matrix, and :meth:`expand` maps compressed vectors
-    back to the (q*M)-dim embedded state.
+    to the raw M-dim state their first delay block stands for.
     """
 
     snapshots: SnapshotMatrix
@@ -184,10 +184,9 @@ class DelayEmbedding:
         return self.compressed[:, 1:]
 
     def expand(self, coeffs: np.ndarray) -> np.ndarray:
-        """Embedded-state columns (q*M rows) from compressed ones (q*k rows)."""
-        r = coeffs.shape[1]
-        blocks = coeffs.reshape(self.q, self.basis.shape[1], r)
-        return real_complex_matmul(self.basis, blocks).reshape(self.q * self.snapshots.m, r)
+        """Raw-state columns (M rows) from compressed embedded ones (q*k rows):
+        the first delay block, ``basis`` @ coeffs[:k]."""
+        return real_complex_matmul(self.basis, coeffs[: self.basis.shape[1]])
 
 
 def delay_embed(x: SnapshotMatrix, q: int) -> DelayEmbedding:
@@ -227,12 +226,16 @@ def save(x: SnapshotMatrix, path) -> None:
 
 
 def _parse_csv_slow(csv_path: Path) -> np.ndarray:
-    """Line-by-line fallback parse that reports the position of bad fields."""
+    """Line-by-line fallback parse that reports the position of bad fields
+    and of lines that are not UTF-8 text."""
     rows = []
     width = None
-    with open(csv_path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
+    with open(csv_path, "rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError:
+                raise SnapshotParseError(f"{csv_path}: line {line_no} is not UTF-8 text") from None
             if not line:
                 continue
             fields = line.split(",")
@@ -275,8 +278,9 @@ def load(path) -> SnapshotMatrix:
     Raises
     ------
     SnapshotParseError
-        For missing/malformed metadata or unparseable CSV content; the
-        message names the offending sidecar field or CSV position.
+        For missing/malformed metadata, unparseable CSV content or either
+        file not being UTF-8 text; the message names the file and the
+        offending sidecar field or CSV position.
     SnapshotConsistencyError
         When the sidecar dimensions disagree with the CSV data.
     """
@@ -284,10 +288,12 @@ def load(path) -> SnapshotMatrix:
     meta_path = Path(f"{base}.meta.json")
     csv_path = Path(f"{base}.csv")
     try:
-        with open(meta_path) as fh:
+        with open(meta_path, encoding="utf-8") as fh:
             meta = json.load(fh)
     except json.JSONDecodeError as exc:
         raise SnapshotParseError(f"{meta_path}: invalid JSON at line {exc.lineno}") from exc
+    except UnicodeDecodeError as exc:
+        raise SnapshotParseError(f"{meta_path}: not UTF-8 text (byte {exc.start})") from exc
     m, n, dt = (read_field(meta, key, kind, meta_path)
                 for key, kind in (("m", int), ("n", int), ("dt", float)))
     try:

@@ -202,6 +202,16 @@ class TestRunComparison:
         assert report.variant("krylov").measurements == 20
         assert report.variant("sampling").gram_deviation == 0.0
 
+    def test_models_keep_raw_state_modes(self):
+        specs = [VariantSpec("classic"), VariantSpec("sampling", measurements=40),
+                 VariantSpec("gaussian", measurements=20),
+                 VariantSpec("achlioptas", measurements=20),
+                 VariantSpec("krylov", measurements=20)]
+        report = run_comparison(small_signal_params(), specs, 0, q=8, n_train=30)
+        for v in report.variants:
+            assert not v.failed, v.error_message
+            assert v.model.modes.shape == (16 * 16, v.model.rank)
+
     def test_failure_captured_non_strict(self):
         specs = [VariantSpec("classic"), VariantSpec("gaussian", measurements=1)]
         report = run_comparison(small_signal_params(), specs, 0, q=1, n_train=30,

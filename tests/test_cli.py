@@ -135,6 +135,21 @@ class TestRun:
         assert code == EXIT_OK
         assert read_report(tmp_path / "run")["problem"].startswith("file")
 
+    @pytest.mark.parametrize("suffix,tail", [(".meta.json", None), (".csv", b"1,\xff\n")],
+                             ids=["sidecar", "csv"])
+    def test_non_utf8_file_is_parse_error(self, tmp_path, capsys, suffix, tail):
+        save(SnapshotMatrix(np.ones((4, 10)), dt=0.1), tmp_path / "data")
+        target = tmp_path / f"data{suffix}"
+        if tail is None:
+            target.write_bytes(b"\xff\xfe\x00")
+        else:
+            target.write_bytes(target.read_bytes() + tail)
+        code = run_cli("run", "--problem", f"file:{tmp_path / 'data'}",
+                       "--variants", "classic", "--out", str(tmp_path / "run"))
+        assert code == EXIT_VARIANT_FAILURE
+        err = capsys.readouterr().err
+        assert err.startswith("error: SnapshotParseError:") and f"data{suffix}" in err
+
     def test_project_before_augment_smoke(self, tmp_path):
         code = run_cli("run", "--problem", "signal-2d", *SMALL,
                        "--nt", "40", "--n-train", "30",
@@ -279,6 +294,22 @@ class TestSpectrumCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ModelParseError:") and len(err.splitlines()) == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("key,edit", [("rank", lambda v: 99),
+                                          ("amplitudes", lambda v: v[:-1])],
+                             ids=["rank", "amplitudes"])
+    def test_disagreeing_model_fields_are_parse_error(self, tmp_path, capsys, key, edit):
+        run_cli("run", "--problem", "signal-2d", *SMALL, "--nt", "40",
+                "--n-train", "30", "--variants", "classic",
+                "--out", str(tmp_path))
+        path = tmp_path / "model_classic.json"
+        record = json.loads(path.read_text())
+        record[key] = edit(record[key])
+        path.write_text(json.dumps(record))
+        capsys.readouterr()
+        assert run_cli("spectrum", str(path)) == EXIT_VARIANT_FAILURE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ModelParseError:") and "model_classic.json" in err
 
 
 class TestDeterministicReports:

@@ -391,7 +391,21 @@ class TestCompressedEmbedding:
         np.testing.assert_allclose(thin_svd(emb.x1).singular_values,
                                    thin_svd(pair.x1_aug).singular_values,
                                    rtol=1e-12, atol=1e-12 * np.linalg.norm(x.data))
-        np.testing.assert_allclose(emb.expand(emb.x2), pair.x2_aug, atol=1e-12)
+        np.testing.assert_allclose(np.kron(np.eye(3), emb.basis) @ emb.x2, pair.x2_aug,
+                                   atol=1e-12)
+        np.testing.assert_allclose(emb.expand(emb.x2), pair.x2_aug[: x.m], atol=1e-12)
+
+    def test_tdc_modes_are_raw_state(self):
+        x = small_signal_snapshots()
+        model = dmd_tdc(x, 3)
+        assert model.modes.shape == (x.m, model.rank)
+
+    @pytest.mark.parametrize("before", [False, True])
+    def test_projected_modes_are_raw_state(self, before):
+        x = small_signal_snapshots()
+        op = gaussian_operator(x.m if before else 3 * x.m, 30, seed=2)
+        model = dmd_projected(x, 3, op, project_before_augment=before)
+        assert model.modes.shape == (x.m, model.rank)
 
 
 class TestPredict:
@@ -514,8 +528,19 @@ class TestModelSerialization:
         modes_path = tmp_path / "model.modes.csv"
         stacked = np.loadtxt(modes_path, delimiter=",", ndmin=2)
         np.savetxt(modes_path, stacked[:keep_rows, :keep_cols], delimiter=",")
-        with pytest.raises(ShapeMismatchError, match=f"model.modes.csv.*expected 16x{model.rank}"):
+        with pytest.raises(ShapeMismatchError, match=f"model.modes.csv.*expected 8x{model.rank}"):
             load_model(path)
+
+    def test_delay_model_writes_raw_state_modes(self, tmp_path):
+        x = small_signal_snapshots()
+        model = dmd_tdc(x, 3)
+        path = tmp_path / "model.json"
+        save_model(model, path, include_modes=True)
+        stacked = np.loadtxt(tmp_path / "model.modes.csv", delimiter=",", ndmin=2)
+        assert stacked.shape == (2 * x.m, model.rank)
+        steps = np.arange(x.n + 5)
+        np.testing.assert_allclose(predict(load_model(path), steps), predict(model, steps),
+                                   rtol=0, atol=1e-12)
 
     def test_spectrum_only_round_trip(self, tmp_path):
         x = snaps(np.random.default_rng(11).standard_normal((4, 12)))
@@ -540,6 +565,18 @@ class TestModelSerialization:
         del record["eigenvalues_discrete"]
         path.write_text(json.dumps(record))
         with pytest.raises(ModelParseError, match="model.json.*'eigenvalues_discrete'"):
+            load_model(path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda record: record.update(rank=99),
+        lambda record: record["amplitudes"].pop(),
+    ], ids=["rank", "amplitudes"])
+    def test_disagreeing_fields_raise_parse_error(self, tmp_path, edit):
+        path = self._saved(tmp_path)
+        record = json.loads(path.read_text())
+        edit(record)
+        path.write_text(json.dumps(record))
+        with pytest.raises(ModelParseError, match="model.json"):
             load_model(path)
 
     def test_non_json_raises_parse_error(self, tmp_path):
