@@ -285,13 +285,17 @@ def _build_operator(spec: VariantSpec, state_dim: int, seed: int):
 
 def _fit_sketched(spec, embedding, state_dim, seed, result, rank_policy,
                   project_before_augment):
-    """Build the variant's operator, record its diagnostics on ``result`` and
-    fit. The operator is dropped on return, so at most one is alive at a time."""
+    """Build the variant's operator, fit, and record its diagnostics on
+    ``result``, also when the fit fails. The gram deviation is read after
+    the fit, which computed it while sketching. The operator is dropped on
+    return, so at most one is alive at a time."""
     op = _build_operator(spec, state_dim, seed)
-    result.gram_deviation = projections.gram_deviation(op)
     result.measurements = op.a
-    return dmd_projected(embedding, embedding.q, op, rank_policy,
-                         project_before_augment=project_before_augment)
+    try:
+        return dmd_projected(embedding, embedding.q, op, rank_policy,
+                             project_before_augment=project_before_augment)
+    finally:
+        result.gram_deviation = projections.gram_deviation(op)
 
 
 def run_comparison(problem, variant_specs, master_seed: int = 0, *,

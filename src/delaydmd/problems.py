@@ -125,17 +125,18 @@ def velocity(x, y, t, p: DoubleGyreParams):
 def vorticity_field(t, p: DoubleGyreParams) -> np.ndarray:
     """dv/dx - du/dy on the grid, flattened to length nx*ny.
 
-    Velocities are evaluated analytically at the grid nodes; the spatial
-    derivatives use second-order central differences on interior points and
-    second-order one-sided differences on the boundary.
+    Velocities are evaluated analytically at the grid nodes, from a row of
+    x and a column of y, so the trigonometry runs on nx + ny values and
+    only the products broadcast to (ny, nx); the spatial derivatives use
+    second-order central differences on interior points and second-order
+    one-sided differences on the boundary.
     """
     g = p.grid
     if g.nx < 3 or g.ny < 3:
         raise InvalidGridError(f"finite differences need nx, ny >= 3, got {g.nx}x{g.ny}")
     xs = g.x_coords()
     ys = g.y_coords()
-    xx, yy = np.meshgrid(xs, ys)  # shape (ny, nx)
-    u, v = velocity(xx, yy, t, p)
+    u, v = velocity(xs[None, :], ys[:, None], t, p)  # each of shape (ny, nx)
     dvdx = np.gradient(v, xs, axis=1, edge_order=2)
     dudy = np.gradient(u, ys, axis=0, edge_order=2)
     return (dvdx - dudy).ravel()

@@ -8,6 +8,12 @@ plus a random subspace). The Krylov rows come from one thin QR of a seeded
 Gaussian block; their row span has the same distribution as that of an
 Arnoldi run on a seeded d-by-d Gaussian matrix. All constructors are pure
 functions of their arguments.
+
+The seeded random kinds store only what regenerates their rows, never the
+a-by-D matrix (Tropp, Yurtsever, Udell & Cevher 2017). :func:`apply`
+regenerates it one a-by-M column panel per delay block and sums the panel
+products (Halko, Martinsson & Tropp 2011); the same sweep accumulates the
+row gram, so :func:`gram_deviation` costs no second pass.
 """
 
 from __future__ import annotations
@@ -28,45 +34,70 @@ from .snapshots import hankel_block
 KINDS = ("identity", "sampling", "gaussian", "achlioptas", "krylov")
 
 
-@dataclass(frozen=True)
 class ProjectionOperator:
     """An a-by-D matrix that maps full states to a measurements.
 
-    ``indices`` is populated for the sampling kind (sorted ascending) and
-    ``sparsity_s`` for the Achlioptas kind. The identity kind may leave
-    ``matrix`` as None, with D = a, since nothing reads it.
+    Each kind keeps only what applies its matrix:
+
+    - ``identity``: nothing (D = a);
+    - ``sampling``: ``indices``, its rows of I_D, sorted ascending;
+    - ``achlioptas``: ``seed`` and ``sparsity_s``. Every uniform draw takes
+      one 64-bit word, so row r starts at the seeded generator advanced by
+      r*D;
+    - ``gaussian``: ``row_states``, the bit-generator state at the start of
+      each row (normal draws take a variable number of words);
+    - ``krylov``, and any kind given an explicit ``matrix``: the matrix.
+
+    Without a matrix, ``d`` gives D. Reading ``matrix`` returns the dense
+    a-by-D array, built afresh on each access unless it is stored (None for
+    identity).
     """
 
-    kind: str
-    matrix: np.ndarray | None
-    a: int
-    seed: int | None
-    sparsity_s: int | None = None
-    indices: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise InvalidParameterError(f"unknown operator kind {self.kind!r}")
-        if self.matrix is None and self.kind == "identity":
-            return
-        m = np.asarray(self.matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != self.a:
+    def __init__(self, kind: str, matrix, a: int, seed: int | None,
+                 sparsity_s: int | None = None, indices=None, *,
+                 d: int | None = None, row_states: tuple | None = None):
+        if kind not in KINDS:
+            raise InvalidParameterError(f"unknown operator kind {kind!r}")
+        self.kind, self.a, self.seed, self.sparsity_s = kind, a, seed, sparsity_s
+        self.row_states = row_states
+        self._stored = None
+        self._gram_deviation = None
+        if matrix is not None:
+            m = np.asarray(matrix, dtype=float)
+            if m.ndim != 2 or m.shape[0] != a:
+                raise InvalidParameterError(f"matrix must be {a}-by-D, got shape {m.shape}")
+            if not np.all(np.isfinite(m)):
+                raise InvalidParameterError("operator matrix contains non-finite entries")
+            m.setflags(write=False)
+            self._stored, d = m, m.shape[1]
+        elif kind == "identity":
+            d = a
+        elif d is None or not {
+                "sampling": indices is not None,
+                "gaussian": row_states is not None and len(row_states) == a,
+                "achlioptas": (sparsity_s in (1, 3) and isinstance(seed, (int, np.integer))
+                               and seed >= 0),
+                "krylov": False}[kind]:
             raise InvalidParameterError(
-                f"matrix must be {self.a}-by-D, got shape {m.shape}"
+                f"a {kind} operator needs its matrix, or d and what regenerates its rows"
             )
-        if self.a > m.shape[1]:
+        if not 1 <= a <= d:
             raise InvalidParameterError(
-                f"measurement count {self.a} exceeds state dimension {m.shape[1]}"
+                f"measurement count {a} must satisfy 1 <= a <= state dimension {d}"
             )
-        if not np.all(np.isfinite(m)):
-            raise InvalidParameterError("operator matrix contains non-finite entries")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        self.d = d
+        self.indices = _checked_indices(indices, a, d) if kind == "sampling" else None
 
     @property
-    def d(self) -> int:
-        """Dimension of the full state the operator accepts."""
-        return self.a if self.matrix is None else self.matrix.shape[1]
+    def matrix(self) -> np.ndarray | None:
+        """The dense a-by-D matrix; a fresh array unless it is stored."""
+        if self._stored is not None or self.kind == "identity":
+            return self._stored
+        if self.kind == "sampling":
+            m = np.zeros((self.a, self.d))
+            m[np.arange(self.a), self.indices] = 1.0
+            return m
+        return next(_panels(self, self.d))
 
 
 @dataclass(frozen=True)
@@ -97,15 +128,13 @@ def sampling_operator(d: int, a: int, seed: int) -> ProjectionOperator:
 
     Row indices are drawn uniformly without replacement from the seeded
     generator and sorted ascending, so the operator extracts a spatial
-    traces in index order.
+    traces in index order. Only the indices are stored.
     """
     _check_count(d, a)
     rng = np.random.default_rng(seed)
     indices = np.sort(rng.choice(d, size=a, replace=False))
-    matrix = np.zeros((a, d))
-    matrix[np.arange(a), indices] = 1.0
-    return ProjectionOperator(kind="sampling", matrix=matrix, a=a, seed=seed,
-                              indices=indices)
+    return ProjectionOperator(kind="sampling", matrix=None, a=a, seed=seed,
+                              indices=indices, d=d)
 
 
 def gaussian_operator(d: int, a: int, seed: int) -> ProjectionOperator:
@@ -113,12 +142,20 @@ def gaussian_operator(d: int, a: int, seed: int) -> ProjectionOperator:
 
     The scaling makes the expected column gram E[R* R] the identity, so
     projected vectors keep their length on average.
+
+    The draw is that of ``rng.standard_normal((a, d)) / sqrt(a)``. One pass
+    over the rows records the generator state at the start of each; the
+    rows themselves are discarded and regenerated where they are used.
     """
     _check_count(d, a)
     rng = np.random.default_rng(seed)
-    matrix = rng.standard_normal((a, d))
-    np.divide(matrix, np.sqrt(a), out=matrix)
-    return ProjectionOperator(kind="gaussian", matrix=matrix, a=a, seed=seed)
+    row = np.empty(d)
+    states = []
+    for _ in range(a):
+        states.append(rng.bit_generator.state)
+        rng.standard_normal(out=row)
+    return ProjectionOperator(kind="gaussian", matrix=None, a=a, seed=seed, d=d,
+                              row_states=tuple(states))
 
 
 def achlioptas_operator(d: int, a: int, s: int, seed: int) -> ProjectionOperator:
@@ -131,23 +168,13 @@ def achlioptas_operator(d: int, a: int, s: int, seed: int) -> ProjectionOperator
 
     The draw is that of ``rng.choice([-1, 0, 1], size=(a, d), p=probs)``,
     which compares ``rng.random((a, d))`` against the normalized cumulative
-    probabilities; here each row is drawn and mapped in place, so no
-    a-by-d temporary is formed.
+    probabilities. Only the seed and s are stored; nothing is drawn here.
     """
     if s not in (1, 3):
         raise InvalidParameterError(f"sparsity s must be 1 or 3, got {s}")
     _check_count(d, a)
-    rng = np.random.default_rng(seed)
-    cdf = np.cumsum([1.0 / (2 * s), 1.0 - 1.0 / s, 1.0 / (2 * s)])
-    cdf /= cdf[-1]
-    scale = np.sqrt(s) / np.sqrt(a)
-    matrix = np.empty((a, d))
-    for row in matrix:
-        rng.random(out=row)
-        np.subtract(row >= cdf[1], row < cdf[0], out=row, dtype=float)
-        row *= scale
-    return ProjectionOperator(kind="achlioptas", matrix=matrix, a=a, seed=seed,
-                              sparsity_s=s)
+    return ProjectionOperator(kind="achlioptas", matrix=None, a=a, seed=seed,
+                              sparsity_s=s, d=d)
 
 
 def arnoldi(a_matrix, b, m: int, tol: float | None = None) -> ArnoldiResult:
@@ -228,9 +255,12 @@ def apply(op: ProjectionOperator, x, q: int = 1) -> np.ndarray:
 
     Row b*M + i of the (q*M)-by-(N-q+1) Hankel matrix of the M-by-N data is
     row i of ``x[:, b:b+N-q+1]``. Sampling gathers those entries directly;
-    the dense kinds sum one product per delay block, R[:, b*M:(b+1)*M] @
-    x[:, b:b+N-q+1], on strided views; identity returns the Hankel matrix
-    itself. With q = 1 this is the plain product with ``x``.
+    identity returns the Hankel matrix itself. The other kinds sum one
+    product per delay block, P_b @ x[:, b:b+N-q+1], where the panel P_b =
+    R[:, b*M:(b+1)*M] is a slice of a stored matrix or regenerated from the
+    seed; a regenerated operator's first sweep also sums P_b P_b* into its
+    row gram for :func:`gram_deviation`. With q = 1 this is the plain
+    product with ``x``.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
@@ -249,9 +279,18 @@ def apply(op: ProjectionOperator, x, q: int = 1) -> np.ndarray:
     if op.kind == "sampling":
         blocks, rows = np.divmod(op.indices, m)
         return x[rows[:, None], blocks[:, None] + np.arange(cols)]
-    out = op.matrix[:, :m] @ x[:, :cols]
-    for b in range(1, q):
-        out += op.matrix[:, b * m:(b + 1) * m] @ x[:, b:b + cols]
+    record = op._stored is None and op._gram_deviation is None
+    gram = np.zeros((op.a, op.a))
+    for b, panel in enumerate(_panels(op, m)):
+        term = panel @ x[:, b:b + cols]
+        if b == 0:
+            out = term
+        else:
+            out += term
+        if record:
+            gram += panel @ panel.T
+    if record:
+        op._gram_deviation = _deviation(gram)
     return out
 
 
@@ -262,11 +301,78 @@ def gram_deviation(op: ProjectionOperator) -> float:
     I_D, so it is returned without forming R R*; below 1e-10 for the Krylov
     kind, and order D/a for the dense random kinds (their normalization
     targets the column gram instead).
+
+    Computed once per operator: a stored matrix forms R R* directly, and a
+    regenerated one reuses the gram that :func:`apply` accumulated, or else
+    sweeps panels of about one row's size.
     """
     if op.kind in ("sampling", "identity"):
         return 0.0
-    gram = op.matrix @ op.matrix.T
-    return float(np.linalg.norm(gram - np.eye(op.a)) / np.sqrt(op.a))
+    if op._gram_deviation is None:
+        width = op.d if op._stored is not None else -(-op.d // op.a)
+        op._gram_deviation = _deviation(sum(p @ p.T for p in _panels(op, width)))
+    return op._gram_deviation
+
+
+def _deviation(gram: np.ndarray) -> float:
+    a = gram.shape[0]
+    return float(np.linalg.norm(gram - np.eye(a)) / np.sqrt(a))
+
+
+def _panels(op: ProjectionOperator, width: int):
+    """Yield the a-by-width column panels of the operator, left to right.
+
+    A stored matrix is sliced. Otherwise each row gets its own generator,
+    positioned at the row's first draw, and every panel draws the next
+    ``width`` entries of each row into one reused buffer; the last panel
+    may be narrower.
+    """
+    if op._stored is not None:
+        for start in range(0, op.d, width):
+            yield op._stored[:, start:start + width]
+        return
+    if op.kind == "gaussian":
+        gens = [np.random.Generator(_pcg64(state)) for state in op.row_states]
+
+        def fill(gen, row):
+            gen.standard_normal(out=row)
+            np.divide(row, np.sqrt(op.a), out=row)
+    else:
+        gens = [np.random.Generator(np.random.PCG64(op.seed).advance(r * op.d))
+                for r in range(op.a)]
+        s = op.sparsity_s
+        cdf = np.cumsum([1.0 / (2 * s), 1.0 - 1.0 / s, 1.0 / (2 * s)])
+        cdf /= cdf[-1]
+        scale = np.sqrt(s) / np.sqrt(op.a)
+
+        def fill(gen, row):
+            gen.random(out=row)
+            np.subtract(row >= cdf[1], row < cdf[0], out=row, dtype=float)
+            row *= scale
+    # Each row is mapped right after its draw, while it is still in cache.
+    buffer = np.empty((op.a, width))
+    for start in range(0, op.d, width):
+        panel = buffer[:, :op.d - start]
+        for gen, row in zip(gens, panel):
+            fill(gen, row)
+        yield panel
+
+
+def _pcg64(state: dict) -> np.random.PCG64:
+    bit_generator = np.random.PCG64()
+    bit_generator.state = state
+    return bit_generator
+
+
+def _checked_indices(indices, a: int, d: int) -> np.ndarray:
+    """Sampling rows, checked to be a sorted, distinct, in-range set of a."""
+    idx = np.asarray([] if indices is None else indices)
+    if (idx.shape != (a,) or not np.issubdtype(idx.dtype, np.integer)
+            or idx[0] < 0 or idx[-1] >= d or np.any(np.diff(idx) <= 0)):
+        raise InvalidParameterError(
+            f"sampling indices must be {a} distinct integers in [0, {d}), sorted ascending"
+        )
+    return idx
 
 
 def _check_count(d: int, a: int) -> None:

@@ -6,10 +6,12 @@ import json
 import numpy as np
 import pytest
 
+from delaydmd import analysis, projections
 from delaydmd.analysis import (
     ErrorSeries,
     ExperimentReport,
     VariantSpec,
+    _build_operator,
     default_variant_specs,
     derive_seed,
     mode_field,
@@ -20,6 +22,7 @@ from delaydmd.analysis import (
 )
 from delaydmd.dmd import RankPolicy, dmd_tdc, predict
 from delaydmd.errors import (
+    DegenerateDataError,
     InsufficientMeasurementsError,
     InvalidDelayError,
     InvalidParameterError,
@@ -244,6 +247,58 @@ class TestRunComparison:
         for v in d1["variants"] + d2["variants"]:
             v["wall_time"] = 0.0
         assert d1 == d2
+
+
+class TestSketchDiagnostics:
+    """Each seeded operator is swept once per fit, and its gram deviation is
+    reported whether or not the fit succeeds."""
+
+    SPECS = [VariantSpec("sampling", measurements=40), VariantSpec("gaussian", measurements=20),
+             VariantSpec("achlioptas", measurements=20), VariantSpec("krylov", measurements=20)]
+
+    @pytest.mark.parametrize("before_augment", [False, True], ids=["after", "before"])
+    def test_each_seeded_operator_swept_once(self, monkeypatch, before_augment):
+        sweeps = []
+        panels = projections._panels
+
+        def counted(op, width):
+            sweeps.append(op.kind)
+            return panels(op, width)
+
+        monkeypatch.setattr(projections, "_panels", counted)
+        report = run_comparison(small_signal_params(), self.SPECS, 0, q=3, n_train=30,
+                                project_before_augment=before_augment)
+        assert not any(v.failed for v in report.variants)
+        assert sorted(k for k in sweeps if k != "krylov") == ["achlioptas", "gaussian"]
+
+    def _dense_deviation(self, spec, state_dim):
+        matrix = _build_operator(spec, state_dim, derive_seed(0, spec.name)).matrix
+        a = matrix.shape[0]
+        return float(np.linalg.norm(matrix @ matrix.T - np.eye(a)) / np.sqrt(a))
+
+    def test_failed_fit_reports_gram_deviation(self):
+        # Rank 25 exceeds every sketch's 20 rows, so each fit fails after sketching.
+        specs = self.SPECS[1:]
+        report = run_comparison(small_signal_params(), specs, 0, q=2, n_train=30,
+                                rank_policy=RankPolicy.fixed(25))
+        for spec in specs:
+            v = report.variant(spec.name)
+            assert v.failed and "InsufficientMeasurements" in v.error_message
+            assert v.gram_deviation == pytest.approx(
+                self._dense_deviation(spec, 2 * 16 * 16), rel=1e-12, abs=0)
+
+    def test_fit_failing_before_the_sketch_reports_gram_deviation(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise DegenerateDataError("no fit")
+
+        monkeypatch.setattr(analysis, "dmd_projected", broken)
+        specs = self.SPECS[1:3]
+        report = run_comparison(small_signal_params(), specs, 0, q=2, n_train=30)
+        for spec in specs:
+            v = report.variant(spec.name)
+            assert v.failed and v.error_message == "DegenerateDataError: no fit"
+            assert v.gram_deviation == pytest.approx(
+                self._dense_deviation(spec, 2 * 16 * 16), rel=1e-12, abs=0)
 
 
 class TestReportSerialization:

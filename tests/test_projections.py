@@ -358,3 +358,137 @@ class TestDeterminism:
     def test_pure_function_of_seed(self, factory):
         np.testing.assert_array_equal(factory(21).matrix, factory(21).matrix)
         assert np.any(factory(21).matrix != factory(22).matrix)
+
+
+def _dense_deviation(matrix):
+    a = matrix.shape[0]
+    return float(np.linalg.norm(matrix @ matrix.T - np.eye(a)) / np.sqrt(a))
+
+
+def _traced_peak(func):
+    tracemalloc.start()
+    try:
+        result = func()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+_SEEDED = [
+    pytest.param(lambda d, a, seed: gaussian_operator(d, a, seed), id="gaussian"),
+    pytest.param(lambda d, a, seed: achlioptas_operator(d, a, 1, seed), id="achlioptas-s1"),
+    pytest.param(lambda d, a, seed: achlioptas_operator(d, a, 3, seed), id="achlioptas-s3"),
+]
+
+
+class TestRegeneratedOperators:
+    """Seeded kinds store what regenerates their rows, not the a-by-D matrix."""
+
+    @pytest.mark.parametrize("factory", _SEEDED)
+    @pytest.mark.parametrize("q", [1, 2, 3, 4])
+    @pytest.mark.parametrize("before_augment", [False, True], ids=["after", "before"])
+    def test_apply_matches_dense_bit_for_bit(self, factory, q, before_augment):
+        m, n = 37, 25
+        x = np.random.default_rng(q).standard_normal((m, n))
+        depth = 1 if before_augment else q
+        op = factory(m * depth, 9, 40 + q)
+        dense = ProjectionOperator(kind=op.kind, matrix=op.matrix, a=op.a, seed=None)
+        streamed = apply(op, x, depth)
+        np.testing.assert_array_equal(streamed, apply(dense, x, depth))
+        if before_augment:
+            np.testing.assert_array_equal(hankel_block(streamed, q),
+                                          hankel_block(apply(dense, x), q))
+
+    @pytest.mark.parametrize("factory", _SEEDED)
+    @pytest.mark.parametrize("applied", [False, True], ids=["standalone", "after-apply"])
+    def test_gram_deviation_matches_dense_formula(self, factory, applied):
+        m, q, a = 300, 4, 30
+        op = factory(q * m, a, 3)
+        if applied:
+            apply(op, np.random.default_rng(0).standard_normal((m, 12)), q)
+        expected = _dense_deviation(op.matrix)
+        assert gram_deviation(op) == pytest.approx(expected, rel=1e-12, abs=0)
+        assert gram_deviation(op) == gram_deviation(op)
+
+    def test_matrix_is_built_afresh(self):
+        op = gaussian_operator(50, 5, seed=1)
+        first, second = op.matrix, op.matrix
+        assert first is not second
+        np.testing.assert_array_equal(first, second)
+
+    @pytest.mark.parametrize("factory", _SEEDED + [
+        pytest.param(lambda d, a, seed: sampling_operator(d, a, seed), id="sampling"),
+    ])
+    def test_no_operator_sized_array_is_held(self, factory):
+        d, a = 4000, 20
+        op = factory(d, a, 2)
+        held = [v for v in vars(op).values() if isinstance(v, np.ndarray)]
+        assert all(v.size < a * d for v in held)
+
+    def test_gaussian_memory_stays_below_the_dense_matrix(self):
+        m, q, n, a = 2000, 8, 30, 50
+        dense_bytes = a * q * m * 8
+        x = np.random.default_rng(3).standard_normal((m, n))
+        op, build_peak = _traced_peak(lambda: gaussian_operator(q * m, a, seed=4))
+        _, apply_peak = _traced_peak(lambda: apply(op, x, q))
+        fresh = gaussian_operator(q * m, a, seed=4)
+        _, gram_peak = _traced_peak(lambda: gram_deviation(fresh))
+        assert max(build_peak, apply_peak, gram_peak) < dense_bytes / 4
+
+    def test_large_sampling_build_is_small(self):
+        op, peak = _traced_peak(lambda: sampling_operator(200000, 100, seed=5))
+        assert op.d == 200000 and op.indices.shape == (100,)
+        assert peak < 2**20
+
+
+class TestStoredStateValidation:
+    @pytest.mark.parametrize("indices", [
+        [3, 1, 5],        # unsorted
+        [1, 1, 5],        # repeated
+        [1, 3, 10],       # out of range
+        [-1, 3, 5],       # negative
+        [1, 3],           # too few
+        [1.0, 3.0, 5.0],  # not integers
+        None,
+    ])
+    def test_sampling_indices_checked(self, indices):
+        with pytest.raises(InvalidParameterError):
+            ProjectionOperator(kind="sampling", matrix=None, a=3, seed=None,
+                               indices=None if indices is None else np.array(indices),
+                               d=10)
+
+    def test_valid_sampling_indices_accepted(self):
+        op = ProjectionOperator(kind="sampling", matrix=None, a=3, seed=None,
+                                indices=np.array([0, 4, 9]), d=10)
+        np.testing.assert_array_equal(op.matrix[[0, 1, 2], [0, 4, 9]], 1.0)
+
+    @pytest.mark.parametrize("kind", ["sampling", "gaussian", "achlioptas", "krylov"])
+    def test_count_above_dimension_raises(self, kind):
+        with pytest.raises(InvalidParameterError):
+            ProjectionOperator(kind=kind, matrix=np.ones((4, 3)), a=4, seed=None,
+                               indices=np.arange(4))
+
+    def test_regenerated_count_above_dimension_raises(self):
+        states = gaussian_operator(3, 3, seed=0).row_states
+        with pytest.raises(InvalidParameterError):
+            ProjectionOperator(kind="gaussian", matrix=None, a=3, seed=0, d=2,
+                               row_states=states)
+        with pytest.raises(InvalidParameterError):
+            ProjectionOperator(kind="achlioptas", matrix=None, a=3, seed=0,
+                               sparsity_s=3, d=2)
+
+    def test_regeneration_needs_its_state(self):
+        states = gaussian_operator(6, 3, seed=0).row_states
+        with pytest.raises(InvalidParameterError):
+            ProjectionOperator(kind="gaussian", matrix=None, a=3, seed=0, d=6,
+                               row_states=states[:2])
+        with pytest.raises(InvalidParameterError):
+            ProjectionOperator(kind="achlioptas", matrix=None, a=3, seed=0,
+                               sparsity_s=2, d=6)
+        with pytest.raises(InvalidParameterError):
+            ProjectionOperator(kind="krylov", matrix=None, a=3, seed=0, d=6)
+
+    def test_achlioptas_seed_checked_at_build(self):
+        with pytest.raises(InvalidParameterError):
+            achlioptas_operator(10, 2, 3, seed=-1)
