@@ -5,7 +5,6 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import asdict, dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -168,7 +167,8 @@ class VariantResult:
 
 @dataclass
 class ExperimentReport:
-    """Everything one comparison run produced, ready to serialize."""
+    """Everything one comparison run produced. :meth:`to_dict` is its one
+    serialization: report.json and the spectrum and error CSVs hold it."""
 
     problem: str
     variants: list[VariantResult]
@@ -211,37 +211,6 @@ class ExperimentReport:
             "seeds": self.seeds,
             "variants": out_variants,
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ExperimentReport":
-        variants = []
-        for v in d["variants"]:
-            entries = [
-                SpectrumEntry(
-                    mu=complex(e["re_mu"], e["im_mu"]),
-                    omega=complex(e["re_omega"], e["im_omega"]),
-                    amp_abs=e["amp"], circle=e["circle"],
-                )
-                for e in v["spectrum"]
-            ]
-            errors = None
-            if v["errors"] is not None:
-                errors = ErrorSeries(
-                    times=np.asarray(v["errors"]["times"]),
-                    rel_error=np.asarray(v["errors"]["rel_error"]),
-                    n_train=int(v["errors"]["n_train"]),
-                )
-            variants.append(VariantResult(
-                variant=v["variant"],
-                measurements=v["measurements"],
-                spectrum=entries,
-                errors=errors,
-                gram_deviation=v["gram_deviation"],
-                wall_time=v["wall_time"],
-                error_message=v["error_message"],
-            ))
-        return cls(problem=d["problem"], variants=variants,
-                   config=d["config"], seeds=d["seeds"])
 
 
 def derive_seed(master_seed: int, component: str) -> int:
@@ -359,19 +328,11 @@ def run_comparison(problem, variant_specs, master_seed: int = 0, *,
                             config=config, seeds=seeds)
 
 
-def write_error_csv(series: ErrorSeries, path) -> None:
-    path = Path(path)
+def write_csv(path, header, rows) -> None:
+    """Write ``rows`` under a ``header`` line: numbers as ``%.17g``, which
+    reads back as the same float, and text as is. ``cli.cmd_run`` writes the
+    spectrum and error CSVs with it from :meth:`ExperimentReport.to_dict`."""
     with open(path, "w") as fh:
-        fh.write("time,rel_error\n")
-        for t, e in zip(series.times, series.rel_error):
-            fh.write(f"{t:.17g},{e:.17g}\n")
-
-
-def write_spectrum_csv(entries, path) -> None:
-    path = Path(path)
-    with open(path, "w") as fh:
-        fh.write("re_mu,im_mu,re_omega,im_omega,amp,circle\n")
-        for e in entries:
-            fh.write(f"{e.mu.real:.17g},{e.mu.imag:.17g},"
-                     f"{e.omega.real:.17g},{e.omega.imag:.17g},"
-                     f"{e.amp_abs:.17g},{e.circle}\n")
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(v if isinstance(v, str) else f"{v:.17g}" for v in row) + "\n")

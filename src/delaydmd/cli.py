@@ -261,15 +261,20 @@ def cmd_run(args) -> int:
 
     out = cfg.out
     out.mkdir(parents=True, exist_ok=True)
+    record = report.to_dict()
     with open(out / "report.json", "w") as fh:
-        json.dump(report.to_dict(), fh, indent=2)
+        json.dump(record, fh, indent=2)
         fh.write("\n")
-    for result in report.variants:
+    for result, entry in zip(report.variants, record["variants"]):
         if result.failed:
             print(f"{result.variant}: FAILED ({result.error_message})")
             continue
-        analysis.write_spectrum_csv(result.spectrum, out / f"spectrum_{result.variant}.csv")
-        analysis.write_error_csv(result.errors, out / f"errors_{result.variant}.csv")
+        rows = entry["spectrum"]
+        analysis.write_csv(out / f"spectrum_{result.variant}.csv", rows[0],
+                           [row.values() for row in rows])
+        errors = entry["errors"]
+        analysis.write_csv(out / f"errors_{result.variant}.csv", ("time", "rel_error"),
+                           zip(errors["times"], errors["rel_error"]))
         save_model(result.model, out / f"model_{result.variant}.json")
         for k in cfg.emit_modes:
             for part in ("real", "imag"):

@@ -40,13 +40,15 @@ class ProjectionOperator:
     Each kind keeps only what applies its matrix:
 
     - ``identity``: nothing (D = a);
-    - ``sampling``: ``indices``, its rows of I_D, sorted ascending;
+    - ``sampling``: ``indices``, its rows of I_D, sorted ascending. It takes
+      no ``matrix``, which could disagree with them;
     - ``achlioptas``: ``seed`` and ``sparsity_s``. Every uniform draw takes
       one 64-bit word, so row r starts at the seeded generator advanced by
       r*D;
     - ``gaussian``: ``row_states``, the bit-generator state at the start of
       each row (normal draws take a variable number of words);
-    - ``krylov``, and any kind given an explicit ``matrix``: the matrix.
+    - ``krylov``, and any other kind given an explicit ``matrix``: a
+      C-ordered copy of it, so the caller's array stays theirs.
 
     Without a matrix, ``d`` gives D. Reading ``matrix`` returns the dense
     a-by-D array, built afresh on each access unless it is stored (None for
@@ -62,8 +64,14 @@ class ProjectionOperator:
         self.row_states = row_states
         self._stored = None
         self._gram_deviation = None
+        if matrix is not None and kind == "sampling":
+            raise InvalidParameterError(
+                "a sampling operator takes no matrix; its indices define it"
+            )
+        if matrix is None and kind == "achlioptas":
+            _check_seed(seed)
         if matrix is not None:
-            m = np.asarray(matrix, dtype=float)
+            m = np.array(matrix, dtype=float, order="C")
             if m.ndim != 2 or m.shape[0] != a:
                 raise InvalidParameterError(f"matrix must be {a}-by-D, got shape {m.shape}")
             if not np.all(np.isfinite(m)):
@@ -75,8 +83,7 @@ class ProjectionOperator:
         elif d is None or not {
                 "sampling": indices is not None,
                 "gaussian": row_states is not None and len(row_states) == a,
-                "achlioptas": (sparsity_s in (1, 3) and isinstance(seed, (int, np.integer))
-                               and seed >= 0),
+                "achlioptas": sparsity_s in (1, 3),
                 "krylov": False}[kind]:
             raise InvalidParameterError(
                 f"a {kind} operator needs its matrix, or d and what regenerates its rows"
@@ -131,6 +138,7 @@ def sampling_operator(d: int, a: int, seed: int) -> ProjectionOperator:
     traces in index order. Only the indices are stored.
     """
     _check_count(d, a)
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     indices = np.sort(rng.choice(d, size=a, replace=False))
     return ProjectionOperator(kind="sampling", matrix=None, a=a, seed=seed,
@@ -148,6 +156,7 @@ def gaussian_operator(d: int, a: int, seed: int) -> ProjectionOperator:
     rows themselves are discarded and regenerated where they are used.
     """
     _check_count(d, a)
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     row = np.empty(d)
     states = []
@@ -239,6 +248,7 @@ def krylov_operator(d: int, a: int, seed: int) -> ProjectionOperator:
         raise InvalidParameterError(
             f"subspace dimension {a} needs a + 1 <= d = {d} basis vectors"
         )
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     block = np.column_stack([np.full(d, 1.0 / np.sqrt(d)), rng.standard_normal((d, a))])
     q, r = np.linalg.qr(block)
@@ -246,7 +256,7 @@ def krylov_operator(d: int, a: int, seed: int) -> ProjectionOperator:
     if np.min(np.abs(diag)) < 1e-12 * np.max(np.abs(diag)):
         raise RankDeficientBasisError("random block lost rank in QR; try another seed")
     q *= np.sign(diag)
-    return ProjectionOperator(kind="krylov", matrix=q.T.copy(), a=a + 1, seed=seed)
+    return ProjectionOperator(kind="krylov", matrix=q.T, a=a + 1, seed=seed)
 
 
 def apply(op: ProjectionOperator, x, q: int = 1) -> np.ndarray:
@@ -382,3 +392,8 @@ def _check_count(d: int, a: int) -> None:
         raise InvalidParameterError(
             f"measurement count must satisfy 1 <= a <= {d}, got {a}"
         )
+
+
+def _check_seed(seed) -> None:
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise InvalidParameterError(f"seed must be a nonnegative integer, got {seed!r}")

@@ -14,7 +14,7 @@ rows instead of q*M.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -59,13 +59,6 @@ class GridMeta:
 
     def y_coords(self) -> np.ndarray:
         return np.linspace(self.y_min, self.y_max, self.ny)
-
-    def to_dict(self) -> dict:
-        return {
-            "nx": self.nx, "ny": self.ny,
-            "x_min": self.x_min, "x_max": self.x_max,
-            "y_min": self.y_min, "y_max": self.y_max,
-        }
 
     @classmethod
     def from_dict(cls, d: dict) -> "GridMeta":
@@ -218,7 +211,7 @@ def save(x: SnapshotMatrix, path) -> None:
     base.parent.mkdir(parents=True, exist_ok=True)
     meta = {"m": x.m, "n": x.n, "dt": x.dt, "t0": x.t0}
     if x.grid is not None:
-        meta["grid"] = x.grid.to_dict()
+        meta["grid"] = asdict(x.grid)
     with open(f"{base}.meta.json", "w") as fh:
         json.dump(meta, fh, indent=2)
         fh.write("\n")

@@ -26,6 +26,17 @@ def read_report(out_dir):
         return json.load(fh)
 
 
+def read_csv(path):
+    """The header, then each row with its numbers parsed and its text as is."""
+    def parse(field):
+        try:
+            return float(field)
+        except ValueError:
+            return field
+    header, *lines = path.read_text().splitlines()
+    return [header.split(",")] + [[parse(f) for f in line.split(",")] for line in lines]
+
+
 class TestGenerate:
     def test_signal_minimal(self, tmp_path):
         code = run_cli("generate", "--problem", "signal-2d", "--nt", "2",
@@ -70,6 +81,30 @@ class TestRun:
                      "model_classic.json", "spectrum_sampling.csv"):
             assert (tmp_path / name).exists()
         assert report["config"]["seed"] == 7
+
+    def test_csvs_match_report_entries(self, tmp_path):
+        code = run_cli("run", "--problem", "signal-2d", *SMALL,
+                       "--nt", "40", "--n-train", "30", "--seed", "4",
+                       "--variants", "classic,gaussian,achlioptas,krylov",
+                       "--measurements", "gaussian=30", "--measurements", "achlioptas=30",
+                       "--measurements", "krylov=1", "--out", str(tmp_path))
+        assert code == EXIT_OK
+        succeeded = 0
+        for entry in read_report(tmp_path)["variants"]:
+            name = entry["variant"]
+            if entry["error_message"] is not None:
+                assert not (tmp_path / f"spectrum_{name}.csv").exists()
+                assert not (tmp_path / f"errors_{name}.csv").exists()
+                continue
+            succeeded += 1
+            header, *rows = read_csv(tmp_path / f"spectrum_{name}.csv")
+            assert header == list(entry["spectrum"][0])
+            assert [dict(zip(header, row)) for row in rows] == entry["spectrum"]
+            header, *rows = read_csv(tmp_path / f"errors_{name}.csv")
+            assert header == ["time", "rel_error"]
+            assert [row[0] for row in rows] == entry["errors"]["times"]
+            assert [row[1] for row in rows] == entry["errors"]["rel_error"]
+        assert succeeded == 3
 
     def test_empty_variant_list_is_usage_error(self, tmp_path):
         code = run_cli("run", "--problem", "signal-2d", *SMALL, "--nt", "40",

@@ -327,11 +327,8 @@ class TestFitGuards:
     def test_sketch_of_zero_rows(self, policy):
         data = np.random.default_rng(1).standard_normal((5, 10))
         data[:2] = 0.0
-        indices = np.array([0, 1])
-        matrix = np.zeros((2, 5))
-        matrix[[0, 1], indices] = 1.0
-        op = ProjectionOperator(kind="sampling", matrix=matrix, a=2, seed=None,
-                                indices=indices)
+        op = ProjectionOperator(kind="sampling", matrix=None, a=2, seed=None,
+                                indices=np.array([0, 1]), d=5)
         with pytest.raises(DegenerateDataError):
             dmd_projected(snaps(data), 1, op, policy)
 

@@ -200,11 +200,8 @@ class TestApply:
         np.testing.assert_array_equal(apply(op, x), x)
 
     def test_sampling_extracts_rows(self):
-        indices = np.array([2, 5])
-        matrix = np.zeros((2, 6))
-        matrix[[0, 1], indices] = 1.0
-        op = ProjectionOperator(kind="sampling", matrix=matrix, a=2, seed=None,
-                                indices=indices)
+        op = ProjectionOperator(kind="sampling", matrix=None, a=2, seed=None,
+                                indices=np.array([2, 5]), d=6)
         x = np.arange(18.0).reshape(6, 3)
         np.testing.assert_array_equal(apply(op, x), x[[2, 5], :])
 
@@ -492,3 +489,31 @@ class TestStoredStateValidation:
     def test_achlioptas_seed_checked_at_build(self):
         with pytest.raises(InvalidParameterError):
             achlioptas_operator(10, 2, 3, seed=-1)
+
+    @pytest.mark.parametrize("factory", [
+        lambda seed: sampling_operator(10, 2, seed),
+        lambda seed: gaussian_operator(10, 2, seed),
+        lambda seed: achlioptas_operator(10, 2, 3, seed),
+        lambda seed: krylov_operator(10, 2, seed),
+    ], ids=["sampling", "gaussian", "achlioptas", "krylov"])
+    def test_negative_seed_raises(self, factory):
+        with pytest.raises(InvalidParameterError, match="seed must be a nonnegative integer"):
+            factory(-1)
+
+    def test_sampling_refuses_a_matrix(self):
+        with pytest.raises(InvalidParameterError, match="indices define it"):
+            ProjectionOperator(kind="sampling", matrix=np.eye(3)[[0, 1]], a=2, seed=None,
+                               indices=np.array([1, 2]))
+
+    def test_sampling_count_above_dimension_raises(self):
+        with pytest.raises(InvalidParameterError, match="measurement count 4"):
+            ProjectionOperator(kind="sampling", matrix=None, a=4, seed=None,
+                               indices=np.arange(4), d=3)
+
+    def test_caller_matrix_is_copied(self):
+        m = np.ones((2, 3))
+        op = ProjectionOperator("krylov", m, 2, None)
+        assert m.flags.writeable
+        m[0, 0] = 5.0
+        np.testing.assert_array_equal(op.matrix, np.ones((2, 3)))
+        assert op.matrix.flags.c_contiguous and not op.matrix.flags.writeable
