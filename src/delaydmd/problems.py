@@ -143,11 +143,14 @@ def vorticity_field(t, p: DoubleGyreParams) -> np.ndarray:
 
 
 def generate_double_gyre(p: DoubleGyreParams | None = None) -> SnapshotMatrix:
-    """Vorticity snapshots of the gyre flow; one column per time step."""
+    """Vorticity snapshots of the gyre flow; one column per time step, each
+    written into the one snapshot array."""
     if p is None:
         p = DoubleGyreParams()
-    cols = [vorticity_field(p.t0 + k * p.dt, p) for k in range(p.nt)]
-    return SnapshotMatrix(np.column_stack(cols), dt=p.dt, grid=p.grid, t0=p.t0)
+    data = np.empty((p.grid.size, p.nt))
+    for k in range(p.nt):
+        data[:, k] = vorticity_field(p.t0 + k * p.dt, p)
+    return SnapshotMatrix(data, dt=p.dt, grid=p.grid, t0=p.t0)
 
 
 def signal_spatial_modes(grid: GridMeta):

@@ -39,7 +39,8 @@ class ProjectionOperator:
 
     Each kind keeps only what applies its matrix:
 
-    - ``identity``: nothing (D = a);
+    - ``identity``: nothing (D = a). It takes no ``matrix``, which
+      ``apply`` would ignore;
     - ``sampling``: ``indices``, its rows of I_D, sorted ascending. It takes
       no ``matrix``, which could disagree with them;
     - ``achlioptas``: ``seed`` and ``sparsity_s``. Every uniform draw takes
@@ -64,10 +65,9 @@ class ProjectionOperator:
         self.row_states = row_states
         self._stored = None
         self._gram_deviation = None
-        if matrix is not None and kind == "sampling":
-            raise InvalidParameterError(
-                "a sampling operator takes no matrix; its indices define it"
-            )
+        if matrix is not None and kind in ("identity", "sampling"):
+            reason = "it is I_a" if kind == "identity" else "its indices define it"
+            raise InvalidParameterError(f"the {kind} operator takes no matrix; {reason}")
         if matrix is None and kind == "achlioptas":
             _check_seed(seed)
         if matrix is not None:

@@ -1,6 +1,7 @@
 """Error metrics, mode fields, comparison runs and report serialization."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from delaydmd.analysis import (
     run_comparison,
     write_csv,
 )
-from delaydmd.dmd import RankPolicy, dmd_tdc, predict
+from delaydmd.dmd import DmdModel, RankPolicy, dmd_tdc, predict
 from delaydmd.errors import (
     DegenerateDataError,
     InsufficientMeasurementsError,
@@ -113,6 +114,56 @@ class TestRelativeErrorSeries:
         bare = dataclasses.replace(signal_model, modes=None)
         with pytest.raises(InvalidParameterError, match="no modes"):
             relative_error_series(bare, signal_data)
+
+
+class TestBlockedScoring:
+    """Scoring predicts and compares the truth one block of columns at a time."""
+
+    B = analysis._SCORE_BLOCK
+
+    @pytest.fixture(scope="class")
+    def noisy(self):
+        # Noise keeps every error far above roundoff, so a relative tolerance
+        # compares the scores themselves rather than BLAS rounding.
+        data = generate_signal(small_signal_params(nt=3 * self.B + 5, noise_amp=0.05),
+                               rng_seed=3)
+        train, _ = train_test_split(data, 30)
+        return data, dmd_tdc(train, 2, RankPolicy.fixed(4))
+
+    @pytest.mark.parametrize("lo, n", [
+        (0, B // 2),        # below one block
+        (0, 3 * B + 5),     # not a multiple of the block
+        (0, 2 * B),         # whole blocks
+        (7, B + 3),         # truth window offset from the model origin
+        (2 * B + 1, 4),     # offset, below one block
+    ])
+    def test_matches_unblocked_formula(self, noisy, lo, n):
+        data, model = noisy
+        truth = SnapshotMatrix(data.data[:, lo:lo + n], dt=data.dt,
+                               t0=data.t0 + lo * data.dt)
+        expected = (np.linalg.norm(truth.data - predict(model, lo + np.arange(n)), axis=0)
+                    / np.maximum(np.linalg.norm(truth.data, axis=0),
+                                 analysis.ERROR_NORM_FLOOR))
+        got = relative_error_series(model, truth).rel_error
+        assert got.shape == (n,)
+        assert np.min(expected) > 1e-3
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
+
+    def test_peak_memory_below_one_truth_array(self):
+        m, n, r = 4000, 512, 4
+        rng = np.random.default_rng(0)
+        mu = np.exp(1j * np.array([0.1, -0.1, 0.3, -0.3]))
+        model = DmdModel(modes=rng.standard_normal((m, r)) + 1j * rng.standard_normal((m, r)),
+                         eigenvalues_discrete=mu, exponents=np.log(mu),
+                         amplitudes=np.ones(r, dtype=complex), rank=r, q=1, base_m=m, dt=1.0)
+        truth = SnapshotMatrix(rng.standard_normal((m, n)), dt=1.0)
+        tracemalloc.start()
+        try:
+            relative_error_series(model, truth)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < truth.data.nbytes
 
 
 class TestModeField:

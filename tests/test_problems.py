@@ -2,6 +2,7 @@
 periodicity and determinism."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -179,6 +180,21 @@ class TestGenerateDoubleGyre:
             columns.append((np.gradient(v, xs, axis=1, edge_order=2)
                             - np.gradient(u, ys, axis=0, edge_order=2)).ravel())
         np.testing.assert_array_equal(generate_double_gyre(p).data, np.column_stack(columns))
+
+    def test_holds_one_copy_of_the_snapshots(self):
+        p = small_gyre(nx=37, ny=23)
+        reference = np.column_stack([vorticity_field(p.t0 + k * p.dt, p)
+                                     for k in range(p.nt)])
+        tracemalloc.start()
+        try:
+            data = generate_double_gyre(p).data
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(data, reference)
+        # One (m, nt) array plus per-snapshot temporaries; a list of columns
+        # stacked afterwards would hold two.
+        assert peak < 1.5 * reference.nbytes
 
     def test_invalid_params(self):
         with pytest.raises(InvalidParameterError):

@@ -505,6 +505,10 @@ class TestStoredStateValidation:
             ProjectionOperator(kind="sampling", matrix=np.eye(3)[[0, 1]], a=2, seed=None,
                                indices=np.array([1, 2]))
 
+    def test_identity_refuses_a_matrix(self):
+        with pytest.raises(InvalidParameterError, match="identity operator takes no matrix"):
+            ProjectionOperator("identity", np.ones((2, 3)), 2, None)
+
     def test_sampling_count_above_dimension_raises(self):
         with pytest.raises(InvalidParameterError, match="measurement count 4"):
             ProjectionOperator(kind="sampling", matrix=None, a=4, seed=None,
