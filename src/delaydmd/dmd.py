@@ -298,7 +298,8 @@ def predict(model: DmdModel, k) -> np.ndarray:
         raise InvalidParameterError("model carries no modes; refit or reload with modes")
     times = np.atleast_1d(k) * model.dt
     coeff = np.exp(np.outer(model.exponents, times)) * model.amplitudes[:, None]
-    states = (model.modes @ coeff).real
+    # A copy, so the caller does not keep the complex product alive.
+    states = (model.modes @ coeff).real.copy()
     return states if np.ndim(k) else states[:, 0]
 
 

@@ -7,7 +7,8 @@ leaves arbitrary, so identical inputs always produce identical outputs:
 * singular vectors are sign-fixed so the largest-magnitude entry of each
   left singular vector is positive,
 * eigenvalues are sorted by descending modulus, ties broken by descending
-  imaginary part (conjugate pairs come out ``+i`` first).
+  imaginary part (conjugate pairs come out ``+i`` first); moduli that agree
+  to about 1e-9 relative count as tied, so roundoff cannot swap them.
 """
 
 from dataclasses import dataclass
@@ -84,7 +85,8 @@ def eig_dense(a) -> EigResult:
     """Eigendecomposition of a small square matrix, deterministically ordered.
 
     Eigenvalues are sorted by descending modulus, ties broken by descending
-    imaginary part; eigenvector columns are permuted along with them.
+    imaginary part; eigenvector columns are permuted along with them. A
+    modulus within 1e-9 relative of the next larger one ties with it.
 
     Raises
     ------
@@ -102,8 +104,12 @@ def eig_dense(a) -> EigResult:
         raise NumericalFailureError("eig", a.shape[0], a.shape[1]) from exc
     w = w.astype(complex, copy=False)
     vec = vec.astype(complex, copy=False)
+    by_mod = np.argsort(-np.abs(w), kind="stable")
+    mods = np.abs(w[by_mod])
+    # One pass: a new tie group starts where a modulus drops by over 1e-9.
+    group = np.cumsum(mods < (1 - 1e-9) * np.r_[mods[:1], mods[:-1]])
     # lexsort uses the last key as the primary one.
-    order = np.lexsort((-w.imag, -np.abs(w)))
+    order = by_mod[np.lexsort((-w.imag[by_mod], group))]
     return EigResult(eigenvalues=w[order], eigenvectors=vec[:, order])
 
 

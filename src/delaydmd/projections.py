@@ -10,10 +10,12 @@ Arnoldi run on a seeded d-by-d Gaussian matrix. All constructors are pure
 functions of their arguments.
 
 The seeded random kinds store only what regenerates their rows, never the
-a-by-D matrix (Tropp, Yurtsever, Udell & Cevher 2017). :func:`apply`
-regenerates it one a-by-M column panel per delay block and sums the panel
-products (Halko, Martinsson & Tropp 2011); the same sweep accumulates the
-row gram, so :func:`gram_deviation` costs no second pass.
+a-by-D matrix (Tropp, Yurtsever, Udell & Cevher 2017). Each row has a
+generator that starts at its first draw without drawing the rows before it,
+so building an operator draws nothing. :func:`apply` regenerates the matrix
+one a-by-M column panel per delay block and sums the panel products (Halko,
+Martinsson & Tropp 2011); the same sweep accumulates the row gram, so
+:func:`gram_deviation` costs no second pass.
 """
 
 from __future__ import annotations
@@ -43,11 +45,12 @@ class ProjectionOperator:
       ``apply`` would ignore;
     - ``sampling``: ``indices``, its rows of I_D, sorted ascending. It takes
       no ``matrix``, which could disagree with them;
+    - ``gaussian``: ``seed``. Row r is drawn from its own stream, the r-th
+      child of ``SeedSequence(seed).spawn(a)``, because normal draws take a
+      variable number of 64-bit words and so cannot be skipped over;
     - ``achlioptas``: ``seed`` and ``sparsity_s``. Every uniform draw takes
       one 64-bit word, so row r starts at the seeded generator advanced by
       r*D;
-    - ``gaussian``: ``row_states``, the bit-generator state at the start of
-      each row (normal draws take a variable number of words);
     - ``krylov``, and any other kind given an explicit ``matrix``: a
       C-ordered copy of it, so the caller's array stays theirs.
 
@@ -58,17 +61,16 @@ class ProjectionOperator:
 
     def __init__(self, kind: str, matrix, a: int, seed: int | None,
                  sparsity_s: int | None = None, indices=None, *,
-                 d: int | None = None, row_states: tuple | None = None):
+                 d: int | None = None):
         if kind not in KINDS:
             raise InvalidParameterError(f"unknown operator kind {kind!r}")
         self.kind, self.a, self.seed, self.sparsity_s = kind, a, seed, sparsity_s
-        self.row_states = row_states
         self._stored = None
         self._gram_deviation = None
         if matrix is not None and kind in ("identity", "sampling"):
             reason = "it is I_a" if kind == "identity" else "its indices define it"
             raise InvalidParameterError(f"the {kind} operator takes no matrix; {reason}")
-        if matrix is None and kind == "achlioptas":
+        if matrix is None and kind in ("gaussian", "achlioptas"):
             _check_seed(seed)
         if matrix is not None:
             m = np.array(matrix, dtype=float, order="C")
@@ -82,9 +84,8 @@ class ProjectionOperator:
             d = a
         elif d is None or not {
                 "sampling": indices is not None,
-                "gaussian": row_states is not None and len(row_states) == a,
                 "achlioptas": sparsity_s in (1, 3),
-                "krylov": False}[kind]:
+                "krylov": False}.get(kind, True):
             raise InvalidParameterError(
                 f"a {kind} operator needs its matrix, or d and what regenerates its rows"
             )
@@ -151,20 +152,13 @@ def gaussian_operator(d: int, a: int, seed: int) -> ProjectionOperator:
     The scaling makes the expected column gram E[R* R] the identity, so
     projected vectors keep their length on average.
 
-    The draw is that of ``rng.standard_normal((a, d)) / sqrt(a)``. One pass
-    over the rows records the generator state at the start of each; the
-    rows themselves are discarded and regenerated where they are used.
+    Row r is ``default_rng(child).standard_normal(d) / sqrt(a)`` for the r-th
+    child of ``SeedSequence(seed).spawn(a)``, so it depends only on the seed
+    and r. Only the seed is stored; nothing is drawn here.
     """
     _check_count(d, a)
     _check_seed(seed)
-    rng = np.random.default_rng(seed)
-    row = np.empty(d)
-    states = []
-    for _ in range(a):
-        states.append(rng.bit_generator.state)
-        rng.standard_normal(out=row)
-    return ProjectionOperator(kind="gaussian", matrix=None, a=a, seed=seed, d=d,
-                              row_states=tuple(states))
+    return ProjectionOperator(kind="gaussian", matrix=None, a=a, seed=seed, d=d)
 
 
 def achlioptas_operator(d: int, a: int, s: int, seed: int) -> ProjectionOperator:
@@ -342,14 +336,16 @@ def _panels(op: ProjectionOperator, width: int):
             yield op._stored[:, start:start + width]
         return
     if op.kind == "gaussian":
-        gens = [np.random.Generator(_pcg64(state)) for state in op.row_states]
+        def row_bits(r):
+            return np.random.PCG64(np.random.SeedSequence(op.seed, spawn_key=(r,)))
 
         def fill(gen, row):
             gen.standard_normal(out=row)
             np.divide(row, np.sqrt(op.a), out=row)
     else:
-        gens = [np.random.Generator(np.random.PCG64(op.seed).advance(r * op.d))
-                for r in range(op.a)]
+        def row_bits(r):
+            return np.random.PCG64(op.seed).advance(r * op.d)
+
         s = op.sparsity_s
         cdf = np.cumsum([1.0 / (2 * s), 1.0 - 1.0 / s, 1.0 / (2 * s)])
         cdf /= cdf[-1]
@@ -359,6 +355,7 @@ def _panels(op: ProjectionOperator, width: int):
             gen.random(out=row)
             np.subtract(row >= cdf[1], row < cdf[0], out=row, dtype=float)
             row *= scale
+    gens = [np.random.Generator(row_bits(r)) for r in range(op.a)]
     # Each row is mapped right after its draw, while it is still in cache.
     buffer = np.empty((op.a, width))
     for start in range(0, op.d, width):
@@ -366,12 +363,6 @@ def _panels(op: ProjectionOperator, width: int):
         for gen, row in zip(gens, panel):
             fill(gen, row)
         yield panel
-
-
-def _pcg64(state: dict) -> np.random.PCG64:
-    bit_generator = np.random.PCG64()
-    bit_generator.state = state
-    return bit_generator
 
 
 def _checked_indices(indices, a: int, d: int) -> np.ndarray:

@@ -443,6 +443,15 @@ class TestPredict:
         with pytest.raises(InvalidParameterError, match="nonnegative"):
             predict(model, np.array([2, -1]))
 
+    def test_returns_an_owned_real_array(self):
+        x = snaps(np.random.default_rng(8).standard_normal((3, 10)))
+        model = dmd_tdc(x, 2)
+        steps = np.arange(50)
+        states = predict(model, steps)
+        assert states.base is None and states.dtype == float
+        coeff = np.exp(np.outer(model.exponents, steps * model.dt)) * model.amplitudes[:, None]
+        np.testing.assert_array_equal(states, (model.modes @ coeff).real)
+
 
 class TestPodModes:
     def test_rank_one_sign_fixed(self):

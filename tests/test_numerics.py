@@ -95,6 +95,19 @@ class TestEigDense:
             if mods[i] == mods[i + 1]:
                 assert w[i].imag >= w[i + 1].imag
 
+    @pytest.mark.parametrize("gap", [1e-15, -1e-15])
+    def test_near_equal_moduli_order_by_imaginary_part(self, gap):
+        def rotation(radius, theta):
+            c, s = radius * np.cos(theta), radius * np.sin(theta)
+            return np.array([[c, -s], [s, c]])
+
+        a = np.zeros((4, 4))
+        a[:2, :2] = rotation(1.0, 0.4)
+        a[2:, 2:] = rotation(1.0 + gap, 2.0)
+        w = eig_dense(a).eigenvalues
+        expected = np.exp(1j * np.array([2.0, 0.4, -0.4, -2.0]))
+        np.testing.assert_allclose(w, expected, atol=1e-12)
+
     @settings(deadline=None, max_examples=25)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 10))
     def test_eigen_residual_property(self, seed, n):

@@ -322,8 +322,17 @@ class TestPinnedDraws:
     @pytest.mark.parametrize("seed", [0, 7, 123])
     def test_gaussian_matches_normal_reference(self, seed):
         d, a = 301, 17
-        reference = np.random.default_rng(seed).standard_normal((a, d)) / np.sqrt(a)
+        children = np.random.SeedSequence(seed).spawn(a)
+        reference = np.stack([np.random.default_rng(child).standard_normal(d)
+                              for child in children]) / np.sqrt(a)
         np.testing.assert_array_equal(gaussian_operator(d, a, seed).matrix, reference)
+
+    @pytest.mark.parametrize("seed", [0, 7, 123])
+    def test_gaussian_row_depends_only_on_seed_and_index(self, seed):
+        d = 301
+        few = gaussian_operator(d, 3, seed).matrix * np.sqrt(3)
+        more = gaussian_operator(d, 7, seed).matrix * np.sqrt(7)
+        np.testing.assert_allclose(more[:3], few, rtol=1e-15, atol=0)
 
 
 class TestGramDeviation:
@@ -433,6 +442,12 @@ class TestRegeneratedOperators:
         _, gram_peak = _traced_peak(lambda: gram_deviation(fresh))
         assert max(build_peak, apply_peak, gram_peak) < dense_bytes / 4
 
+    def test_gaussian_build_draws_nothing(self):
+        d = 2_000_000
+        op, peak = _traced_peak(lambda: gaussian_operator(d, 50, seed=0))
+        assert op.d == d
+        assert peak < d * 8
+
     def test_large_sampling_build_is_small(self):
         op, peak = _traced_peak(lambda: sampling_operator(200000, 100, seed=5))
         assert op.d == 200000 and op.indices.shape == (100,)
@@ -467,19 +482,16 @@ class TestStoredStateValidation:
                                indices=np.arange(4))
 
     def test_regenerated_count_above_dimension_raises(self):
-        states = gaussian_operator(3, 3, seed=0).row_states
         with pytest.raises(InvalidParameterError):
-            ProjectionOperator(kind="gaussian", matrix=None, a=3, seed=0, d=2,
-                               row_states=states)
+            ProjectionOperator(kind="gaussian", matrix=None, a=3, seed=0, d=2)
         with pytest.raises(InvalidParameterError):
             ProjectionOperator(kind="achlioptas", matrix=None, a=3, seed=0,
                                sparsity_s=3, d=2)
 
     def test_regeneration_needs_its_state(self):
-        states = gaussian_operator(6, 3, seed=0).row_states
-        with pytest.raises(InvalidParameterError):
-            ProjectionOperator(kind="gaussian", matrix=None, a=3, seed=0, d=6,
-                               row_states=states[:2])
+        for seed in (None, -1):
+            with pytest.raises(InvalidParameterError):
+                ProjectionOperator(kind="gaussian", matrix=None, a=3, seed=seed, d=6)
         with pytest.raises(InvalidParameterError):
             ProjectionOperator(kind="achlioptas", matrix=None, a=3, seed=0,
                                sparsity_s=2, d=6)
