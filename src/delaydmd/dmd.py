@@ -12,12 +12,12 @@ in sketch space and recovers exact modes from the unprojected shifted
 matrix, so the model still predicts in the original state space.
 
 Both delay fits run on the embedding held in the QR basis of the raw
-snapshots (:func:`~delaydmd.snapshots.delay_embed`): one thin QR X = Q R of
-the M-by-N training snapshots turns the (q*M)-row Hankel pair into a pair
-with q*min(M, N) rows and the same singular values, right singular vectors,
-pencil and least-squares solutions. The unsketched SVD, exact-mode recovery
-and the amplitude solve all work on that compressed pair; the model keeps
-only raw-state modes, the first delay block of each mapped through Q. A
+snapshots (:func:`~delaydmd.snapshots.delay_embed`): one Householder QR
+X = Q R of the M-by-N training snapshots turns the (q*M)-row Hankel pair into
+one with q*min(M, N) rows and the same singular values, right singular
+vectors, pencil and least-squares solutions. The SVD, mode recovery and
+amplitude solve work on that compressed pair; the model keeps each mode's
+first delay block mapped through Q, applied from its reflectors unformed. A
 sketched fit never forms the explicit Hankel matrix either: the operator is
 applied one delay block at a time (:func:`~delaydmd.projections.apply` with
 depth q), so the sketch allocates only its own a-by-(N-q+1) result. Mode

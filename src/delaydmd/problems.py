@@ -150,6 +150,7 @@ def generate_double_gyre(p: DoubleGyreParams | None = None) -> SnapshotMatrix:
     data = np.empty((p.grid.size, p.nt))
     for k in range(p.nt):
         data[:, k] = vorticity_field(p.t0 + k * p.dt, p)
+    data.setflags(write=False)  # frozen here, so the snapshot matrix keeps it uncopied
     return SnapshotMatrix(data, dt=p.dt, grid=p.grid, t0=p.t0)
 
 
@@ -179,4 +180,5 @@ def generate_signal(p: SignalParams | None = None, rng_seed: int = 0) -> Snapsho
     if p.noise_amp > 0:
         rng = np.random.default_rng(rng_seed)
         data = data + p.noise_amp * rng.standard_normal(data.shape)
+    data.setflags(write=False)  # frozen here, so the snapshot matrix keeps it uncopied
     return SnapshotMatrix(data, dt=p.dt, grid=p.grid, t0=p.t0)

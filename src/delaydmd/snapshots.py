@@ -8,7 +8,7 @@ spatial node, no header) plus a ``<name>.meta.json`` sidecar holding
 The delay embedding comes in two forms: the explicit Hankel matrix
 (:func:`hankel_block`, :func:`hankel_augment`) and :func:`delay_embed`, which
 holds the same matrix in the QR basis of the raw snapshots with q*min(M, N)
-rows instead of q*M.
+rows instead of q*M. A training window (:func:`train_test_split`) is a view.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ class GridMeta:
 class SnapshotMatrix:
     """Real M-by-N matrix of states over time plus time-axis metadata.
 
-    Immutable after construction; the data array is made read-only.
+    Immutable: a read-only float64 array is kept, any other input copied.
     """
 
     data: np.ndarray
@@ -80,7 +80,9 @@ class SnapshotMatrix:
     t0: float = 0.0
 
     def __post_init__(self):
-        data = np.ascontiguousarray(np.asarray(self.data, dtype=float))
+        data = self.data
+        if not (type(data) is np.ndarray and data.dtype == float and not data.flags.writeable):
+            data = np.array(data, dtype=float)
         if data.ndim != 2:
             raise InvalidParameterError(f"data must be 2-d, got shape {data.shape}")
         if data.shape[0] < 1 or data.shape[1] < 1:
@@ -152,18 +154,19 @@ def hankel_augment(x: SnapshotMatrix, q: int) -> HankelPair:
 class DelayEmbedding:
     """The depth-q Hankel matrix of some snapshots, held in their QR basis.
 
-    With X = ``basis`` @ R a thin QR of the raw snapshots, every delay block
-    X[:, b:b+n] equals ``basis`` @ R[:, b:b+n], so the Hankel matrix equals
-    (I_q kron ``basis``) @ ``compressed``, where ``compressed`` stacks the q
-    shifted column blocks of R. Since (I_q kron ``basis``) has orthonormal
-    columns, SVDs, pencils and least-squares solves on ``compressed`` give
-    those of the Hankel matrix, and :meth:`expand` maps compressed vectors
-    to the raw M-dim state their first delay block stands for.
+    With X = Q R a thin QR of the raw snapshots, each delay block X[:, b:b+n]
+    is Q R[:, b:b+n], so the Hankel matrix is (I_q kron Q) @ ``compressed``,
+    the q shifted column blocks of R stacked. (I_q kron Q) has orthonormal
+    columns, so SVDs, pencils and least-squares solves on ``compressed`` give
+    those of the Hankel matrix. Q, the first k = min(M, N) columns of
+    I - V T V^T (compact WY form), is kept as the QR's Householder reflectors
+    V (``reflectors``, M-by-k, unit lower triangular) and T (``t_factor``).
     """
 
     snapshots: SnapshotMatrix
     q: int
-    basis: np.ndarray
+    reflectors: np.ndarray
+    t_factor: np.ndarray
     compressed: np.ndarray
 
     @property
@@ -176,16 +179,35 @@ class DelayEmbedding:
         """Compressed counterpart of ``HankelPair.x2_aug``."""
         return self.compressed[:, 1:]
 
+    @property
+    def basis(self) -> np.ndarray:
+        """Q, the M-by-k orthonormal basis, formed afresh on each access."""
+        return self.expand(np.eye(self.t_factor.shape[0])).real
+
     def expand(self, coeffs: np.ndarray) -> np.ndarray:
         """Raw-state columns (M rows) from compressed embedded ones (q*k rows):
-        the first delay block, ``basis`` @ coeffs[:k]."""
-        return real_complex_matmul(self.basis, coeffs[: self.basis.shape[1]])
+        Q c = [c; 0] - V (T (V[:k]^T c)) for the first delay block c."""
+        k = self.t_factor.shape[0]
+        c = coeffs[:k]
+        out = real_complex_matmul(self.reflectors, self.t_factor @ (self.reflectors[:k].T @ -c))
+        out[:k] += c
+        return out
 
 
 def delay_embed(x: SnapshotMatrix, q: int) -> DelayEmbedding:
-    """Embed the snapshots to depth q through one thin QR of the raw data."""
-    basis, r = np.linalg.qr(x.data)
-    return DelayEmbedding(snapshots=x, q=q, basis=basis, compressed=hankel_block(r, q))
+    """Embed the snapshots to depth q through one Householder QR of the raw data."""
+    h, tau = np.linalg.qr(x.data, mode="raw")
+    k = tau.size
+    # h.T holds R on and above the diagonal and the reflectors below it.
+    r = np.triu(h.T[:k])
+    v = h.T[:, :k]
+    v[:k] = np.tril(v[:k], -1) + np.eye(k)
+    # The forward, columnwise T of LAPACK's dlarft, from the gram of V.
+    gram, t = v.T @ v, np.diag(tau)
+    for i in range(1, k):
+        t[:i, i] = -tau[i] * (t[:i, :i] @ gram[:i, i])
+    return DelayEmbedding(snapshots=x, q=q, reflectors=v, t_factor=t,
+                          compressed=hankel_block(r, q))
 
 
 def train_test_split(x: SnapshotMatrix, n_train: int):
@@ -298,6 +320,7 @@ def load(path) -> SnapshotMatrix:
             f"{csv_path}: data is {data.shape[0]}x{data.shape[1]} "
             f"but sidecar declares {m}x{n}"
         )
+    data.setflags(write=False)  # frozen here, so the snapshot matrix keeps it uncopied
     grid = read_field(meta, "grid", GridMeta.from_dict, meta_path) if "grid" in meta else None
     if grid is not None and grid.size != m:
         raise SnapshotConsistencyError(

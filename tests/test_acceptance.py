@@ -7,10 +7,15 @@ criterion; expect about ten seconds.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import delaydmd
 from delaydmd.analysis import default_variant_specs, run_comparison
 from delaydmd.cli import main as cli_main
 from delaydmd.dmd import RankPolicy, dmd_classic, dmd_projected, dmd_tdc
@@ -201,3 +206,43 @@ def test_criterion_11_determinism(tmp_path):
         reports.append(report)
     assert reports[0] == reports[1]
     _report_line(11, "identical config and seed reproduce the report bit-for-bit")
+
+
+def _dominant_spectra(out_dir):
+    """Per variant, the ordered eigenvalues whose amplitude exceeds 1e-3 of
+    the variant's largest."""
+    with open(out_dir / "report.json") as fh:
+        report = json.load(fh)
+    spectra = {}
+    for v in report["variants"]:
+        top = max(e["amp"] for e in v["spectrum"])
+        spectra[v["variant"]] = np.array([complex(e["re_mu"], e["im_mu"])
+                                          for e in v["spectrum"] if e["amp"] > 1e-3 * top])
+    return spectra
+
+
+@pytest.mark.parametrize("argv", [
+    ["--problem", "signal-2d", "--seed", "7"],
+    ["--problem", "signal-2d", "--nx", "20", "--ny", "20", "--nt", "40", "--n-train", "30",
+     "--seed", "13", "--variants", "classic,sampling,gaussian,achlioptas,krylov",
+     "--measurements", "sampling=40,gaussian=20,achlioptas=20,krylov=20"],
+], ids=["signal-seed-7", "criterion-11"])
+def test_blas_thread_count_does_not_move_spectra(tmp_path, argv):
+    # Each run is its own process, so OpenBLAS reads the thread count anew.
+    src = str(Path(delaydmd.__file__).resolve().parents[1])
+    runs = []
+    for threads in ("1", None):
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = tmp_path / f"threads-{threads or 'default'}"
+        subprocess.run([sys.executable, "-m", "delaydmd", "run", *argv, "--out", str(out)],
+                       env=env, check=True, stdout=subprocess.DEVNULL)
+        runs.append(_dominant_spectra(out))
+    single, default = runs
+    assert single.keys() == default.keys()
+    for name, mu in single.items():
+        assert mu.shape == default[name].shape, name
+        assert np.max(np.abs(mu - default[name]), initial=0.0) <= 1e-10, name

@@ -1,6 +1,7 @@
 """Snapshot model, delay embedding and persistence."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from delaydmd.errors import (
 from delaydmd.snapshots import (
     GridMeta,
     SnapshotMatrix,
+    delay_embed,
     hankel_augment,
     load,
     save,
@@ -51,6 +53,19 @@ class TestSnapshotMatrix:
     def test_times(self):
         x = snaps(np.ones((1, 4)), dt=0.5, t0=1.0)
         np.testing.assert_allclose(x.times(), [1.0, 1.5, 2.0, 2.5])
+
+    def test_caller_array_stays_writable(self):
+        data = np.ones((3, 4))
+        x = SnapshotMatrix(data, dt=1.0)
+        assert data.flags.writeable and not x.data.flags.writeable
+        data[0, 0] = 5.0
+        assert x.data[0, 0] == 1.0
+
+    def test_read_only_input_kept_without_copy(self):
+        x = snaps(np.arange(12.0).reshape(3, 4))
+        for view in (x.data, x.data[:, 1:3]):
+            y = SnapshotMatrix(view, dt=1.0)
+            assert y.data is view and not y.data.flags.writeable
 
 
 class TestSplit:
@@ -116,6 +131,53 @@ class TestHankelAugment:
         np.testing.assert_array_equal(pair.x1_aug[:m], x.data[:, : n - q])
 
 
+def repeated_columns(m, n):
+    base = np.random.default_rng(5).standard_normal((m, 3))
+    return np.tile(base, (1, -(-n // 3)))[:, :n]
+
+
+class TestDelayEmbedding:
+    """The basis is held as Householder reflectors; it must act as the thin
+    Q of numpy's reduced QR does."""
+
+    @pytest.mark.parametrize("q", [1, 2, 3, 4])
+    @pytest.mark.parametrize("make", [
+        lambda: np.random.default_rng(3).standard_normal((60, 12)),
+        lambda: np.random.default_rng(4).standard_normal((8, 20)),
+        lambda: repeated_columns(30, 12),
+    ], ids=["tall", "wide", "repeated"])
+    def test_expand_matches_reduced_qr(self, make, q):
+        data = make()
+        emb = delay_embed(snaps(data), q)
+        k = min(data.shape)
+        coeffs = np.random.default_rng(q).standard_normal((q * k, 10)).view(complex)
+        reference = np.linalg.qr(data)[0] @ coeffs[:k]
+        got = emb.expand(coeffs)
+        assert got.shape == (data.shape[0], 5)
+        assert np.max(np.abs(got - reference)) <= 1e-13 * np.max(np.abs(reference))
+
+    @pytest.mark.parametrize("shape", [(60, 12), (8, 20)])
+    def test_basis_has_orthonormal_columns(self, shape):
+        emb = delay_embed(snaps(np.random.default_rng(6).standard_normal(shape)), 2)
+        basis = emb.basis
+        assert basis.shape == (shape[0], min(shape))
+        np.testing.assert_allclose(basis.T @ basis, np.eye(min(shape)), atol=1e-14)
+
+    def test_embedding_holds_about_one_window(self):
+        # The reflectors take the window's bytes; numpy's reduced QR held a
+        # Q beside its copy of the input, and the window itself was copied.
+        x = snaps(np.random.default_rng(7).standard_normal((20000, 200)))
+        window = 20000 * 174 * 8
+        tracemalloc.start()
+        try:
+            train, _ = train_test_split(x, 174)
+            delay_embed(train, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * window
+
+
 class TestTrainTestSplit:
     def test_gyre_style_split(self):
         x = snaps(np.random.default_rng(1).standard_normal((3, 200)), dt=0.05)
@@ -131,6 +193,13 @@ class TestTrainTestSplit:
         x = snaps(np.ones((1, 200)), dt=0.05)
         _, test = train_test_split(x, 174)
         assert test.t0 == pytest.approx(174 * 0.05)  # 8.7 s
+
+    def test_windows_are_views_of_the_data(self):
+        x = snaps(np.random.default_rng(1).standard_normal((3, 20)))
+        train, test = train_test_split(x, 15)
+        assert np.shares_memory(train.data, x.data) and np.shares_memory(test.data, x.data)
+        np.testing.assert_array_equal(train.data, x.data[:, :15])
+        np.testing.assert_array_equal(test.data, x.data[:, 15:])
 
     @pytest.mark.parametrize("n_train", [0, 1, 5, 9])
     def test_invalid_split(self, n_train):
