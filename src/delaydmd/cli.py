@@ -153,10 +153,12 @@ _SETTINGS = {f.name: f.metadata["parse"] for f in fields(RunConfig)}
 
 def _load_config_file(path) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise InvalidParameterError(f"{path}: invalid JSON ({exc})") from exc
+    except UnicodeDecodeError as exc:
+        raise InvalidParameterError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
 
 
 def _parse(source: str, raw) -> dict:

@@ -11,19 +11,19 @@ embedded pair through a measurement-reduction operator; the core then fits
 in sketch space and recovers exact modes from the unprojected shifted
 matrix, so the model still predicts in the original state space.
 
-Both delay fits run on the embedding held in the QR basis of the raw
-snapshots (:func:`~delaydmd.snapshots.delay_embed`): one Householder QR
-X = Q R of the M-by-N training snapshots turns the (q*M)-row Hankel pair into
-one with q*min(M, N) rows and the same singular values, right singular
-vectors, pencil and least-squares solutions. The SVD, mode recovery and
-amplitude solve work on that compressed pair; the model keeps each mode's
-first delay block mapped through Q, applied from its reflectors unformed. A
-sketched fit never forms the explicit Hankel matrix either: the operator is
-applied one delay block at a time (:func:`~delaydmd.projections.apply` with
-depth q), so the sketch allocates only its own a-by-(N-q+1) result. Mode
-columns may differ from those of a fit on the explicit Hankel pair by a
-sign or phase per column; the amplitudes compensate, so spectra and
-predictions agree to roundoff.
+Both delay fits run on the embedding in the QR coordinates of the raw
+snapshots (:func:`~delaydmd.snapshots.delay_embed`): the R of one QR X = Q R
+of the M-by-N training snapshots turns the (q*M)-row Hankel pair into one
+with q*min(M, N) rows and the same singular values, right singular vectors,
+pencil and least-squares solutions, on which the SVD, eigenproblem and
+amplitude solve run. Q is not kept: a mode's raw-state block is the same
+combination V W / sigma of the training snapshots' columns (exact DMD's
+X V W / sigma). A sketched fit never forms the explicit Hankel matrix
+either: the operator is applied one delay block at a time
+(:func:`~delaydmd.projections.apply` with depth q), so the sketch allocates
+only its own a-by-(N-q+1) result. Mode columns may differ from those of a
+fit on the explicit Hankel pair by a sign or phase per column; the
+amplitudes compensate, so spectra and predictions agree to roundoff.
 """
 
 from __future__ import annotations
@@ -171,7 +171,7 @@ def _truncate(svd, policy: RankPolicy, rank_limit=None) -> int:
 
 
 def _fit(x1, x2, policy: RankPolicy, *, sketch=None, rank_limit=None,
-         expand=None, **model_fields) -> DmdModel:
+         raw=None, **model_fields) -> DmdModel:
     """Exact DMD of the pair (x1, x2), the core of every fit.
 
     Truncates the SVD of x1 under ``policy``, eigendecomposes the low-rank
@@ -179,8 +179,9 @@ def _fit(x1, x2, policy: RankPolicy, *, sketch=None, rank_limit=None,
     sketched x1 columns, then the sketched last x2 column) the SVD and the
     map come from the sketch, its rank capped by ``rank_limit``, and the
     modes are the exact modes x2 V W / sigma. Amplitudes fit the first
-    column of x1; ``expand`` maps compressed modes to raw-state ones.
-    ``model_fields`` (dt among them) go to the :class:`DmdModel`.
+    column of x1. With ``raw``, snapshots whose columns 0..n-1 and 1..n head
+    x1 and x2, the modes kept are raw[:, :n] V W / sigma (raw[:, 1:n+1] if
+    sketched). ``model_fields`` (dt among them) go to the :class:`DmdModel`.
     """
     first = x1[:, 0]
     if not np.any(first != 0.0):
@@ -193,10 +194,11 @@ def _fit(x1, x2, policy: RankPolicy, *, sketch=None, rank_limit=None,
     r = _truncate(svd, policy, rank_limit)
     u, sigma, v = svd.u[:, :r], svd.singular_values[:r], svd.v[:, :r]
     eig = eig_dense((u.T @ fit_x2 @ v) / sigma)
+    coeffs = (v / sigma) @ eig.eigenvectors
     if sketch is None:
         modes = u.astype(complex) @ eig.eigenvectors
     else:
-        modes = real_complex_matmul(x2, (v / sigma) @ eig.eigenvectors)
+        modes = real_complex_matmul(x2, coeffs)
     keep = np.abs(eig.eigenvalues) > _ZERO_EIGENVALUE_CUTOFF
     if not np.all(keep):
         warnings.warn(
@@ -207,11 +209,16 @@ def _fit(x1, x2, policy: RankPolicy, *, sketch=None, rank_limit=None,
     if not np.any(keep):
         raise DegenerateDataError("every eigenvalue collapsed to zero")
     mu, modes = eig.eigenvalues[keep], modes[:, keep]
+    amplitudes = pseudoinverse_apply(modes, first)
+    if raw is not None:
+        n = x1.shape[1]
+        modes = real_complex_matmul(raw[:, :n] if sketch is None else raw[:, 1:n + 1],
+                                    coeffs[:, keep])
     return DmdModel(
-        modes=modes if expand is None else expand(modes),
+        modes=modes,
         eigenvalues_discrete=mu,
         exponents=np.log(mu) / model_fields["dt"],
-        amplitudes=pseudoinverse_apply(modes, first),
+        amplitudes=amplitudes,
         rank=mu.size,
         **model_fields,
     )
@@ -249,7 +256,7 @@ def dmd_tdc(x: SnapshotMatrix | DelayEmbedding, q: int,
     if emb.q != q:
         raise InvalidParameterError(f"embedding has depth q = {emb.q}, fit asked for q = {q}")
     s = emb.snapshots
-    return _fit(emb.x1, emb.x2, policy, expand=emb.expand,
+    return _fit(emb.x1, emb.x2, policy, raw=s.data,
                 q=q, base_m=s.m, dt=s.dt, t0=s.t0, variant="tdc")
 
 
@@ -281,7 +288,7 @@ def dmd_projected(x: SnapshotMatrix | DelayEmbedding, q: int, op: ProjectionOper
         sketch = apply_operator(op, s.data, q)
         rank_limit = (op.a, "measurements")
     return _fit(emb.x1, emb.x2, policy, sketch=sketch, rank_limit=rank_limit,
-                expand=emb.expand, q=q, base_m=s.m, dt=s.dt, t0=s.t0,
+                raw=s.data, q=q, base_m=s.m, dt=s.dt, t0=s.t0,
                 variant=f"projected({op.kind})", measurements=op.a)
 
 
@@ -419,7 +426,7 @@ def load_model(path) -> DmdModel:
             dt=field("dt", float),
             t0=field("t0", float),
             variant=field("variant", str),
-            measurements=d.get("measurements"),
+            measurements=None if d.get("measurements") is None else field("measurements", int),
         )
     except InvalidParameterError as exc:
         raise ModelParseError(f"{path}: {exc}") from exc

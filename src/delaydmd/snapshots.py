@@ -27,7 +27,6 @@ from .errors import (
     SnapshotConsistencyError,
     SnapshotParseError,
 )
-from .numerics import real_complex_matmul
 
 # Enough significant digits to round-trip an IEEE double through text.
 _FLOAT_FMT = "%.17g"
@@ -152,21 +151,19 @@ def hankel_augment(x: SnapshotMatrix, q: int) -> HankelPair:
 
 @dataclass(frozen=True)
 class DelayEmbedding:
-    """The depth-q Hankel matrix of some snapshots, held in their QR basis.
+    """The depth-q Hankel matrix of some snapshots, in their QR coordinates.
 
     With X = Q R a thin QR of the raw snapshots, each delay block X[:, b:b+n]
     is Q R[:, b:b+n], so the Hankel matrix is (I_q kron Q) @ ``compressed``,
     the q shifted column blocks of R stacked. (I_q kron Q) has orthonormal
     columns, so SVDs, pencils and least-squares solves on ``compressed`` give
-    those of the Hankel matrix. Q, the first k = min(M, N) columns of
-    I - V T V^T (compact WY form), is kept as the QR's Householder reflectors
-    V (``reflectors``, M-by-k, unit lower triangular) and T (``t_factor``).
+    those of the Hankel matrix. Q is not kept: Q maps the first delay block
+    of a combination of compressed columns to the same combination of the
+    snapshots' columns, so raw-state vectors come from the snapshots.
     """
 
     snapshots: SnapshotMatrix
     q: int
-    reflectors: np.ndarray
-    t_factor: np.ndarray
     compressed: np.ndarray
 
     @property
@@ -179,35 +176,11 @@ class DelayEmbedding:
         """Compressed counterpart of ``HankelPair.x2_aug``."""
         return self.compressed[:, 1:]
 
-    @property
-    def basis(self) -> np.ndarray:
-        """Q, the M-by-k orthonormal basis, formed afresh on each access."""
-        return self.expand(np.eye(self.t_factor.shape[0])).real
-
-    def expand(self, coeffs: np.ndarray) -> np.ndarray:
-        """Raw-state columns (M rows) from compressed embedded ones (q*k rows):
-        Q c = [c; 0] - V (T (V[:k]^T c)) for the first delay block c."""
-        k = self.t_factor.shape[0]
-        c = coeffs[:k]
-        out = real_complex_matmul(self.reflectors, self.t_factor @ (self.reflectors[:k].T @ -c))
-        out[:k] += c
-        return out
-
 
 def delay_embed(x: SnapshotMatrix, q: int) -> DelayEmbedding:
-    """Embed the snapshots to depth q through one Householder QR of the raw data."""
-    h, tau = np.linalg.qr(x.data, mode="raw")
-    k = tau.size
-    # h.T holds R on and above the diagonal and the reflectors below it.
-    r = np.triu(h.T[:k])
-    v = h.T[:, :k]
-    v[:k] = np.tril(v[:k], -1) + np.eye(k)
-    # The forward, columnwise T of LAPACK's dlarft, from the gram of V.
-    gram, t = v.T @ v, np.diag(tau)
-    for i in range(1, k):
-        t[:i, i] = -tau[i] * (t[:i, :i] @ gram[:i, i])
-    return DelayEmbedding(snapshots=x, q=q, reflectors=v, t_factor=t,
-                          compressed=hankel_block(r, q))
+    """Embed the snapshots to depth q through the R of one QR of the raw data."""
+    return DelayEmbedding(snapshots=x, q=q,
+                          compressed=hankel_block(np.linalg.qr(x.data, mode="r"), q))
 
 
 def train_test_split(x: SnapshotMatrix, n_train: int):

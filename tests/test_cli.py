@@ -264,6 +264,12 @@ class TestConfigFile:
         cfg.write_text("[1, 2]")
         assert run_cli("run", "--config", str(cfg)) == EXIT_USAGE
 
+    def test_non_utf8_file_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_bytes(b"\xff\xfe" + json.dumps(self.BASE).encode("utf-16-le"))
+        assert run_cli("run", "--config", str(cfg)) == EXIT_USAGE
+        assert f"{cfg}: not UTF-8 text" in capsys.readouterr().err
+
     def test_variants_string_is_a_comma_list(self, tmp_path):
         code = run_cli("run", "--config", self.write(tmp_path, variants="classic, sampling",
                                                      measurements={"sampling": 30}),

@@ -96,6 +96,20 @@ def explicit_projected_fit(x, q, op):
     return eig.eigenvalues, modes, pseudoinverse_apply(modes, pair.x1_aug[:, 0])
 
 
+def assert_same_raw_modes(model, mu, modes, rtol):
+    """Each mode of ``model`` whose amplitude is at least 1e-3 of the largest
+    equals the first ``base_m`` rows of the reference mode with the nearest
+    eigenvalue in ``mu``, up to one unimodular factor per column."""
+    amp = np.abs(model.amplitudes)
+    for j in np.flatnonzero(amp >= 1e-3 * amp.max()):
+        i = np.argmin(np.abs(mu - model.eigenvalues_discrete[j]))
+        assert abs(mu[i] - model.eigenvalues_discrete[j]) <= 1e-10
+        got, ref = model.modes[:, j], modes[: model.base_m, i]
+        inner = np.vdot(ref, got)
+        err = np.max(np.abs(got - inner / abs(inner) * ref))
+        assert err <= rtol * np.max(np.abs(ref))
+
+
 def small_signal_snapshots(nx=16, nt=40):
     grid = GridMeta(nx, nx, -2.0, 2.0, -2.0, 2.0)
     return generate_signal(SignalParams(grid=grid, nt=nt))
@@ -364,6 +378,26 @@ class TestCompressedEmbedding:
         assert_same_predictions(model, lambda k: (modes @ (mu**k * amplitudes)).real,
                                 x.n, x.m, 1e-8)
 
+    @pytest.mark.parametrize("q", [1, 3])
+    @pytest.mark.parametrize("shape_kind", ["wide", "tall", "repeated"])
+    @pytest.mark.parametrize("kind", ["tdc", "gaussian", "sampling"])
+    def test_raw_modes_match_explicit_pair(self, kind, shape_kind, q):
+        # Raw-state modes come from the raw snapshots, not from a QR basis;
+        # they must still be the raw-state block of the explicit fit's modes.
+        x = random_snapshots(shape_kind, 11)
+        if kind == "tdc":
+            pair = hankel_augment(x, q)
+            reference = dmd_classic(pair.x1_aug, pair.x2_aug, dt=x.dt)
+            mu, modes = reference.eigenvalues_discrete, reference.modes
+            model = dmd_tdc(x, q)
+        else:
+            make = gaussian_operator if kind == "gaussian" else sampling_operator
+            op = make(q * x.m, min(q * x.m, 7), 11)
+            mu, modes, _ = explicit_projected_fit(x, q, op)
+            model = dmd_projected(x, q, op)
+        assert model.modes.shape == (x.m, model.rank)
+        assert_same_raw_modes(model, mu, modes, 1e-10)
+
     def test_prebuilt_embedding_gives_the_same_model(self):
         x = small_signal_snapshots()
         emb = delay_embed(x, 2)
@@ -388,9 +422,11 @@ class TestCompressedEmbedding:
         np.testing.assert_allclose(thin_svd(emb.x1).singular_values,
                                    thin_svd(pair.x1_aug).singular_values,
                                    rtol=1e-12, atol=1e-12 * np.linalg.norm(x.data))
-        np.testing.assert_allclose(np.kron(np.eye(3), emb.basis) @ emb.x2, pair.x2_aug,
+        basis = np.linalg.qr(x.data)[0]
+        np.testing.assert_allclose(np.kron(np.eye(3), basis) @ emb.x2, pair.x2_aug,
                                    atol=1e-12)
-        np.testing.assert_allclose(emb.expand(emb.x2), pair.x2_aug[: x.m], atol=1e-12)
+        n = emb.x2.shape[1]
+        np.testing.assert_allclose(basis @ emb.x2[:20], x.data[:, 1:n + 1], atol=1e-12)
 
     def test_tdc_modes_are_raw_state(self):
         x = small_signal_snapshots()
@@ -584,6 +620,23 @@ class TestModelSerialization:
         path.write_text(json.dumps(record))
         with pytest.raises(ModelParseError, match="model.json"):
             load_model(path)
+
+    @pytest.mark.parametrize("value", ["lots", [1, 2]])
+    def test_malformed_measurements_raise_parse_error(self, tmp_path, value):
+        path = self._saved(tmp_path)
+        record = json.loads(path.read_text())
+        record["measurements"] = value
+        path.write_text(json.dumps(record))
+        with pytest.raises(ModelParseError, match="model.json.*'measurements'"):
+            load_model(path)
+
+    @pytest.mark.parametrize("value", [None, 30])
+    def test_measurements_round_trip(self, tmp_path, value):
+        path = self._saved(tmp_path)
+        record = json.loads(path.read_text())
+        record["measurements"] = value
+        path.write_text(json.dumps(record))
+        assert load_model(path).measurements == value
 
     def test_non_json_raises_parse_error(self, tmp_path):
         path = tmp_path / "model.json"

@@ -131,41 +131,12 @@ class TestHankelAugment:
         np.testing.assert_array_equal(pair.x1_aug[:m], x.data[:, : n - q])
 
 
-def repeated_columns(m, n):
-    base = np.random.default_rng(5).standard_normal((m, 3))
-    return np.tile(base, (1, -(-n // 3)))[:, :n]
-
-
 class TestDelayEmbedding:
-    """The basis is held as Householder reflectors; it must act as the thin
-    Q of numpy's reduced QR does."""
-
-    @pytest.mark.parametrize("q", [1, 2, 3, 4])
-    @pytest.mark.parametrize("make", [
-        lambda: np.random.default_rng(3).standard_normal((60, 12)),
-        lambda: np.random.default_rng(4).standard_normal((8, 20)),
-        lambda: repeated_columns(30, 12),
-    ], ids=["tall", "wide", "repeated"])
-    def test_expand_matches_reduced_qr(self, make, q):
-        data = make()
-        emb = delay_embed(snaps(data), q)
-        k = min(data.shape)
-        coeffs = np.random.default_rng(q).standard_normal((q * k, 10)).view(complex)
-        reference = np.linalg.qr(data)[0] @ coeffs[:k]
-        got = emb.expand(coeffs)
-        assert got.shape == (data.shape[0], 5)
-        assert np.max(np.abs(got - reference)) <= 1e-13 * np.max(np.abs(reference))
-
-    @pytest.mark.parametrize("shape", [(60, 12), (8, 20)])
-    def test_basis_has_orthonormal_columns(self, shape):
-        emb = delay_embed(snaps(np.random.default_rng(6).standard_normal(shape)), 2)
-        basis = emb.basis
-        assert basis.shape == (shape[0], min(shape))
-        np.testing.assert_allclose(basis.T @ basis, np.eye(min(shape)), atol=1e-14)
+    """The embedding keeps R's Hankel blocks and no basis, and the training
+    window it runs on is a view of the data."""
 
     def test_embedding_holds_about_one_window(self):
-        # The reflectors take the window's bytes; numpy's reduced QR held a
-        # Q beside its copy of the input, and the window itself was copied.
+        # The QR works on one copy of the window; the window is not copied.
         x = snaps(np.random.default_rng(7).standard_normal((20000, 200)))
         window = 20000 * 174 * 8
         tracemalloc.start()
@@ -176,6 +147,20 @@ class TestDelayEmbedding:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * window
+
+    def test_embedding_keeps_no_window_sized_array(self):
+        # Only R's Hankel blocks outlive the call: (2*174)-by-173 here.
+        x = snaps(np.random.default_rng(7).standard_normal((20000, 200)))
+        train, _ = train_test_split(x, 174)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            emb = delay_embed(train, 2)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert emb.compressed.shape == (2 * 174, 173)
+        assert grown < 0.1 * 20000 * 174 * 8
 
 
 class TestTrainTestSplit:
