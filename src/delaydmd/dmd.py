@@ -45,7 +45,8 @@ from .errors import (
 )
 from .numerics import eig_dense, pseudoinverse_apply, real_complex_matmul, thin_svd
 from .projections import ProjectionOperator, apply as apply_operator
-from .snapshots import DelayEmbedding, SnapshotMatrix, delay_embed, hankel_block, read_field
+from .snapshots import (DelayEmbedding, SnapshotMatrix, delay_embed, hankel_block, integral,
+                        read_field)
 
 # Discrete eigenvalues below this modulus cannot be mapped to a finite
 # continuous exponent; they are dropped with a warning.
@@ -420,13 +421,13 @@ def load_model(path) -> DmdModel:
             eigenvalues_discrete=field("eigenvalues_discrete", _complex_array),
             exponents=field("exponents", _complex_array),
             amplitudes=field("amplitudes", _complex_array),
-            rank=field("rank", int),
-            q=field("q", int),
-            base_m=field("base_m", int),
+            rank=field("rank", integral),
+            q=field("q", integral),
+            base_m=field("base_m", integral),
             dt=field("dt", float),
             t0=field("t0", float),
             variant=field("variant", str),
-            measurements=None if d.get("measurements") is None else field("measurements", int),
+            measurements=None if d.get("measurements") is None else field("measurements", integral),
         )
     except InvalidParameterError as exc:
         raise ModelParseError(f"{path}: {exc}") from exc

@@ -4,10 +4,11 @@ Five operator kinds are supported: ``identity`` (no reduction), ``sampling``
 (random row extraction without replacement), ``gaussian`` (dense random
 projection, entry variance 1/a), ``achlioptas`` (sparse three-point random
 projection) and ``krylov`` (orthonormal rows spanning the all-ones vector
-plus a random subspace). The Krylov rows come from one thin QR of a seeded
-Gaussian block; their row span has the same distribution as that of an
-Arnoldi run on a seeded d-by-d Gaussian matrix. All constructors are pure
-functions of their arguments.
+plus a random subspace). The Krylov rows are a seeded Gaussian block,
+orthonormalized in place by two CholeskyQR passes, which refuse a block with
+condition number above 1e7, their limit; the row span has the same
+distribution as that of an Arnoldi run on a seeded d-by-d Gaussian matrix.
+All constructors are pure functions of their arguments.
 
 The seeded random kinds store only what regenerates their rows, never the
 a-by-D matrix (Tropp, Yurtsever, Udell & Cevher 2017). Each row has a
@@ -51,8 +52,10 @@ class ProjectionOperator:
     - ``achlioptas``: ``seed`` and ``sparsity_s``. Every uniform draw takes
       one 64-bit word, so row r starts at the seeded generator advanced by
       r*D;
-    - ``krylov``, and any other kind given an explicit ``matrix``: a
-      C-ordered copy of it, so the caller's array stays theirs.
+    - ``krylov``, and any other kind given an explicit ``matrix``: that
+      matrix, read-only and C-ordered. A read-only, C-contiguous float64
+      array is kept as it is, as :func:`krylov_operator` hands over its rows;
+      anything else is copied once, so the caller's array stays theirs.
 
     Without a matrix, ``d`` gives D. Reading ``matrix`` returns the dense
     a-by-D array, built afresh on each access unless it is stored (None for
@@ -73,7 +76,10 @@ class ProjectionOperator:
         if matrix is None and kind in ("gaussian", "achlioptas"):
             _check_seed(seed)
         if matrix is not None:
-            m = np.array(matrix, dtype=float, order="C")
+            m = matrix
+            if not (type(m) is np.ndarray and m.dtype == float and m.flags.c_contiguous
+                    and not m.flags.writeable):
+                m = np.array(m, dtype=float, order="C")
             if m.ndim != 2 or m.shape[0] != a:
                 raise InvalidParameterError(f"matrix must be {a}-by-D, got shape {m.shape}")
             if not np.all(np.isfinite(m)):
@@ -229,12 +235,20 @@ def arnoldi(a_matrix, b, m: int, tol: float | None = None) -> ArnoldiResult:
 def krylov_operator(d: int, a: int, seed: int) -> ProjectionOperator:
     """Orthonormal rows spanning the all-ones vector and a random subspace.
 
-    Row 0 is 1/sqrt(d); rows 1..a are Q* from one thin QR of a seeded
-    d-by-a Gaussian block appended to it, signs fixed so diag(R) > 0. The
-    row span has the same distribution as the Krylov space K_(a+1)(G, 1) of a
-    d-by-d Gaussian G (Q G Q* has the law of G for each orthogonal Q fixing
-    1). Raises :class:`RankDeficientBasisError` if any |R_ii| falls below
-    1e-12 max |R_ii|, which has probability zero.
+    Row 0 is 1/sqrt(d); rows 1..a are the rest of Q* for the thin QR, with
+    diag(R) > 0, of the block [1/sqrt(d), standard_normal((d, a))]. The row
+    span has the same distribution as the Krylov space K_(a+1)(G, 1) of a
+    d-by-d Gaussian G (Q G Q* has the law of G for each orthogonal Q fixing 1).
+
+    The block is drawn straight into the operator's (a+1)-by-d rows, a+1
+    columns at a time, in the order ``standard_normal((d, a))`` draws it. Two
+    CholeskyQR passes (Fukaya et al. 2014) then set rows to L^-1 rows, where
+    L L* = rows rows*, which in exact arithmetic is that Q*. They reach
+    roundoff-level orthogonality only up to condition number about 1e7
+    (Yamamoto et al. 2015), so this raises :class:`RankDeficientBasisError`
+    if a Cholesky factor fails or has condition number above 1e7, or if the
+    final rows are more than 1e-12 from orthonormal. A Gaussian block that
+    ill-conditioned is vanishingly rare.
     """
     if a < 1:
         raise InvalidParameterError(f"subspace dimension must be positive, got {a}")
@@ -244,13 +258,31 @@ def krylov_operator(d: int, a: int, seed: int) -> ProjectionOperator:
         )
     _check_seed(seed)
     rng = np.random.default_rng(seed)
-    block = np.column_stack([np.full(d, 1.0 / np.sqrt(d)), rng.standard_normal((d, a))])
-    q, r = np.linalg.qr(block)
-    diag = np.diag(r)
-    if np.min(np.abs(diag)) < 1e-12 * np.max(np.abs(diag)):
-        raise RankDeficientBasisError("random block lost rank in QR; try another seed")
-    q *= np.sign(diag)
-    return ProjectionOperator(kind="krylov", matrix=q.T, a=a + 1, seed=seed)
+    w = a + 1
+    rows = np.empty((w, d))
+    rows[0] = 1.0 / np.sqrt(d)
+    blocks = [slice(start, min(start + w, d)) for start in range(0, d, w)]
+    for blk in blocks:
+        rows[1:, blk] = rng.standard_normal((blk.stop - blk.start, a)).T
+    for _ in range(2):
+        try:
+            factor = np.linalg.cholesky(rows @ rows.T)
+            usable = np.linalg.cond(factor) <= 1e7  # past it, a factor can be roundoff
+        except np.linalg.LinAlgError:
+            usable = False
+        if not usable:
+            raise RankDeficientBasisError(
+                "random block too ill-conditioned for CholeskyQR; try another seed")
+        # The inverse is lower triangular; dropping roundoff above its
+        # diagonal keeps row 0 a multiple of the ones vector.
+        inv_l = np.tril(np.linalg.inv(factor))
+        for blk in blocks:
+            rows[:, blk] = inv_l @ rows[:, blk]
+    if not np.max(np.abs(rows @ rows.T - np.eye(w))) <= 1e-12:  # NaN fails too
+        raise RankDeficientBasisError(
+            "CholeskyQR left the rows more than 1e-12 from orthonormal; try another seed")
+    rows.setflags(write=False)
+    return ProjectionOperator(kind="krylov", matrix=rows, a=w, seed=seed)
 
 
 def apply(op: ProjectionOperator, x, q: int = 1) -> np.ndarray:

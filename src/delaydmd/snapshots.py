@@ -260,6 +260,15 @@ def read_field(record, key, convert, source, error=SnapshotParseError):
         raise error(f"{source}: cannot read field {key!r} ({type(exc).__name__}: {exc})") from exc
 
 
+def integral(value) -> int:
+    """``value`` as an int if it is an integral number, for :func:`read_field`:
+    an int, or a float with no fractional part, but never a bool."""
+    if isinstance(value, bool) or not (
+            isinstance(value, int) or isinstance(value, float) and value.is_integer()):
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
 def load(path) -> SnapshotMatrix:
     """Load a snapshot matrix written by :func:`save`.
 
@@ -283,7 +292,7 @@ def load(path) -> SnapshotMatrix:
     except UnicodeDecodeError as exc:
         raise SnapshotParseError(f"{meta_path}: not UTF-8 text (byte {exc.start})") from exc
     m, n, dt = (read_field(meta, key, kind, meta_path)
-                for key, kind in (("m", int), ("n", int), ("dt", float)))
+                for key, kind in (("m", integral), ("n", integral), ("dt", float)))
     try:
         data = np.loadtxt(csv_path, delimiter=",", ndmin=2)
     except ValueError:

@@ -638,6 +638,30 @@ class TestModelSerialization:
         path.write_text(json.dumps(record))
         assert load_model(path).measurements == value
 
+    @pytest.mark.parametrize("key,value", [
+        ("q", 2.7), ("base_m", True), ("measurements", 30.9), ("rank", "2"),
+        ("measurements", False), ("q", float("inf")),
+    ])
+    def test_non_integral_field_raises_parse_error(self, tmp_path, key, value):
+        path = self._saved(tmp_path)
+        record = json.loads(path.read_text())
+        record[key] = value
+        path.write_text(json.dumps(record))
+        with pytest.raises(ModelParseError, match=f"model.json.*'{key}'.*not an integer"):
+            load_model(path)
+
+    def test_integral_float_fields_load_as_ints(self, tmp_path):
+        path = self._saved(tmp_path)
+        record = json.loads(path.read_text())
+        for key in ("rank", "q", "base_m"):
+            record[key] = float(record[key])
+        record["measurements"] = 30.0
+        path.write_text(json.dumps(record))
+        back = load_model(path)
+        for key, value in [("rank", record["rank"]), ("q", record["q"]),
+                           ("base_m", record["base_m"]), ("measurements", 30)]:
+            assert getattr(back, key) == value and type(getattr(back, key)) is int
+
     def test_non_json_raises_parse_error(self, tmp_path):
         path = tmp_path / "model.json"
         path.write_text("re,im\n1,2\n")

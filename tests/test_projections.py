@@ -193,6 +193,79 @@ class TestKrylovOperator:
             krylov_operator(50, 3, seed=0)
 
 
+def householder_krylov(d, a, seed):
+    """The Krylov rows as Q* of numpy's Householder QR, signs fixed so diag(R) > 0."""
+    rng = np.random.default_rng(seed)
+    block = np.column_stack([np.full(d, 1.0 / np.sqrt(d)), rng.standard_normal((d, a))])
+    q, r = np.linalg.qr(block)
+    return (q * np.sign(np.diag(r))).T
+
+
+class TestKrylovCholeskyBuild:
+    def test_build_holds_one_operator(self):
+        tracemalloc.start()
+        try:
+            op = krylov_operator(20000, 99, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * op.matrix.nbytes
+
+    @pytest.mark.parametrize("d,a,seed", [(20000, 99, 0), (500, 40, 3), (101, 50, 4),
+                                          (7, 3, 5), (2, 1, 6), (10, 9, 7), (300, 299, 8)])
+    def test_matches_householder_reference(self, d, a, seed):
+        op = krylov_operator(d, a, seed)
+        assert np.max(np.abs(op.matrix - householder_krylov(d, a, seed))) < 1e-13
+
+    @settings(deadline=None, max_examples=60)
+    @given(d=st.integers(2, 40), square=st.booleans(), a=st.integers(1, 39),
+           seed=st.integers(0, 2**32 - 1))
+    def test_rows_orthonormal_with_ones_row(self, d, square, a, seed):
+        a = d - 1 if square else min(a, d - 1)
+        op = krylov_operator(d, a, seed)
+        assert np.max(np.abs(op.matrix @ op.matrix.T - np.eye(a + 1))) < 1e-12
+        np.testing.assert_allclose(op.matrix[0], 1.0 / np.sqrt(d), rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_ill_conditioned_block_raises(self, monkeypatch, seed):
+        # Random row 2 is random row 1 plus 1e-10 of fresh noise, so the
+        # block's condition number is about 1e10, past CholeskyQR's limit.
+        real_rng = np.random.default_rng
+
+        class NearlyRepeatedRow:
+            def __init__(self):
+                self.draws, self.noise = real_rng(seed), real_rng(seed + 100)
+
+            def standard_normal(self, shape):
+                z = self.draws.standard_normal(shape)
+                z[:, 1] = z[:, 0] + 1e-10 * self.noise.standard_normal(shape[0])
+                return z
+
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: NearlyRepeatedRow())
+        op = None
+        with pytest.raises(RankDeficientBasisError):
+            op = krylov_operator(200, 5, seed=0)
+        assert op is None
+
+    def test_read_only_c_contiguous_matrix_is_kept(self):
+        m = np.random.default_rng(0).standard_normal((3, 8))
+        m.setflags(write=False)
+        assert np.shares_memory(ProjectionOperator("krylov", m, 3, None).matrix, m)
+
+    @pytest.mark.parametrize("prepare,freeze", [
+        (lambda m: m, False),
+        (np.asfortranarray, True),
+        (lambda m: m.astype(np.float32), True),
+    ], ids=["writable", "read-only-fortran", "read-only-float32"])
+    def test_other_matrices_are_copied(self, prepare, freeze):
+        m = prepare(np.random.default_rng(0).standard_normal((3, 8)))
+        m.setflags(write=not freeze)
+        op = ProjectionOperator("krylov", m, 3, None)
+        assert not np.shares_memory(op.matrix, m)
+        assert op.matrix.flags.c_contiguous and not op.matrix.flags.writeable
+        np.testing.assert_array_equal(op.matrix, m)
+
+
 class TestApply:
     def test_identity_passthrough(self):
         op = identity_operator(4)

@@ -20,6 +20,7 @@ from delaydmd.snapshots import (
     SnapshotMatrix,
     delay_embed,
     hankel_augment,
+    integral,
     load,
     save,
     split,
@@ -254,6 +255,28 @@ class TestPersistence:
         with pytest.raises(SnapshotConsistencyError):
             load(tmp_path / "d")
 
+    @pytest.mark.parametrize("key,value", [
+        ("m", 2.5), ("n", True), ("m", "2"), ("n", 3.000001),
+    ])
+    def test_non_integral_dimension_raises_parse_error(self, tmp_path, key, value):
+        x = snaps(np.ones((2, 3)))
+        save(x, tmp_path / "d")
+        meta_path = tmp_path / "d.meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta[key] = value
+        meta_path.write_text(json.dumps(meta))
+        with pytest.raises(SnapshotParseError, match=f"d.meta.json.*'{key}'.*not an integer"):
+            load(tmp_path / "d")
+
+    def test_integral_float_dimensions_load(self, tmp_path):
+        x = snaps(np.ones((2, 3)))
+        save(x, tmp_path / "d")
+        meta_path = tmp_path / "d.meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta.update(m=2.0, n=3.0)
+        meta_path.write_text(json.dumps(meta))
+        assert load(tmp_path / "d").data.shape == (2, 3)
+
     def test_malformed_value_reports_position(self, tmp_path):
         x = snaps(np.ones((2, 3)))
         save(x, tmp_path / "d")
@@ -273,3 +296,16 @@ class TestPersistence:
         x = snaps(rng.standard_normal((3, 4)) * 10.0 ** rng.integers(-8, 8))
         save(x, tmp / "d")
         np.testing.assert_array_equal(load(tmp / "d").data, x.data)
+
+
+class TestIntegral:
+    @pytest.mark.parametrize("value", [0, 7, -3, 4.0, 2.0**60])
+    def test_integral_numbers_become_ints(self, value):
+        out = integral(value)
+        assert out == value and type(out) is int
+
+    @pytest.mark.parametrize("value", [True, False, 2.7, float("nan"), float("inf"), "3",
+                                       None, [1]])
+    def test_anything_else_raises_value_error(self, value):
+        with pytest.raises(ValueError, match="not an integer"):
+            integral(value)
