@@ -16,7 +16,6 @@ input file (``SnapshotParseError``, ``ModelParseError``), 64 usage error
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import MISSING, dataclass, field as dc_field, fields, replace
@@ -151,16 +150,6 @@ class RunConfig:
 _SETTINGS = {f.name: f.metadata["parse"] for f in fields(RunConfig)}
 
 
-def _load_config_file(path) -> dict:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise InvalidParameterError(f"{path}: invalid JSON ({exc})") from exc
-    except UnicodeDecodeError as exc:
-        raise InvalidParameterError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
-
-
 def _parse(source: str, raw) -> dict:
     """Parse one layer of raw settings; errors name the layer's source."""
     parsed = {}
@@ -190,7 +179,8 @@ def _merge(*layers: dict) -> dict:
 def build_config(args) -> RunConfig:
     """Resolve every setting by the layered merge of the module docstring."""
     path = getattr(args, "config", None)
-    file_layer = _parse(f"config file {path}", _load_config_file(path)) if path else {}
+    file_layer = (_parse(f"config file {path}", snapshots.read_json(path, InvalidParameterError))
+                  if path else {})
     flags = {key: value for key, value in vars(args).items() if value is not None}
     flag_layer = {key: value for key, value in flags.items() if key in _SETTINGS}
     flag_layer["overrides"] = {key: value for key, value in flags.items()
@@ -262,11 +252,8 @@ def cmd_run(args) -> int:
     report.config["overrides"] = cfg.overrides
 
     out = cfg.out
-    out.mkdir(parents=True, exist_ok=True)
     record = report.to_dict()
-    with open(out / "report.json", "w") as fh:
-        json.dump(record, fh, indent=2)
-        fh.write("\n")
+    snapshots.write_json(out / "report.json", record)
     for result, entry in zip(report.variants, record["variants"]):
         if result.failed:
             print(f"{result.variant}: FAILED ({result.error_message})")
@@ -282,7 +269,7 @@ def cmd_run(args) -> int:
             for part in ("real", "imag"):
                 field = analysis.mode_field(result.model, k, grid, part)
                 path = out / f"mode_{result.variant}_{k}_{part}.csv"
-                np.savetxt(path, field, fmt="%.17g", delimiter=",")
+                np.savetxt(path, field, fmt=snapshots.FLOAT_FMT, delimiter=",")
         print(f"{result.variant}: a={result.measurements} rank={result.model.rank} "
               f"wall={result.wall_time:.2f}s")
     print(f"report written to {out / 'report.json'}")

@@ -28,7 +28,6 @@ amplitudes compensate, so spectra and predictions agree to roundoff.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -45,8 +44,8 @@ from .errors import (
 )
 from .numerics import eig_dense, pseudoinverse_apply, real_complex_matmul, thin_svd
 from .projections import ProjectionOperator, apply as apply_operator
-from .snapshots import (DelayEmbedding, SnapshotMatrix, delay_embed, hankel_block, integral,
-                        read_field)
+from .snapshots import (FLOAT_FMT, DelayEmbedding, SnapshotMatrix, delay_embed, hankel_block,
+                        integral, read_field, read_json, read_matrix, real, write_json)
 
 # Discrete eigenvalues below this modulus cannot be mapped to a finite
 # continuous exponent; they are dropped with a warning.
@@ -144,6 +143,8 @@ class DmdModel:
             raise InvalidParameterError("modes must have one column per eigenvalue")
         if self.rank != r:
             raise InvalidParameterError("rank must equal the number of retained eigenvalues")
+        if not 0 < self.dt < np.inf:
+            raise InvalidParameterError(f"dt must be positive and finite, got {self.dt}")
 
 
 def _truncate(svd, policy: RankPolicy, rank_limit=None) -> int:
@@ -381,16 +382,12 @@ def save_model(model: DmdModel, path, include_modes: bool = False) -> None:
     stem>.modes.csv`` holding 2*base_m rows per mode column (real block
     stacked on imaginary block)."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(model_to_dict(model), fh, indent=2)
-        fh.write("\n")
+    write_json(path, model_to_dict(model))
     if include_modes:
         if model.modes is None:
             raise InvalidParameterError("model carries no modes to write")
         stacked = np.vstack([model.modes.real, model.modes.imag])
-        np.savetxt(path.with_suffix(".modes.csv"), stacked,
-                   fmt="%.17g", delimiter=",")
+        np.savetxt(path.with_suffix(".modes.csv"), stacked, fmt=FLOAT_FMT, delimiter=",")
 
 
 def load_model(path) -> DmdModel:
@@ -406,11 +403,7 @@ def load_model(path) -> DmdModel:
         If the modes file is not 2*base_m rows by rank columns.
     """
     path = Path(path)
-    try:
-        with open(path) as fh:
-            d = json.load(fh)
-    except ValueError as exc:
-        raise ModelParseError(f"{path}: not a model JSON ({exc})") from exc
+    d = read_json(path, ModelParseError)
 
     def field(key, convert):
         return read_field(d, key, convert, path, ModelParseError)
@@ -424,8 +417,8 @@ def load_model(path) -> DmdModel:
             rank=field("rank", integral),
             q=field("q", integral),
             base_m=field("base_m", integral),
-            dt=field("dt", float),
-            t0=field("t0", float),
+            dt=field("dt", real),
+            t0=field("t0", real),
             variant=field("variant", str),
             measurements=None if d.get("measurements") is None else field("measurements", integral),
         )
@@ -434,10 +427,7 @@ def load_model(path) -> DmdModel:
     modes_path = path.with_suffix(".modes.csv")
     if not modes_path.exists():
         return model
-    try:
-        stacked = np.loadtxt(modes_path, delimiter=",", ndmin=2)
-    except ValueError as exc:
-        raise ModelParseError(f"{modes_path}: {exc}") from exc
+    stacked = read_matrix(modes_path, ModelParseError)
     base_m = model.base_m
     if stacked.shape != (2 * base_m, model.rank):
         raise ShapeMismatchError(

@@ -43,14 +43,14 @@ class DoubleGyreParams:
     t0: float = 0.0
 
     def __post_init__(self):
-        if self.amp <= 0 or self.omega <= 0:
-            raise InvalidParameterError("amp and omega must be positive")
+        if not (0 < self.amp < math.inf and 0 < self.omega < math.inf):
+            raise InvalidParameterError("amp and omega must be positive and finite")
         if not 0 <= self.eps < 0.5:
             raise InvalidParameterError(f"eps must lie in [0, 0.5), got {self.eps}")
         if self.nt < 2:
             raise InvalidParameterError(f"nt must be at least 2, got {self.nt}")
-        if self.dt <= 0:
-            raise InvalidParameterError(f"dt must be positive, got {self.dt}")
+        if not 0 < self.dt < math.inf:
+            raise InvalidParameterError(f"dt must be positive and finite, got {self.dt}")
 
 
 @dataclass(frozen=True)
@@ -73,12 +73,14 @@ class SignalParams:
     t0: float | None = None
 
     def __post_init__(self):
-        if self.f1 <= 0 or self.f2 <= 0:
-            raise InvalidParameterError("f1 and f2 must be positive")
-        if self.noise_amp < 0:
-            raise InvalidParameterError("noise_amp must be nonnegative")
-        if self.dt <= 0:
-            raise InvalidParameterError(f"dt must be positive, got {self.dt}")
+        if not (0 < self.f1 < math.inf and 0 < self.f2 < math.inf):
+            raise InvalidParameterError("f1 and f2 must be positive and finite")
+        if not 0 <= self.noise_amp < math.inf:
+            raise InvalidParameterError("noise_amp must be nonnegative and finite")
+        if not 0 < self.dt < math.inf:
+            raise InvalidParameterError(f"dt must be positive and finite, got {self.dt}")
+        if not 0 < self.t_final < math.inf:
+            raise InvalidParameterError(f"t_final must be positive and finite, got {self.t_final}")
         nyquist_dt = 1.0 / (2.0 * max(self.f1, self.f2))
         if self.dt > nyquist_dt:
             raise SamplingRateError(

@@ -132,8 +132,6 @@ class ArnoldiResult:
 
 def identity_operator(d: int) -> ProjectionOperator:
     """The no-op operator; useful as the reduction-free reference."""
-    if d < 1:
-        raise InvalidParameterError(f"dimension must be positive, got {d}")
     return ProjectionOperator(kind="identity", matrix=None, a=d, seed=None)
 
 
@@ -144,7 +142,9 @@ def sampling_operator(d: int, a: int, seed: int) -> ProjectionOperator:
     generator and sorted ascending, so the operator extracts a spatial
     traces in index order. Only the indices are stored.
     """
-    _check_count(d, a)
+    if not 1 <= a <= d:  # before rng.choice, which raises ValueError
+        raise InvalidParameterError(
+            f"measurement count {a} must satisfy 1 <= a <= state dimension {d}")
     _check_seed(seed)
     rng = np.random.default_rng(seed)
     indices = np.sort(rng.choice(d, size=a, replace=False))
@@ -162,8 +162,6 @@ def gaussian_operator(d: int, a: int, seed: int) -> ProjectionOperator:
     child of ``SeedSequence(seed).spawn(a)``, so it depends only on the seed
     and r. Only the seed is stored; nothing is drawn here.
     """
-    _check_count(d, a)
-    _check_seed(seed)
     return ProjectionOperator(kind="gaussian", matrix=None, a=a, seed=seed, d=d)
 
 
@@ -181,7 +179,6 @@ def achlioptas_operator(d: int, a: int, s: int, seed: int) -> ProjectionOperator
     """
     if s not in (1, 3):
         raise InvalidParameterError(f"sparsity s must be 1 or 3, got {s}")
-    _check_count(d, a)
     return ProjectionOperator(kind="achlioptas", matrix=None, a=a, seed=seed,
                               sparsity_s=s, d=d)
 
@@ -406,15 +403,6 @@ def _checked_indices(indices, a: int, d: int) -> np.ndarray:
             f"sampling indices must be {a} distinct integers in [0, {d}), sorted ascending"
         )
     return idx
-
-
-def _check_count(d: int, a: int) -> None:
-    if d < 1:
-        raise InvalidParameterError(f"state dimension must be positive, got {d}")
-    if not 1 <= a <= d:
-        raise InvalidParameterError(
-            f"measurement count must satisfy 1 <= a <= {d}, got {a}"
-        )
 
 
 def _check_seed(seed) -> None:

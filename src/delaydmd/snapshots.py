@@ -1,9 +1,10 @@
-"""Snapshot data model: splitting, time-delay augmentation, and persistence.
+"""Snapshot data model: splitting, time-delay augmentation, and the file formats.
 
 A snapshot matrix stores one state vector per column at successive, equally
-spaced times. Files are stored as a bare CSV of the matrix (one row per
-spatial node, no header) plus a ``<name>.meta.json`` sidecar holding
-``{m, n, dt, t0, grid?}``.
+spaced times. Every file format of the package lives here (:func:`read_json`,
+:func:`write_json`, :func:`read_matrix`, :data:`FLOAT_FMT`). Snapshots are
+stored as a bare CSV of the matrix (one row per spatial node, no header)
+plus a ``<name>.meta.json`` sidecar holding ``{m, n, dt, t0, grid?}``.
 
 The delay embedding comes in two forms: the explicit Hankel matrix
 (:func:`hankel_block`, :func:`hankel_augment`) and :func:`delay_embed`, which
@@ -29,7 +30,7 @@ from .errors import (
 )
 
 # Enough significant digits to round-trip an IEEE double through text.
-_FLOAT_FMT = "%.17g"
+FLOAT_FMT = "%.17g"
 
 
 @dataclass(frozen=True)
@@ -61,9 +62,9 @@ class GridMeta:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GridMeta":
-        return cls(int(d["nx"]), int(d["ny"]),
-                   float(d["x_min"]), float(d["x_max"]),
-                   float(d["y_min"]), float(d["y_max"]))
+        return cls(integral(d["nx"]), integral(d["ny"]),
+                   real(d["x_min"]), real(d["x_max"]),
+                   real(d["y_min"]), real(d["y_max"]))
 
 
 @dataclass(frozen=True)
@@ -88,8 +89,8 @@ class SnapshotMatrix:
             raise InvalidParameterError(f"data must be at least 1x1, got {data.shape}")
         if not np.all(np.isfinite(data)):
             raise InvalidParameterError("data contains non-finite entries")
-        if self.dt <= 0:
-            raise InvalidParameterError(f"dt must be positive, got {self.dt}")
+        if not 0 < self.dt < np.inf:
+            raise InvalidParameterError(f"dt must be positive and finite, got {self.dt}")
         if self.grid is not None and self.grid.size != data.shape[0]:
             raise SnapshotConsistencyError(
                 f"grid has nx*ny = {self.grid.size} but data has {data.shape[0]} rows"
@@ -200,52 +201,71 @@ def _base_path(path) -> Path:
     return p
 
 
-def save(x: SnapshotMatrix, path) -> None:
-    """Write ``<path>.csv`` and ``<path>.meta.json``; a trailing .csv is stripped."""
-    base = _base_path(path)
-    base.parent.mkdir(parents=True, exist_ok=True)
-    meta = {"m": x.m, "n": x.n, "dt": x.dt, "t0": x.t0}
-    if x.grid is not None:
-        meta["grid"] = asdict(x.grid)
-    with open(f"{base}.meta.json", "w") as fh:
-        json.dump(meta, fh, indent=2)
+def read_json(path, error):
+    """The JSON value in the UTF-8 file ``path``; raises ``error`` naming the
+    file and the line of invalid JSON or the first byte that is not UTF-8."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise error(f"{path}: invalid JSON at line {exc.lineno} ({exc.msg})") from exc
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text (byte {exc.start})") from exc
+
+
+def write_json(path, record) -> None:
+    """Write ``record`` to ``path`` as indented JSON, creating its directory."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(record, fh, indent=2)
         fh.write("\n")
-    np.savetxt(f"{base}.csv", x.data, fmt=_FLOAT_FMT, delimiter=",")
 
 
-def _parse_csv_slow(csv_path: Path) -> np.ndarray:
-    """Line-by-line fallback parse that reports the position of bad fields
-    and of lines that are not UTF-8 text."""
-    rows = []
+def read_matrix(path, error) -> np.ndarray:
+    """The comma-separated numbers of ``path``, one matrix row per line, as
+    ``np.loadtxt`` reads them; raises ``error`` naming the file and where it
+    can the position of the fault, a NaN or an infinity included."""
+    try:
+        data = np.loadtxt(path, delimiter=",", ndmin=2)
+    except ValueError as exc:  # UnicodeDecodeError among them
+        _locate_csv_fault(path, error)
+        raise error(f"{path}: {exc}") from exc
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        row, col = bad[0]
+        raise error(f"{path}: row {row + 1}, field {col + 1}: "
+                    f"{data[row, col]} is not a finite number")
+    return data
+
+
+def _locate_csv_fault(csv_path, error) -> None:
+    """Raise ``error`` at the first line of a CSV that is not UTF-8 text,
+    changes the field count or holds a field ``float`` cannot read; return
+    if there is none."""
     width = None
     with open(csv_path, "rb") as fh:
         for line_no, raw in enumerate(fh, start=1):
             try:
                 line = raw.decode("utf-8").strip()
             except UnicodeDecodeError:
-                raise SnapshotParseError(f"{csv_path}: line {line_no} is not UTF-8 text") from None
+                raise error(f"{csv_path}: line {line_no} is not UTF-8 text") from None
             if not line:
                 continue
             fields = line.split(",")
             if width is None:
                 width = len(fields)
             elif len(fields) != width:
-                raise SnapshotParseError(
-                    f"{csv_path}: line {line_no} has {len(fields)} fields, expected {width}"
-                )
-            row = []
+                raise error(f"{csv_path}: line {line_no} has {len(fields)} fields, "
+                            f"expected {width}")
             for field_no, field in enumerate(fields, start=1):
                 try:
-                    row.append(float(field))
+                    float(field)
                 except ValueError:
-                    raise SnapshotParseError(
+                    raise error(
                         f"{csv_path}: line {line_no}, field {field_no}: "
                         f"cannot parse {field!r} as a number"
                     ) from None
-            rows.append(row)
-    if not rows:
-        raise SnapshotParseError(f"{csv_path}: no data rows")
-    return np.asarray(rows, dtype=float)
 
 
 def read_field(record, key, convert, source, error=SnapshotParseError):
@@ -256,7 +276,7 @@ def read_field(record, key, convert, source, error=SnapshotParseError):
         raise error(f"{source}: missing required field {key!r}")
     try:
         return convert(record[key])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (InvalidParameterError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise error(f"{source}: cannot read field {key!r} ({type(exc).__name__}: {exc})") from exc
 
 
@@ -269,34 +289,44 @@ def integral(value) -> int:
     return int(value)
 
 
+def real(value) -> float:
+    """``value`` as a float if it is a finite number, for :func:`read_field`:
+    an int or a float, but never a bool, a string, NaN or an infinity."""
+    if isinstance(value, bool) or not (
+            isinstance(value, (int, float)) and np.isfinite(float(value))):
+        raise ValueError(f"{value!r} is not a finite number")
+    return float(value)
+
+
+def save(x: SnapshotMatrix, path) -> None:
+    """Write ``<path>.csv`` and ``<path>.meta.json``; a trailing .csv is stripped."""
+    base = _base_path(path)
+    meta = {"m": x.m, "n": x.n, "dt": x.dt, "t0": x.t0}
+    if x.grid is not None:
+        meta["grid"] = asdict(x.grid)
+    write_json(f"{base}.meta.json", meta)
+    np.savetxt(f"{base}.csv", x.data, fmt=FLOAT_FMT, delimiter=",")
+
+
 def load(path) -> SnapshotMatrix:
     """Load a snapshot matrix written by :func:`save`.
 
     Raises
     ------
     SnapshotParseError
-        For missing/malformed metadata, unparseable CSV content or either
-        file not being UTF-8 text; the message names the file and the
-        offending sidecar field or CSV position.
+        For missing/malformed metadata, unparseable or non-finite CSV
+        content or either file not being UTF-8 text; the message names the
+        file and the offending sidecar field or CSV position.
     SnapshotConsistencyError
         When the sidecar dimensions disagree with the CSV data.
     """
     base = _base_path(path)
     meta_path = Path(f"{base}.meta.json")
     csv_path = Path(f"{base}.csv")
-    try:
-        with open(meta_path, encoding="utf-8") as fh:
-            meta = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise SnapshotParseError(f"{meta_path}: invalid JSON at line {exc.lineno}") from exc
-    except UnicodeDecodeError as exc:
-        raise SnapshotParseError(f"{meta_path}: not UTF-8 text (byte {exc.start})") from exc
+    meta = read_json(meta_path, SnapshotParseError)
     m, n, dt = (read_field(meta, key, kind, meta_path)
-                for key, kind in (("m", integral), ("n", integral), ("dt", float)))
-    try:
-        data = np.loadtxt(csv_path, delimiter=",", ndmin=2)
-    except ValueError:
-        data = _parse_csv_slow(csv_path)
+                for key, kind in (("m", integral), ("n", integral), ("dt", real)))
+    data = read_matrix(csv_path, SnapshotParseError)
     if data.shape != (m, n):
         raise SnapshotConsistencyError(
             f"{csv_path}: data is {data.shape[0]}x{data.shape[1]} "
@@ -304,9 +334,10 @@ def load(path) -> SnapshotMatrix:
         )
     data.setflags(write=False)  # frozen here, so the snapshot matrix keeps it uncopied
     grid = read_field(meta, "grid", GridMeta.from_dict, meta_path) if "grid" in meta else None
-    if grid is not None and grid.size != m:
-        raise SnapshotConsistencyError(
-            f"{meta_path}: grid nx*ny = {grid.size} does not match m = {m}"
-        )
-    return SnapshotMatrix(data, dt=dt, grid=grid,
-                          t0=read_field(meta, "t0", float, meta_path) if "t0" in meta else 0.0)
+    t0 = read_field(meta, "t0", real, meta_path) if "t0" in meta else 0.0
+    try:
+        return SnapshotMatrix(data, dt=dt, grid=grid, t0=t0)
+    except InvalidParameterError as exc:
+        raise SnapshotParseError(f"{meta_path}: {exc}") from exc
+    except SnapshotConsistencyError as exc:  # the grid does not match m
+        raise SnapshotConsistencyError(f"{meta_path}: {exc}") from exc

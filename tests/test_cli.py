@@ -185,6 +185,24 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("error: SnapshotParseError:") and f"data{suffix}" in err
 
+    def test_file_problem_trains_on_80_percent_by_default(self, tmp_path):
+        run_cli("generate", "--problem", "signal-2d", *SMALL, "--nt", "40",
+                "--out", str(tmp_path))
+        code = run_cli("run", "--problem", f"file:{tmp_path / 'signal-2d'}",
+                       "--variants", "classic", "--out", str(tmp_path / "run"))
+        assert code == EXIT_OK
+        assert read_report(tmp_path / "run")["variants"][0]["errors"]["n_train"] == 32
+
+    def test_non_finite_value_is_parse_error(self, tmp_path, capsys):
+        save(SnapshotMatrix(np.ones((2, 3)), dt=0.1), tmp_path / "data")
+        (tmp_path / "data.csv").write_text("1,2,3\n4,nan,6\n")
+        code = run_cli("run", "--problem", f"file:{tmp_path / 'data'}",
+                       "--variants", "classic", "--out", str(tmp_path / "run"))
+        assert code == EXIT_VARIANT_FAILURE
+        err = capsys.readouterr().err
+        assert err.startswith("error: SnapshotParseError:")
+        assert f"{tmp_path / 'data.csv'}: row 2, field 2" in err
+
     def test_project_before_augment_smoke(self, tmp_path):
         code = run_cli("run", "--problem", "signal-2d", *SMALL,
                        "--nt", "40", "--n-train", "30",
@@ -270,6 +288,12 @@ class TestConfigFile:
         assert run_cli("run", "--config", str(cfg)) == EXIT_USAGE
         assert f"{cfg}: not UTF-8 text" in capsys.readouterr().err
 
+    def test_invalid_json_names_the_line(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text('{"problem": "signal-2d",\n "q": 2,\n "seed"}\n')
+        assert run_cli("run", "--config", str(cfg)) == EXIT_USAGE
+        assert f"{cfg}: invalid JSON at line 3" in capsys.readouterr().err
+
     def test_variants_string_is_a_comma_list(self, tmp_path):
         code = run_cli("run", "--config", self.write(tmp_path, variants="classic, sampling",
                                                      measurements={"sampling": 30}),
@@ -298,6 +322,32 @@ class TestConfigFile:
         monkeypatch.setenv("DELAYDMD_SEED", "abc")
         code = run_cli("run", "--config", self.write(tmp_path), "--out", str(tmp_path / "out"))
         assert code == EXIT_USAGE
+
+
+class TestNonFiniteParameters:
+    @pytest.mark.parametrize("problem,flag,value,named", [
+        ("signal-2d", "--dt", "nan", "dt"),
+        ("signal-2d", "--dt", "inf", "dt"),
+        ("signal-2d", "--t-final", "nan", "t_final"),
+        ("signal-2d", "--t-final", "inf", "t_final"),
+        ("signal-2d", "--t-final", "-1", "t_final"),
+        ("signal-2d", "--noise-amp", "nan", "noise_amp"),
+        ("signal-2d", "--noise-amp", "inf", "noise_amp"),
+        ("signal-2d", "--f1", "nan", "f1"),
+        ("signal-2d", "--f2", "inf", "f2"),
+        ("double-gyre", "--dt", "nan", "dt"),
+        ("double-gyre", "--dt", "inf", "dt"),
+        ("double-gyre", "--amp", "inf", "amp"),
+        ("double-gyre", "--omega", "nan", "omega"),
+    ])
+    def test_generate_refuses_with_usage_error(self, tmp_path, capsys, problem, flag, value,
+                                               named):
+        code = run_cli("generate", "--problem", problem, *SMALL, flag, value,
+                       "--out", str(tmp_path))
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert named in err and "must be" in err and "and finite" in err
+        assert not any(tmp_path.iterdir())
 
 
 class TestSparsity:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from delaydmd.dmd import (
+    DmdModel,
     RankPolicy,
     dmd_classic,
     dmd_projected,
@@ -661,6 +662,60 @@ class TestModelSerialization:
         for key, value in [("rank", record["rank"]), ("q", record["q"]),
                            ("base_m", record["base_m"]), ("measurements", 30)]:
             assert getattr(back, key) == value and type(getattr(back, key)) is int
+
+    @pytest.mark.parametrize("key,value", [
+        ("dt", True), ("dt", "0.25"), ("dt", float("nan")), ("t0", float("inf")),
+        ("t0", None),
+    ])
+    def test_non_finite_or_non_numeric_time_raises_parse_error(self, tmp_path, key, value):
+        path = self._saved(tmp_path)
+        record = json.loads(path.read_text())
+        record[key] = value
+        path.write_text(json.dumps(record))
+        with pytest.raises(ModelParseError, match=f"model.json.*'{key}'.*not a finite number"):
+            load_model(path)
+
+    @pytest.mark.parametrize("dt", [-1.0, 0])
+    def test_non_positive_dt_raises_parse_error(self, tmp_path, dt):
+        path = self._saved(tmp_path)
+        record = json.loads(path.read_text())
+        record["dt"] = dt
+        path.write_text(json.dumps(record))
+        with pytest.raises(ModelParseError, match="model.json: dt must be positive"):
+            load_model(path)
+
+    @pytest.mark.parametrize("dt", [0.0, -0.1, float("nan"), float("inf")])
+    def test_model_refuses_a_dt_that_is_not_positive_and_finite(self, dt):
+        one = np.ones(1, dtype=complex)
+        with pytest.raises(InvalidParameterError, match="dt must be positive and finite"):
+            DmdModel(modes=None, eigenvalues_discrete=one, exponents=one, amplitudes=one,
+                     rank=1, q=1, base_m=1, dt=dt)
+
+    def test_unparseable_json_names_the_line(self, tmp_path):
+        path = self._saved(tmp_path)
+        lines = path.read_text().splitlines()
+        lines[2] = lines[2].replace(":", "")
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ModelParseError, match="model.json: invalid JSON at line 3"):
+            load_model(path)
+
+    def test_non_utf8_model_raises_parse_error(self, tmp_path):
+        path = self._saved(tmp_path)
+        path.write_bytes(b"\xff\xfe" + path.read_text().encode("utf-16-le"))
+        with pytest.raises(ModelParseError, match="model.json: not UTF-8 text"):
+            load_model(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_modes_raise_parse_error(self, tmp_path, value):
+        path = self._saved(tmp_path)
+        modes_path = tmp_path / "model.modes.csv"
+        lines = modes_path.read_text().splitlines()
+        fields = lines[1].split(",")
+        fields[0] = value
+        lines[1] = ",".join(fields)
+        modes_path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ModelParseError, match="model.modes.csv: row 2, field 1"):
+            load_model(path)
 
     def test_non_json_raises_parse_error(self, tmp_path):
         path = tmp_path / "model.json"

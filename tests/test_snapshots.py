@@ -1,6 +1,7 @@
 """Snapshot model, delay embedding and persistence."""
 
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -22,6 +23,8 @@ from delaydmd.snapshots import (
     hankel_augment,
     integral,
     load,
+    read_field,
+    real,
     save,
     split,
     train_test_split,
@@ -40,6 +43,11 @@ class TestSnapshotMatrix:
     def test_validates_dt(self):
         with pytest.raises(InvalidParameterError):
             snaps([[1.0, 2.0]], dt=0.0)
+
+    @pytest.mark.parametrize("dt", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_dt_refused(self, dt):
+        with pytest.raises(InvalidParameterError, match="dt must be positive and finite"):
+            snaps([[1.0, 2.0]], dt=dt)
 
     def test_grid_size_must_match_rows(self):
         grid = GridMeta(2, 2, 0.0, 1.0, 0.0, 1.0)
@@ -287,6 +295,83 @@ class TestPersistence:
         with pytest.raises(SnapshotParseError, match="line 2, field 2"):
             load(tmp_path / "d")
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_value_raises_parse_error(self, tmp_path, value):
+        save(snaps(np.ones((2, 3))), tmp_path / "d")
+        (tmp_path / "d.csv").write_text(f"1,2,3\n4,{value},6\n")
+        with pytest.raises(SnapshotParseError, match="d.csv: row 2, field 2: .* not a finite"):
+            load(tmp_path / "d")
+
+    def test_sidecar_is_indented_json_with_a_final_newline(self, tmp_path):
+        save(snaps(np.ones((2, 3)), dt=0.25, t0=0.5), tmp_path / "new" / "d")
+        expected = {"m": 2, "n": 3, "dt": 0.25, "t0": 0.5}
+        text = (tmp_path / "new" / "d.meta.json").read_text()
+        assert text == json.dumps(expected, indent=2) + "\n"
+
+    def test_only_numpy_grammar_is_read(self, tmp_path):
+        # float() reads "1_0" as 10.0; np.loadtxt refuses it, and so does load.
+        save(snaps(np.ones((2, 3))), tmp_path / "d")
+        (tmp_path / "d.csv").write_text("1,2,3\n4,1_0,6\n")
+        with pytest.raises(SnapshotParseError, match="d.csv: .*'1_0'"):
+            load(tmp_path / "d")
+
+    @pytest.mark.parametrize("edit", [
+        {"nx": 3.7, "ny": 2.2}, {"nx": True}, {"ny": "2"}, {"x_min": "0"},
+        {"x_max": float("nan")}, {"y_min": -float("inf")}, {"nx": 0, "ny": 0},
+    ], ids=["fractional", "bool", "string-count", "string-extent", "nan", "infinite", "empty"])
+    def test_malformed_grid_raises_parse_error(self, tmp_path, edit):
+        x = snaps(np.ones((6, 3)), grid=GridMeta(3, 2, 0.0, 1.0, 0.0, 1.0))
+        save(x, tmp_path / "d")
+        meta_path = tmp_path / "d.meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta["grid"].update(edit)
+        meta_path.write_text(json.dumps(meta))
+        with pytest.raises(SnapshotParseError, match="d.meta.json.*'grid'"):
+            load(tmp_path / "d")
+
+    @pytest.mark.parametrize("key,value", [
+        ("dt", True), ("dt", "0.25"), ("dt", float("nan")), ("dt", float("inf")),
+        ("dt", 10**400), ("t0", float("inf")), ("t0", float("nan")), ("t0", False),
+    ])
+    def test_non_finite_or_non_numeric_time_raises_parse_error(self, tmp_path, key, value):
+        save(snaps(np.ones((2, 3))), tmp_path / "d")
+        meta_path = tmp_path / "d.meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta[key] = value
+        meta_path.write_text(json.dumps(meta))
+        with pytest.raises(SnapshotParseError, match=f"d.meta.json.*'{key}'"):
+            load(tmp_path / "d")
+
+    @pytest.mark.parametrize("dt", [0, -1.0])
+    def test_non_positive_dt_raises_parse_error(self, tmp_path, dt):
+        save(snaps(np.ones((2, 3))), tmp_path / "d")
+        meta_path = tmp_path / "d.meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta["dt"] = dt
+        meta_path.write_text(json.dumps(meta))
+        with pytest.raises(SnapshotParseError, match="d.meta.json: dt must be positive"):
+            load(tmp_path / "d")
+
+    def test_grid_mismatch_names_the_sidecar(self, tmp_path):
+        x = snaps(np.ones((6, 3)), grid=GridMeta(3, 2, 0.0, 1.0, 0.0, 1.0))
+        save(x, tmp_path / "d")
+        meta_path = tmp_path / "d.meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta["grid"]["nx"] = 5
+        meta_path.write_text(json.dumps(meta))
+        with pytest.raises(SnapshotConsistencyError, match="d.meta.json: grid"):
+            load(tmp_path / "d")
+
+    @pytest.mark.parametrize("text,named", [
+        (b'{"m": 2,\n "n": 3,\n "dt" 0.1}', "invalid JSON at line 3"),
+        (b'{"m": 2, "dt": "\xff"}', "not UTF-8 text (byte 16)"),
+    ], ids=["not-json", "not-utf8"])
+    def test_unreadable_sidecar_names_the_position(self, tmp_path, text, named):
+        save(snaps(np.ones((2, 3))), tmp_path / "d")
+        (tmp_path / "d.meta.json").write_bytes(text)
+        with pytest.raises(SnapshotParseError, match=f"d.meta.json: {re.escape(named)}"):
+            load(tmp_path / "d")
+
     @settings(deadline=None, max_examples=15)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_data_bit_faithful(self, seed, tmp_path_factory):
@@ -309,3 +394,20 @@ class TestIntegral:
     def test_anything_else_raises_value_error(self, value):
         with pytest.raises(ValueError, match="not an integer"):
             integral(value)
+
+
+class TestReal:
+    @pytest.mark.parametrize("value", [0, -3, 0.25, 1e300, -2.0**60])
+    def test_finite_numbers_become_floats(self, value):
+        out = real(value)
+        assert out == value and type(out) is float
+
+    @pytest.mark.parametrize("value", [True, False, float("nan"), float("inf"), -float("inf"),
+                                       "0.25", None, [1.0]])
+    def test_anything_else_raises_value_error(self, value):
+        with pytest.raises(ValueError, match="not a finite number"):
+            real(value)
+
+    def test_integer_beyond_float_range_is_a_field_error(self):
+        with pytest.raises(SnapshotParseError, match="f.json: cannot read field 'dt'"):
+            read_field({"dt": 10**400}, "dt", real, "f.json")
