@@ -19,7 +19,6 @@ from .dmd import (
     dmd_projected,
     dmd_tdc,
     load_model,
-    pod_modes,
     predict,
     save_model,
     spectrum,

@@ -272,7 +272,6 @@ def _fit_sketched(spec, embedding, state_dim, seed, result, rank_policy,
     the fit, which computed it while sketching. The operator is dropped on
     return, so at most one is alive at a time."""
     op = _build_operator(spec, state_dim, seed)
-    result.measurements = op.a
     try:
         return dmd_projected(embedding, embedding.q, op, rank_policy,
                              project_before_augment=project_before_augment)
@@ -281,25 +280,29 @@ def _fit_sketched(spec, embedding, state_dim, seed, result, rank_policy,
 
 
 def run_comparison(problem, variant_specs, master_seed: int = 0, *,
-                   q: int = 2, n_train: int,
+                   q: int = 2, n_train: int | None = None,
                    rank_policy: RankPolicy = DEFAULT_RANK_POLICY,
                    project_before_augment: bool = False,
                    strict: bool = False) -> ExperimentReport:
     """Generate the data once, fit every requested variant on the training
     window, and score each model against the full window.
 
+    Without ``n_train`` the first max(2, min(N - 1, int(0.8 * N))) of the N
+    columns train. ``wall_time`` excludes the shared delay embedding.
     Per-variant failures are captured in the report unless ``strict``, in
     which case the first failure propagates.
     """
     if not variant_specs:
         raise InvalidParameterError("at least one variant is required")
     problem_name, data = generate_problem(problem, master_seed)
+    if n_train is None:
+        n_train = max(2, min(data.n - 1, int(0.8 * data.n)))
     train, _ = train_test_split(data, n_train)
     state_dim = data.m if project_before_augment else q * data.m
 
     results = []
-    # Built by the first variant and shared; built inside the per-variant try
-    # so that an invalid q fails each variant rather than the whole run.
+    # Built by the first variant and shared, inside the per-variant try so that
+    # an invalid q fails each variant; its time is charged to no variant.
     embedding = None
     for spec in variant_specs:
         result = VariantResult(variant=spec.name, measurements=spec.measurements)
@@ -307,6 +310,7 @@ def run_comparison(problem, variant_specs, master_seed: int = 0, *,
         try:
             if embedding is None:
                 embedding = delay_embed(train, q)
+                started = time.perf_counter()
             if spec.name == "classic":
                 model = dmd_tdc(embedding, q, rank_policy)
                 result.measurements = data.m

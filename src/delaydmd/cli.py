@@ -237,13 +237,9 @@ def cmd_run(args) -> int:
     grid = getattr(problem, "grid", None)
     if cfg.emit_modes and grid is None:
         raise InvalidParameterError("--emit-modes needs a problem with a grid")
-    n_train = cfg.n_train
-    if n_train is None:
-        n = problem.n if isinstance(problem, snapshots.SnapshotMatrix) else problem.nt
-        n_train = max(2, min(n - 1, int(0.8 * n)))
     report = analysis.run_comparison(
         problem, specs, cfg.seed,
-        q=cfg.q, n_train=int(n_train), rank_policy=cfg.rank,
+        q=cfg.q, n_train=cfg.n_train, rank_policy=cfg.rank,
         project_before_augment=cfg.project_before_augment,
         strict=cfg.strict,
     )

@@ -312,15 +312,6 @@ def predict(model: DmdModel, k) -> np.ndarray:
     return states if np.ndim(k) else states[:, 0]
 
 
-def pod_modes(x: SnapshotMatrix, policy: RankPolicy = DEFAULT_RANK_POLICY) -> np.ndarray:
-    """Energy-optimal orthonormal basis: truncated left singular vectors of
-    the full snapshot matrix, sign-fixed by the shared convention."""
-    if x.n < 2:
-        raise DegenerateDataError("need at least 2 snapshots for a basis")
-    svd = thin_svd(x.data)
-    return svd.u[:, :_truncate(svd, policy)]
-
-
 @dataclass(frozen=True)
 class SpectrumEntry:
     """One eigenvalue with its continuous exponent, amplitude magnitude and

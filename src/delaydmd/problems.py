@@ -51,6 +51,8 @@ class DoubleGyreParams:
             raise InvalidParameterError(f"nt must be at least 2, got {self.nt}")
         if not 0 < self.dt < math.inf:
             raise InvalidParameterError(f"dt must be positive and finite, got {self.dt}")
+        if not -math.inf < self.t0 < math.inf:
+            raise InvalidParameterError(f"t0 must be finite, got {self.t0}")
 
 
 @dataclass(frozen=True)
@@ -93,6 +95,8 @@ class SignalParams:
             raise InvalidParameterError(f"nt must be at least 2, got {self.nt}")
         if self.t0 is None:
             object.__setattr__(self, "t0", self.dt)
+        if not -math.inf < self.t0 < math.inf:
+            raise InvalidParameterError(f"t0 must be finite, got {self.t0}")
 
 
 def _gyre_phase(x, t, p: DoubleGyreParams):

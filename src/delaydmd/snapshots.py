@@ -91,6 +91,8 @@ class SnapshotMatrix:
             raise InvalidParameterError("data contains non-finite entries")
         if not 0 < self.dt < np.inf:
             raise InvalidParameterError(f"dt must be positive and finite, got {self.dt}")
+        if not np.isfinite(self.t0):
+            raise InvalidParameterError(f"t0 must be finite, got {self.t0}")
         if self.grid is not None and self.grid.size != data.shape[0]:
             raise SnapshotConsistencyError(
                 f"grid has nx*ny = {self.grid.size} but data has {data.shape[0]} rows"

@@ -1,6 +1,7 @@
 """Error metrics, mode fields, comparison runs and report serialization."""
 
 import dataclasses
+import time
 import tracemalloc
 
 import numpy as np
@@ -115,6 +116,11 @@ class TestRelativeErrorSeries:
         with pytest.raises(InvalidParameterError, match="no modes"):
             relative_error_series(bare, signal_data)
 
+    def test_time_step_mismatch(self, signal_data, signal_model):
+        other = SnapshotMatrix(signal_data.data, dt=2 * signal_data.dt, t0=signal_data.t0)
+        with pytest.raises(ShapeMismatchError, match="time steps differ"):
+            relative_error_series(signal_model, other)
+
 
 class TestBlockedScoring:
     """Scoring predicts and compares the truth one block of columns at a time."""
@@ -197,6 +203,16 @@ class TestModeField:
         with pytest.raises(InvalidParameterError):
             mode_field(signal_model, 0, signal_data.grid, "phase")
 
+    def test_model_without_modes_raises(self, signal_model, signal_data):
+        bare = dataclasses.replace(signal_model, modes=None)
+        with pytest.raises(InvalidParameterError, match="no modes"):
+            mode_field(bare, 0, signal_data.grid, "real")
+
+    def test_grid_must_match_raw_rows(self, signal_model):
+        grid = GridMeta(4, 4, -2.0, 2.0, -2.0, 2.0)
+        with pytest.raises(ShapeMismatchError, match="nx\\*ny = 16"):
+            mode_field(signal_model, 0, grid, "real")
+
 
 class TestDeriveSeed:
     def test_stable_across_calls(self):
@@ -225,6 +241,18 @@ class TestDefaultVariantSpecs:
     def test_unknown_problem(self):
         with pytest.raises(InvalidParameterError):
             default_variant_specs("nonsense")
+
+
+class TestVariantSpec:
+    @pytest.mark.parametrize("kwargs,match", [
+        ({"name": "svd"}, "unknown variant"),
+        ({"name": "gaussian"}, "needs measurements"),
+        ({"name": "krylov", "measurements": 0}, "needs measurements"),
+        ({"name": "achlioptas", "measurements": 10, "sparsity_s": 2}, "sparsity_s"),
+    ], ids=["unknown", "no budget", "zero budget", "sparsity 2"])
+    def test_invalid_specs_refused(self, kwargs, match):
+        with pytest.raises(InvalidParameterError, match=match):
+            VariantSpec(**kwargs)
 
 
 class TestRunComparison:
@@ -296,6 +324,29 @@ class TestRunComparison:
         for v in d1["variants"] + d2["variants"]:
             v["wall_time"] = 0.0
         assert d1 == d2
+
+    def test_default_n_train_is_80_percent(self):
+        params = small_signal_params(nt=40)
+        report = run_comparison(params, [VariantSpec("classic")], 0, q=2)
+        assert report.config["n_train"] == 32
+        assert report.variant("classic").errors.n_train == 32
+        train, _ = train_test_split(generate_signal(params), 32)
+        np.testing.assert_array_equal(report.variant("classic").model.eigenvalues_discrete,
+                                      dmd_tdc(train, 2).eigenvalues_discrete)
+
+    def test_wall_time_excludes_the_shared_embedding(self, monkeypatch):
+        embed = analysis.delay_embed
+
+        def slow_embed(*args):
+            time.sleep(0.5)
+            return embed(*args)
+
+        monkeypatch.setattr(analysis, "delay_embed", slow_embed)
+        specs = [VariantSpec("sampling", measurements=40), VariantSpec("classic")]
+        report = run_comparison(small_signal_params(), specs, 0, q=2, n_train=30)
+        for v in report.variants:
+            assert not v.failed, v.error_message
+            assert v.wall_time < 0.5
 
 
 class TestSketchDiagnostics:

@@ -349,6 +349,15 @@ class TestNonFiniteParameters:
         assert named in err and "must be" in err and "and finite" in err
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("problem", ["signal-2d", "double-gyre"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_generate_refuses_non_finite_t0(self, tmp_path, capsys, problem, value):
+        code = run_cli("generate", "--problem", problem, *SMALL, "--t0", value,
+                       "--out", str(tmp_path))
+        assert code == EXIT_USAGE
+        assert "t0 must be finite" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
 
 class TestSparsity:
     @pytest.mark.parametrize("extra", [[], ["--measurements", "sampling=100"]])

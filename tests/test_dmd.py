@@ -14,7 +14,6 @@ from delaydmd.dmd import (
     dmd_projected,
     dmd_tdc,
     load_model,
-    pod_modes,
     predict,
     save_model,
     spectrum,
@@ -179,6 +178,14 @@ class TestDmdClassic:
             model = dmd_classic(x[:, :3], x[:, 1:], dt=1.0, policy=RankPolicy.fixed(10))
         assert model.rank == 3
 
+    @pytest.mark.parametrize("x1,x2,match", [
+        (np.ones((3, 4)), np.ones((3, 5)), "must match"),
+        (np.ones(4), np.ones(4), "at least one column"),
+    ], ids=["mismatched", "1-d"])
+    def test_pair_shapes_checked(self, x1, x2, match):
+        with pytest.raises(ShapeMismatchError, match=match):
+            dmd_classic(x1, x2, dt=1.0)
+
 
 class TestDmdTdc:
     def test_depth_one_reduces_to_classic(self):
@@ -334,11 +341,6 @@ class TestFitGuards:
             dmd_classic(np.eye(2), np.zeros((2, 2)), dt=1.0)
 
     @pytest.mark.parametrize("policy", [RankPolicy.fixed(2), RankPolicy.relative_threshold(1e-10)])
-    def test_pod_of_zero_data(self, policy):
-        with pytest.raises(DegenerateDataError):
-            pod_modes(snaps(np.zeros((4, 6))), policy)
-
-    @pytest.mark.parametrize("policy", [RankPolicy.fixed(2), RankPolicy.relative_threshold(1e-10)])
     def test_sketch_of_zero_rows(self, policy):
         data = np.random.default_rng(1).standard_normal((5, 10))
         data[:2] = 0.0
@@ -414,6 +416,12 @@ class TestCompressedEmbedding:
         with pytest.raises(InvalidParameterError, match="q = 2"):
             dmd_tdc(emb, 3)
 
+    def test_projected_embedding_depth_must_match(self):
+        emb = delay_embed(small_signal_snapshots(), 2)
+        op = gaussian_operator(3 * emb.snapshots.m, 20, seed=0)
+        with pytest.raises(InvalidParameterError, match="q = 2"):
+            dmd_projected(emb, 3, op)
+
     def test_compressed_rows(self):
         # q * min(M, N) rows instead of q * M, with the Hankel singular values.
         x = small_signal_snapshots(nt=20)
@@ -488,39 +496,6 @@ class TestPredict:
         assert states.base is None and states.dtype == float
         coeff = np.exp(np.outer(model.exponents, steps * model.dt)) * model.amplitudes[:, None]
         np.testing.assert_array_equal(states, (model.modes @ coeff).real)
-
-
-class TestPodModes:
-    def test_rank_one_sign_fixed(self):
-        u = np.array([-0.6, -0.8])
-        x = snaps(np.outer(u, [1.0, 2.0, 3.0]))
-        modes = pod_modes(x)
-        assert modes.shape == (2, 1)
-        # Sign convention flips the basis vector to make its peak positive.
-        np.testing.assert_allclose(modes[:, 0], [0.6, 0.8])
-
-    def test_orthonormal_columns(self):
-        x = snaps(np.random.default_rng(9).standard_normal((10, 6)))
-        modes = pod_modes(x)
-        gram = modes.T @ modes
-        assert np.max(np.abs(gram - np.eye(modes.shape[1]))) < 1e-10
-
-    def test_signal_modes_mix(self):
-        from delaydmd.problems import signal_spatial_modes
-        x = small_signal_snapshots()
-        modes = pod_modes(x)
-        assert modes.shape[1] == 2
-        v1, v2 = signal_spatial_modes(x.grid)
-        v1n, v2n = v1 / np.linalg.norm(v1), v2 / np.linalg.norm(v2)
-        for k in range(2):
-            assert abs(modes[:, k] @ v1n) > 1e-3
-            assert abs(modes[:, k] @ v2n) > 1e-3
-
-    def test_lowered_fixed_rank_warns(self):
-        x = snaps(np.random.default_rng(4).standard_normal((6, 3)))
-        with pytest.warns(RuntimeWarning, match="requested rank 10 lowered to 3"):
-            modes = pod_modes(x, RankPolicy.fixed(10))
-        assert modes.shape == (6, 3)
 
 
 class TestSpectrum:

@@ -290,6 +290,11 @@ class TestApply:
         with pytest.raises(ShapeMismatchError):
             apply(op, np.ones((11, 2)))
 
+    def test_one_dimensional_data_refused(self):
+        op = gaussian_operator(10, 3, seed=0)
+        with pytest.raises(ShapeMismatchError, match="must be 2-d"):
+            apply(op, np.ones(10))
+
     @settings(deadline=None, max_examples=25)
     @given(seed=st.integers(0, 2**32 - 1),
            alpha=st.floats(-5, 5), beta=st.floats(-5, 5))
@@ -606,3 +611,12 @@ class TestStoredStateValidation:
         m[0, 0] = 5.0
         np.testing.assert_array_equal(op.matrix, np.ones((2, 3)))
         assert op.matrix.flags.c_contiguous and not op.matrix.flags.writeable
+
+    @pytest.mark.parametrize("matrix,match", [
+        (np.ones((3, 4)), "must be 2-by-D"),
+        (np.ones(4), "must be 2-by-D"),
+        (np.array([[1.0, np.nan], [0.0, 1.0]]), "non-finite"),
+    ], ids=["wrong rows", "1-d", "nan"])
+    def test_matrix_shape_and_values_checked(self, matrix, match):
+        with pytest.raises(InvalidParameterError, match=match):
+            ProjectionOperator("krylov", matrix, 2, None)

@@ -24,6 +24,7 @@ from delaydmd.snapshots import (
     integral,
     load,
     read_field,
+    read_matrix,
     real,
     save,
     split,
@@ -75,6 +76,42 @@ class TestSnapshotMatrix:
         for view in (x.data, x.data[:, 1:3]):
             y = SnapshotMatrix(view, dt=1.0)
             assert y.data is view and not y.data.flags.writeable
+
+    @pytest.mark.parametrize("t0", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_t0_refused(self, t0):
+        with pytest.raises(InvalidParameterError, match="t0 must be finite"):
+            snaps(np.ones((2, 3)), t0=t0)
+
+    @pytest.mark.parametrize("data,match", [
+        (np.ones(3), "must be 2-d"),
+        (np.ones((0, 3)), "at least 1x1"),
+        (np.ones((2, 0)), "at least 1x1"),
+    ], ids=["1-d", "no rows", "no columns"])
+    def test_one_dimensional_or_empty_data_refused(self, data, match):
+        with pytest.raises(InvalidParameterError, match=match):
+            snaps(data)
+
+
+class TestGridMeta:
+    @pytest.mark.parametrize("extents", [(1.0, 1.0, 0.0, 1.0), (0.0, 1.0, 2.0, 1.0)],
+                             ids=["x equal", "y reversed"])
+    def test_min_must_lie_below_max(self, extents):
+        with pytest.raises(InvalidParameterError, match="min < max"):
+            GridMeta(2, 2, *extents)
+
+
+class TestReadMatrix:
+    def test_changed_field_count_names_the_line(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("1,2,3\n4,5\n")
+        with pytest.raises(SnapshotParseError, match="line 2 has 2 fields, expected 3"):
+            read_matrix(path, SnapshotParseError)
+
+    def test_blank_line_counts_in_the_line_number(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("1,2,3\n\n4,5\n")
+        with pytest.raises(SnapshotParseError, match="line 3 has 2 fields, expected 3"):
+            read_matrix(path, SnapshotParseError)
 
 
 class TestSplit:
