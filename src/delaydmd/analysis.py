@@ -28,11 +28,11 @@ from .snapshots import FLOAT_FMT, GridMeta, SnapshotMatrix, delay_embed, train_t
 ERROR_NORM_FLOOR = 1e-12
 
 # Columns predicted and scored together by relative_error_series, so scoring
-# holds M x _SCORE_BLOCK temporaries, not M x N. A multiple of 16, so each
+# holds one M x 16 complex prediction, not M x N. A multiple of 16, so each
 # block's complex product runs the BLAS kernels that one product over all
 # columns would: with OpenBLAS 0.3.31 the errors then match it bit for bit,
-# while 50-column blocks moved their last bits.
-_SCORE_BLOCK = 32
+# as with 32 columns, while 50-column blocks moved their last bits.
+_SCORE_BLOCK = 16
 
 # A truth window may start this many steps off a whole-step offset from the
 # model's origin (float roundoff in t0 arithmetic) before it counts as
@@ -66,8 +66,8 @@ def relative_error_series(model: DmdModel, x_true: SnapshotMatrix,
     Each entry is ||truth - prediction|| / max(||truth||, floor). The truth
     window may start later than the model's origin as long as the offset is
     a whole number of steps. The columns are predicted and compared in
-    blocks of ``_SCORE_BLOCK``, each block's errors written into one result
-    array, so no full-window prediction is ever held.
+    blocks of ``_SCORE_BLOCK``, against the truth norms cached on ``x_true``,
+    so no full-window prediction is ever held.
     """
     if model.base_m != x_true.m:
         raise ShapeMismatchError(
@@ -88,12 +88,14 @@ def relative_error_series(model: DmdModel, x_true: SnapshotMatrix,
             f"origin t0 = {model.t0!r}; the model cannot predict backwards"
         )
     errors = np.empty(x_true.n)
-    for lo in range(0, x_true.n, _SCORE_BLOCK):
-        hi = min(lo + _SCORE_BLOCK, x_true.n)
-        truth = x_true.data[:, lo:hi]
-        pred = predict(model, offset + np.arange(lo, hi))
-        errors[lo:hi] = (np.linalg.norm(truth - pred, axis=0)
-                         / np.maximum(np.linalg.norm(truth, axis=0), ERROR_NORM_FLOOR))
+    # A lone last column would be summed pairwise; it joins the block before.
+    for lo in range(0, max(x_true.n - 1, 1), _SCORE_BLOCK):
+        hi = x_true.n if x_true.n - lo <= _SCORE_BLOCK + 1 else lo + _SCORE_BLOCK
+        diff = predict(model, offset + np.arange(lo, hi))  # owned, so squared in place
+        diff -= x_true.data[:, lo:hi]
+        diff *= diff
+        errors[lo:hi] = np.sqrt(np.add.reduce(diff, axis=0))
+    errors /= np.maximum(x_true.column_norms, ERROR_NORM_FLOOR)
     return ErrorSeries(times=x_true.times(), rel_error=errors, n_train=n_train)
 
 

@@ -12,7 +12,7 @@ in sketch space and recovers exact modes from the unprojected shifted
 matrix, so the model still predicts in the original state space.
 
 Both delay fits run on the embedding in the QR coordinates of the raw
-snapshots (:func:`~delaydmd.snapshots.delay_embed`): the R of one QR X = Q R
+snapshots (:func:`~delaydmd.snapshots.delay_embed`): the R of a QR X = Q R
 of the M-by-N training snapshots turns the (q*M)-row Hankel pair into one
 with q*min(M, N) rows and the same singular values, right singular vectors,
 pencil and least-squares solutions, on which the SVD, eigenproblem and

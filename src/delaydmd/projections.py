@@ -14,9 +14,10 @@ The seeded random kinds store only what regenerates their rows, never the
 a-by-D matrix (Tropp, Yurtsever, Udell & Cevher 2017). Each row has a
 generator that starts at its first draw without drawing the rows before it,
 so building an operator draws nothing. :func:`apply` regenerates the matrix
-one a-by-M column panel per delay block and sums the panel products (Halko,
-Martinsson & Tropp 2011); the same sweep accumulates the row gram, so
-:func:`gram_deviation` costs no second pass.
+in column panels of at most ``_PANEL_ENTRIES`` entries, each delay block split
+evenly, and sums the panel products (Halko, Martinsson & Tropp 2011); the
+same sweep accumulates the row gram, so :func:`gram_deviation` costs no
+second pass.
 """
 
 from __future__ import annotations
@@ -35,6 +36,9 @@ from .errors import (
 from .snapshots import hankel_block
 
 KINDS = ("identity", "sampling", "gaussian", "achlioptas", "krylov")
+
+# Operator entries in one panel that apply regenerates or slices (4 MB).
+_PANEL_ENTRIES = 2**19
 
 
 class ProjectionOperator:
@@ -111,7 +115,7 @@ class ProjectionOperator:
             m = np.zeros((self.a, self.d))
             m[np.arange(self.a), self.indices] = 1.0
             return m
-        return next(_panels(self, self.d))
+        return next(_panels(self, [self.d]))
 
 
 @dataclass(frozen=True)
@@ -275,11 +279,14 @@ def krylov_operator(d: int, a: int, seed: int) -> ProjectionOperator:
         inv_l = np.tril(np.linalg.inv(factor))
         for blk in blocks:
             rows[:, blk] = inv_l @ rows[:, blk]
-    if not np.max(np.abs(rows @ rows.T - np.eye(w))) <= 1e-12:  # NaN fails too
+    gram = rows @ rows.T
+    if not np.max(np.abs(gram - np.eye(w))) <= 1e-12:  # NaN fails too
         raise RankDeficientBasisError(
             "CholeskyQR left the rows more than 1e-12 from orthonormal; try another seed")
     rows.setflags(write=False)
-    return ProjectionOperator(kind="krylov", matrix=rows, a=w, seed=seed)
+    op = ProjectionOperator(kind="krylov", matrix=rows, a=w, seed=seed)
+    op._gram_deviation = _deviation(gram)  # so gram_deviation forms no second gram
+    return op
 
 
 def apply(op: ProjectionOperator, x, q: int = 1) -> np.ndarray:
@@ -288,12 +295,12 @@ def apply(op: ProjectionOperator, x, q: int = 1) -> np.ndarray:
 
     Row b*M + i of the (q*M)-by-(N-q+1) Hankel matrix of the M-by-N data is
     row i of ``x[:, b:b+N-q+1]``. Sampling gathers those entries directly;
-    identity returns the Hankel matrix itself. The other kinds sum one
-    product per delay block, P_b @ x[:, b:b+N-q+1], where the panel P_b =
-    R[:, b*M:(b+1)*M] is a slice of a stored matrix or regenerated from the
-    seed; a regenerated operator's first sweep also sums P_b P_b* into its
-    row gram for :func:`gram_deviation`. With q = 1 this is the plain
-    product with ``x``.
+    identity returns the Hankel matrix itself. The other kinds sum the
+    products P_b @ x[:, b:b+N-q+1], each panel P_b = R[:, b*M:(b+1)*M] split
+    into equal sub-panels of at most ``_PANEL_ENTRIES`` entries, sliced from a
+    stored matrix or regenerated from the seed; a regenerated operator's first
+    sweep also sums their grams into its row gram for :func:`gram_deviation`.
+    With q = 1 this is the plain product with ``x``.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
@@ -314,12 +321,12 @@ def apply(op: ProjectionOperator, x, q: int = 1) -> np.ndarray:
         return x[rows[:, None], blocks[:, None] + np.arange(cols)]
     record = op._stored is None and op._gram_deviation is None
     gram = np.zeros((op.a, op.a))
-    for b, panel in enumerate(_panels(op, m)):
-        term = panel @ x[:, b:b + cols]
-        if b == 0:
-            out = term
-        else:
-            out += term
+    out = np.zeros((op.a, cols))
+    # Each sub-panel meets one row block of x, in its delay block b.
+    parts = np.array_split(x, -(-m // max(1, _PANEL_ENTRIES // op.a)))
+    spans = [(b, part) for b in range(q) for part in parts]
+    for (b, part), panel in zip(spans, _panels(op, [len(part) for _, part in spans])):
+        out += panel @ part[:, b:b + cols]
         if record:
             gram += panel @ panel.T
     if record:
@@ -335,15 +342,15 @@ def gram_deviation(op: ProjectionOperator) -> float:
     kind, and order D/a for the dense random kinds (their normalization
     targets the column gram instead).
 
-    Computed once per operator: a stored matrix forms R R* directly, and a
-    regenerated one reuses the gram that :func:`apply` accumulated, or else
-    sweeps panels of about one row's size.
+    Computed once per operator: the Krylov build records it, a regenerated
+    operator reuses the gram that :func:`apply` accumulated, and otherwise
+    the grams of a panels of about one row's size are summed.
     """
     if op.kind in ("sampling", "identity"):
         return 0.0
     if op._gram_deviation is None:
-        width = op.d if op._stored is not None else -(-op.d // op.a)
-        op._gram_deviation = _deviation(sum(p @ p.T for p in _panels(op, width)))
+        widths = [op.d // op.a + (r < op.d % op.a) for r in range(op.a)]
+        op._gram_deviation = _deviation(sum(p @ p.T for p in _panels(op, widths)))
     return op._gram_deviation
 
 
@@ -352,17 +359,16 @@ def _deviation(gram: np.ndarray) -> float:
     return float(np.linalg.norm(gram - np.eye(a)) / np.sqrt(a))
 
 
-def _panels(op: ProjectionOperator, width: int):
-    """Yield the a-by-width column panels of the operator, left to right.
+def _panels(op: ProjectionOperator, widths):
+    """Yield the operator's consecutive column panels of the given widths,
+    which sum to D, left to right.
 
     A stored matrix is sliced. Otherwise each row gets its own generator,
     positioned at the row's first draw, and every panel draws the next
-    ``width`` entries of each row into one reused buffer; the last panel
-    may be narrower.
+    entries of each row into one reused buffer.
     """
     if op._stored is not None:
-        for start in range(0, op.d, width):
-            yield op._stored[:, start:start + width]
+        yield from np.split(op._stored, np.cumsum(widths)[:-1], axis=1)
         return
     if op.kind == "gaussian":
         def row_bits(r):
@@ -386,9 +392,9 @@ def _panels(op: ProjectionOperator, width: int):
             row *= scale
     gens = [np.random.Generator(row_bits(r)) for r in range(op.a)]
     # Each row is mapped right after its draw, while it is still in cache.
-    buffer = np.empty((op.a, width))
-    for start in range(0, op.d, width):
-        panel = buffer[:, :op.d - start]
+    buffer = np.empty((op.a, max(widths)))
+    for width in widths:
+        panel = buffer[:, :width]
         for gen, row in zip(gens, panel):
             fill(gen, row)
         yield panel

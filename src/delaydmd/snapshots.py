@@ -9,13 +9,16 @@ plus a ``<name>.meta.json`` sidecar holding ``{m, n, dt, t0, grid?}``.
 The delay embedding comes in two forms: the explicit Hankel matrix
 (:func:`hankel_block`, :func:`hankel_augment`) and :func:`delay_embed`, which
 holds the same matrix in the QR basis of the raw snapshots with q*min(M, N)
-rows instead of q*M. A training window (:func:`train_test_split`) is a view.
+rows instead of q*M; its R comes from row blocks, R <- R of [R; X_block], as
+in sequential tall-skinny QR (Demmel, Grigori, Hoemmen & Langou 2012). A
+training window (:func:`train_test_split`) is a view.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +34,9 @@ from .errors import (
 
 # Enough significant digits to round-trip an IEEE double through text.
 FLOAT_FMT = "%.17g"
+
+# Rows of data per QR in delay_embed, so that its copies stay a few MB.
+_QR_ROWS = 2048
 
 
 @dataclass(frozen=True)
@@ -111,6 +117,15 @@ class SnapshotMatrix:
     def times(self) -> np.ndarray:
         return self.t0 + self.dt * np.arange(self.n)
 
+    @cached_property
+    def column_norms(self) -> np.ndarray:
+        """``np.linalg.norm(data, axis=0)`` bit for bit, formed once by blocks
+        of 16 to 31 columns, so without its two window-sized temporaries."""
+        blocks = np.array_split(self.data, max(1, self.n // 16), axis=1)
+        norms = np.sqrt(np.concatenate([np.add.reduce(b * b, axis=0) for b in blocks]))
+        norms.setflags(write=False)
+        return norms
+
 
 @dataclass(frozen=True)
 class HankelPair:
@@ -181,9 +196,11 @@ class DelayEmbedding:
 
 
 def delay_embed(x: SnapshotMatrix, q: int) -> DelayEmbedding:
-    """Embed the snapshots to depth q through the R of one QR of the raw data."""
-    return DelayEmbedding(snapshots=x, q=q,
-                          compressed=hankel_block(np.linalg.qr(x.data, mode="r"), q))
+    """Embed the snapshots to depth q through the R of the raw data, by row blocks."""
+    r = np.linalg.qr(x.data[:_QR_ROWS], mode="r")
+    for start in range(_QR_ROWS, x.m, _QR_ROWS):
+        r = np.linalg.qr(np.vstack([r, x.data[start:start + _QR_ROWS]]), mode="r")
+    return DelayEmbedding(snapshots=x, q=q, compressed=hankel_block(r, q))
 
 
 def train_test_split(x: SnapshotMatrix, n_train: int):

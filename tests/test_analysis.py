@@ -155,6 +155,23 @@ class TestBlockedScoring:
         assert np.min(expected) > 1e-3
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("n", [1, 2, B + 1, 2 * B + 1, 2 * B + 2])
+    def test_lone_last_column_sums_as_the_unblocked_formula(self, n):
+        # Rank one with real factors: each predicted entry is one exact
+        # product, so only the order of the norm's sums can move a bit, and a
+        # lone column would be summed pairwise instead of row by row.
+        m = 1000
+        rng = np.random.default_rng(n)
+        mu = np.array([0.99 + 0j])
+        model = DmdModel(modes=rng.standard_normal((m, 1)) + 0j, eigenvalues_discrete=mu,
+                         exponents=np.log(mu), amplitudes=np.ones(1, dtype=complex),
+                         rank=1, q=1, base_m=m, dt=1.0)
+        truth = SnapshotMatrix(rng.standard_normal((m, n)), dt=1.0)
+        expected = (np.linalg.norm(truth.data - predict(model, np.arange(n)), axis=0)
+                    / np.maximum(np.linalg.norm(truth.data, axis=0),
+                                 analysis.ERROR_NORM_FLOOR))
+        np.testing.assert_array_equal(relative_error_series(model, truth).rel_error, expected)
+
     def test_peak_memory_below_one_truth_array(self):
         m, n, r = 4000, 512, 4
         rng = np.random.default_rng(0)

@@ -532,6 +532,40 @@ class TestRegeneratedOperators:
         assert peak < 2**20
 
 
+class TestPanelBudget:
+    """apply regenerates or slices panels of a bounded number of entries."""
+
+    @pytest.mark.parametrize("m", [20000, 40000])
+    def test_gaussian_peak_does_not_grow_with_the_state(self, m):
+        # One a-by-M panel per delay block would be 32 MB at M = 20000 and
+        # 64 MB at M = 40000; panels of 2**19 entries are 4 MB at both.
+        x = np.random.default_rng(m).standard_normal((m, 12))
+        op = gaussian_operator(2 * m, 200, seed=5)
+        out, peak = _traced_peak(lambda: apply(op, x, 2))
+        assert out.shape == (200, 11)
+        assert peak - out.nbytes < 6 * 2**20
+
+    @pytest.mark.parametrize("factory", _SEEDED)
+    def test_split_blocks_match_the_stored_matrix_bit_for_bit(self, factory):
+        # a*M = 120 * 9001 entries per delay block: three sub-panels each.
+        m, q, a = 9001, 2, 120
+        x = np.random.default_rng(8).standard_normal((m, 6))
+        op = factory(q * m, a, 9)
+        dense = ProjectionOperator(kind=op.kind, matrix=op.matrix, a=a, seed=None)
+        np.testing.assert_array_equal(apply(op, x, q), apply(dense, x, q))
+        np.testing.assert_allclose(apply(op, x, q), op.matrix @ hankel_block(x, q),
+                                   rtol=0, atol=1e-10)
+
+    def test_krylov_build_records_its_gram_deviation(self):
+        # The build's own orthonormality gram, so the value of R R* formed
+        # directly, bit for bit; a copy of the rows sums panel grams instead.
+        op = krylov_operator(3000, 40, seed=6)
+        assert op._gram_deviation is not None
+        assert gram_deviation(op) == _dense_deviation(op.matrix)
+        stored = ProjectionOperator(kind="krylov", matrix=op.matrix, a=op.a, seed=None)
+        assert gram_deviation(stored) < 1e-10
+
+
 class TestStoredStateValidation:
     @pytest.mark.parametrize("indices", [
         [3, 1, 5],        # unsorted

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from delaydmd import snapshots
 from delaydmd.errors import (
     InsufficientSnapshotsError,
     InvalidDelayError,
@@ -21,6 +22,7 @@ from delaydmd.snapshots import (
     SnapshotMatrix,
     delay_embed,
     hankel_augment,
+    hankel_block,
     integral,
     load,
     read_field,
@@ -207,6 +209,102 @@ class TestDelayEmbedding:
             tracemalloc.stop()
         assert emb.compressed.shape == (2 * 174, 173)
         assert grown < 0.1 * 20000 * 174 * 8
+
+
+def _rank_two(m, n):
+    rng = np.random.default_rng(m + n)
+    return rng.standard_normal((m, 2)) @ rng.standard_normal((2, n))
+
+
+class TestRowBlockedEmbedding:
+    """delay_embed builds R from row blocks of the window, R <- R of [R; X_block]."""
+
+    @staticmethod
+    def _check_against_explicit(x, q):
+        # R* R = X* X, and the compressed Hankel matrix has the explicit one's
+        # singular values (any beyond the shorter list are zero).
+        r = delay_embed(x, 1).compressed
+        gram = x.data.T @ x.data
+        assert r.shape == (min(x.m, x.n), x.n)
+        assert np.linalg.norm(r.T @ r - gram) <= 1e-12 * np.linalg.norm(gram)
+        explicit = np.linalg.svd(hankel_block(x.data, q), compute_uv=False)
+        compressed = np.linalg.svd(delay_embed(x, q).compressed, compute_uv=False)
+        k = min(explicit.size, compressed.size)
+        tol = 1e-12 * explicit[0]
+        np.testing.assert_allclose(compressed[:k], explicit[:k], rtol=0, atol=tol)
+        assert np.all(explicit[k:] <= tol) and np.all(compressed[k:] <= tol)
+
+    @pytest.mark.parametrize("m, n", [
+        (53, 9),    # tall: six blocks of 8 rows and a last one of 5
+        (29, 40),   # wide: R gains rows up to M = 29 < N
+        (11, 11),   # square, the last block a partial one
+    ])
+    @pytest.mark.parametrize("q", [1, 3])
+    def test_tall_and_wide_windows(self, monkeypatch, m, n, q):
+        monkeypatch.setattr(snapshots, "_QR_ROWS", 8)
+        x = snaps(np.random.default_rng(m * n).standard_normal((m, n)))
+        self._check_against_explicit(x, q)
+
+    @pytest.mark.parametrize("q", [1, 4])
+    def test_repeated_columns(self, monkeypatch, q):
+        monkeypatch.setattr(snapshots, "_QR_ROWS", 8)
+        base = np.random.default_rng(5).standard_normal((37, 6))
+        x = snaps(base[:, [0, 1, 1, 2, 3, 3, 3, 4, 5, 0, 2]])
+        self._check_against_explicit(x, q)
+
+    @pytest.mark.parametrize("m, n", [(45, 12), (21, 30)])
+    def test_rank_deficient_data(self, monkeypatch, m, n):
+        monkeypatch.setattr(snapshots, "_QR_ROWS", 8)
+        self._check_against_explicit(snaps(_rank_two(m, n)), 3)
+
+    def test_default_blocks_on_a_tall_window(self):
+        # Two full blocks and a partial third, at the module's own block size.
+        m = 2 * snapshots._QR_ROWS + 77
+        x = snaps(np.random.default_rng(3).standard_normal((m, 24)))
+        self._check_against_explicit(x, 5)
+
+    @pytest.mark.parametrize("m", [1, 30, snapshots._QR_ROWS])
+    def test_one_block_is_one_qr_bit_for_bit(self, m):
+        x = snaps(np.random.default_rng(m).standard_normal((m, 40)))
+        np.testing.assert_array_equal(delay_embed(x, 1).compressed,
+                                      np.linalg.qr(x.data, mode="r"))
+
+    def test_peak_stays_below_a_third_of_the_window(self):
+        # One QR of the window copies it whole (a traced peak of one window);
+        # by row blocks the copies are of [R; X_block] only.
+        x = snaps(np.random.default_rng(11).standard_normal((40000, 174)))
+        tracemalloc.start()
+        try:
+            delay_embed(x, 16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.3 * x.data.nbytes
+
+
+class TestColumnNorms:
+    # 33 and 49 columns: a last 16-column block would hold one lone column.
+    @pytest.mark.parametrize("shape", [(1, 1), (7, 5), (300, 16), (301, 47), (64, 33),
+                                       (500, 49), (40, 1)])
+    def test_match_numpy_norm_bit_for_bit(self, shape):
+        data = np.random.default_rng(shape[1]).standard_normal(shape) * 1e3
+        x = snaps(data)
+        np.testing.assert_array_equal(x.column_norms, np.linalg.norm(x.data, axis=0))
+
+    def test_views_and_fortran_order_match_too(self):
+        data = np.asfortranarray(np.random.default_rng(2).standard_normal((90, 70)))
+        data.setflags(write=False)
+        x = SnapshotMatrix(data, dt=0.1)
+        assert x.data is data
+        train, test = train_test_split(x, 37)
+        for part in (x, train, test):
+            np.testing.assert_array_equal(part.column_norms,
+                                          np.linalg.norm(part.data, axis=0))
+
+    def test_computed_once_and_read_only(self):
+        x = snaps(np.random.default_rng(4).standard_normal((20, 40)))
+        assert x.column_norms is x.column_norms
+        assert not x.column_norms.flags.writeable
 
 
 class TestTrainTestSplit:
