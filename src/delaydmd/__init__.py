@@ -49,7 +49,6 @@ from .projections import (
 from .snapshots import (
     DelayEmbedding,
     GridMeta,
-    HankelPair,
     SnapshotMatrix,
     delay_embed,
     hankel_augment,

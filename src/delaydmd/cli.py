@@ -246,6 +246,11 @@ def cmd_run(args) -> int:
     report.config["problem"] = cfg.problem
     report.config["seed"] = cfg.seed
     report.config["overrides"] = cfg.overrides
+    for result in report.variants:  # refused here, before anything is written
+        bad = [k for k in cfg.emit_modes if not (result.failed or 0 <= k < result.model.rank)]
+        if bad:
+            raise InvalidParameterError(f"--emit-modes: mode index {bad[0]} outside "
+                                        f"0..{result.model.rank - 1} of variant {result.variant}")
 
     out = cfg.out
     record = report.to_dict()

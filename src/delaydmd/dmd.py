@@ -22,7 +22,7 @@ X V W / sigma). A sketched fit never forms the explicit Hankel matrix
 either: the operator is applied one delay block at a time
 (:func:`~delaydmd.projections.apply` with depth q), so the sketch allocates
 only its own a-by-(N-q+1) result. Mode columns may differ from those of a
-fit on the explicit Hankel pair by a sign or phase per column; the
+fit on the explicit embedding by a sign or phase per column; the
 amplitudes compensate, so spectra and predictions agree to roundoff.
 """
 
@@ -251,8 +251,8 @@ def dmd_tdc(x: SnapshotMatrix | DelayEmbedding, q: int,
     With q = 1 this reduces exactly to the classic fit on the split pair.
     The model's modes are the raw-state block of the embedded modes, so it
     predicts the original state. ``x`` may also be a prebuilt
-    :class:`~delaydmd.snapshots.DelayEmbedding` of depth q, which saves its
-    QR when several fits share the data.
+    :class:`~delaydmd.snapshots.DelayEmbedding` of depth q, compressed (which
+    saves its QR when several fits share the data) or explicit.
     """
     emb = x if isinstance(x, DelayEmbedding) else delay_embed(x, q)
     if emb.q != q:

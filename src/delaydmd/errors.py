@@ -47,16 +47,16 @@ class SnapshotConsistencyError(DelayDmdError):
     """Snapshot metadata disagrees with the stored data."""
 
 
-class InvalidGridError(DelayDmdError):
+class InvalidParameterError(DelayDmdError):
+    """A configuration or operator parameter violates its constraints."""
+
+
+class InvalidGridError(InvalidParameterError):
     """Grid too small for the requested operation."""
 
 
-class SamplingRateError(DelayDmdError):
+class SamplingRateError(InvalidParameterError):
     """Time step too coarse for the highest frequency in the signal."""
-
-
-class InvalidParameterError(DelayDmdError):
-    """A configuration or operator parameter violates its constraints."""
 
 
 class InvalidStartVectorError(DelayDmdError):

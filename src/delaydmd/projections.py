@@ -343,8 +343,9 @@ def gram_deviation(op: ProjectionOperator) -> float:
     targets the column gram instead).
 
     Computed once per operator: the Krylov build records it, a regenerated
-    operator reuses the gram that :func:`apply` accumulated, and otherwise
-    the grams of a panels of about one row's size are summed.
+    operator reuses the gram the first :func:`apply` summed over its panels,
+    and otherwise the grams of a panels of about one row's size are summed;
+    the last bits thus follow the first sweep's panel partition.
     """
     if op.kind in ("sampling", "identity"):
         return 0.0

@@ -1,16 +1,17 @@
-"""Snapshot data model: splitting, time-delay augmentation, and the file formats.
+"""Snapshot data model: splitting, time-delay embedding, and the file formats.
 
 A snapshot matrix stores one state vector per column at successive, equally
-spaced times. Every file format of the package lives here (:func:`read_json`,
-:func:`write_json`, :func:`read_matrix`, :data:`FLOAT_FMT`). Snapshots are
-stored as a bare CSV of the matrix (one row per spatial node, no header)
-plus a ``<name>.meta.json`` sidecar holding ``{m, n, dt, t0, grid?}``.
+spaced times. The package's JSON reader and writer, CSV reader and number
+format live here (:func:`read_json`, :func:`write_json`, :func:`read_matrix`,
+:data:`FLOAT_FMT`); ``dmd``, ``cli`` and ``analysis`` write CSVs of their own
+in it. Snapshots are a bare CSV of the matrix (one row per spatial node, no
+header) plus a ``<name>.meta.json`` sidecar holding ``{m, n, dt, t0, grid?}``.
 
-The delay embedding comes in two forms: the explicit Hankel matrix
-(:func:`hankel_block`, :func:`hankel_augment`) and :func:`delay_embed`, which
-holds the same matrix in the QR basis of the raw snapshots with q*min(M, N)
-rows instead of q*M; its R comes from row blocks, R <- R of [R; X_block], as
-in sequential tall-skinny QR (Demmel, Grigori, Hoemmen & Langou 2012). A
+The delay embedding has one type, :class:`DelayEmbedding`, and two
+constructors: :func:`hankel_augment` keeps the explicit Hankel matrix, and
+:func:`delay_embed` keeps it in the QR basis of the raw snapshots, with
+q*min(M, N) rows instead of q*M and R from row blocks, R <- R of [R; X_block]
+(sequential tall-skinny QR; Demmel, Grigori, Hoemmen & Langou 2012). A
 training window (:func:`train_test_split`) is a view.
 """
 
@@ -127,18 +128,6 @@ class SnapshotMatrix:
         return norms
 
 
-@dataclass(frozen=True)
-class HankelPair:
-    """Time-delay augmented pair: column j of ``x1_aug`` stacks q consecutive
-    snapshots starting at j; ``x2_aug`` is the same stack shifted one step."""
-
-    x1_aug: np.ndarray
-    x2_aug: np.ndarray
-    q: int
-    base_m: int
-    base_n: int
-
-
 def split(x: SnapshotMatrix):
     """Split into the before/after column pairs (columns 1..N-1, 2..N)."""
     if x.n < 2:
@@ -148,36 +137,25 @@ def split(x: SnapshotMatrix):
 
 def hankel_block(data: np.ndarray, q: int) -> np.ndarray:
     """The (q*M)-by-(N-q+1) Hankel matrix of M-by-N data: block b of column j
-    is column j+b of the data. Its first N-q columns are ``x1_aug`` and its
-    last N-q are ``x2_aug``."""
+    is column j+b of the data. Its first N-q columns are the ``x1`` of a
+    :class:`DelayEmbedding` and its last N-q are the ``x2``."""
     n = data.shape[1]
     if not 1 <= q <= n - 1:
         raise InvalidDelayError(f"q must satisfy 1 <= q <= N-1 = {n - 1}, got {q}")
     return np.vstack([data[:, b:b + n - q + 1] for b in range(q)])
 
 
-def hankel_augment(x: SnapshotMatrix, q: int) -> HankelPair:
-    """Stack q consecutive snapshots per column to form the delay-embedded pair.
-
-    With M-row data and N snapshots the result is a (q*M)-by-(N-q) pair of
-    column views into one Hankel matrix; q = 1 reproduces ``split``.
-    """
-    block = hankel_block(x.data, q)
-    return HankelPair(x1_aug=block[:, :-1], x2_aug=block[:, 1:],
-                      q=q, base_m=x.m, base_n=x.n)
-
-
 @dataclass(frozen=True)
 class DelayEmbedding:
-    """The depth-q Hankel matrix of some snapshots, in their QR coordinates.
+    """The depth-q Hankel matrix of some snapshots, in orthonormal coordinates.
 
-    With X = Q R a thin QR of the raw snapshots, each delay block X[:, b:b+n]
-    is Q R[:, b:b+n], so the Hankel matrix is (I_q kron Q) @ ``compressed``,
-    the q shifted column blocks of R stacked. (I_q kron Q) has orthonormal
-    columns, so SVDs, pencils and least-squares solves on ``compressed`` give
-    those of the Hankel matrix. Q is not kept: Q maps the first delay block
-    of a combination of compressed columns to the same combination of the
-    snapshots' columns, so raw-state vectors come from the snapshots.
+    The Hankel matrix is Q @ ``compressed`` for a Q with orthonormal columns,
+    so SVDs, pencils and least-squares solves on ``compressed`` give those of
+    the Hankel matrix. :func:`hankel_augment` takes Q = I. :func:`delay_embed`
+    takes Q = I_q kron Q_x for a thin QR X = Q_x R of the raw snapshots, since
+    each delay block X[:, b:b+n] is Q_x R[:, b:b+n]. Q is not kept: Q_x maps
+    the first delay block of a combination of compressed columns to the same
+    combination of the snapshots' columns, so raw states come from the data.
     """
 
     snapshots: SnapshotMatrix
@@ -186,13 +164,22 @@ class DelayEmbedding:
 
     @property
     def x1(self) -> np.ndarray:
-        """Compressed counterpart of ``HankelPair.x1_aug``."""
+        """Columns 0..N-q-1 of ``compressed``: the embedded states before a step."""
         return self.compressed[:, :-1]
 
     @property
     def x2(self) -> np.ndarray:
-        """Compressed counterpart of ``HankelPair.x2_aug``."""
+        """Columns 1..N-q of ``compressed``: the same states one step later."""
         return self.compressed[:, 1:]
+
+
+def hankel_augment(x: SnapshotMatrix, q: int) -> DelayEmbedding:
+    """Embed the snapshots to depth q in the identity basis.
+
+    ``x1`` and ``x2`` of the result are (q*M)-by-(N-q) column views into
+    one explicit Hankel matrix; q = 1 reproduces ``split``.
+    """
+    return DelayEmbedding(snapshots=x, q=q, compressed=hankel_block(x.data, q))
 
 
 def delay_embed(x: SnapshotMatrix, q: int) -> DelayEmbedding:

@@ -161,6 +161,20 @@ class TestRun:
         assert code == EXIT_USAGE
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize("modes,named", [("0,9", "mode index 9 outside 0..3"),
+                                             ("-1", "mode index -1 outside 0..3")],
+                             ids=["above-rank", "negative"])
+    def test_emit_modes_out_of_range_writes_nothing(self, tmp_path, capsys, modes, named):
+        # Refused after the fits and before the first file of any variant.
+        out = tmp_path / "out"
+        code = run_cli("run", "--problem", "signal-2d", *SMALL,
+                       "--variants", "classic,gaussian", "--measurements", "gaussian=20",
+                       "--emit-modes", modes, "--out", str(out))
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert named in err and "variant classic" in err
+        assert not out.exists()
+
     def test_file_problem_round_trip(self, tmp_path):
         run_cli("generate", "--problem", "signal-2d", *SMALL, "--nt", "40",
                 "--out", str(tmp_path))
@@ -357,6 +371,23 @@ class TestNonFiniteParameters:
         assert code == EXIT_USAGE
         assert "t0 must be finite" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
+
+
+class TestProblemParameters:
+    """A problem parameter the generator cannot use is a usage error."""
+
+    @pytest.mark.parametrize("command,problem,flags,named", [
+        ("generate", "double-gyre", ["--nx", "2", "--ny", "2"], "nx, ny >= 3"),
+        ("generate", "signal-2d", ["--dt", "0.2"], "undersamples"),
+        ("run", "signal-2d", ["--dt", "0.2"], "undersamples"),
+    ], ids=["gyre-nx-2", "signal-dt-0.2", "run-signal-dt-0.2"])
+    def test_exits_64_and_writes_nothing(self, tmp_path, capsys, command, problem, flags,
+                                         named):
+        out = tmp_path / "out"
+        code = run_cli(command, "--problem", problem, *flags, "--out", str(out))
+        assert code == EXIT_USAGE
+        assert named in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSparsity:

@@ -2,6 +2,8 @@
 linear-system oracles and model round-trips."""
 
 import json
+from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -27,7 +29,8 @@ from delaydmd.errors import (
     ZeroInitialConditionError,
 )
 from delaydmd.numerics import eig_dense, pseudoinverse_apply, thin_svd
-from delaydmd.problems import SignalParams, generate_signal
+from delaydmd.problems import (DoubleGyreParams, SignalParams, generate_double_gyre,
+                               generate_signal)
 from delaydmd.projections import (
     ProjectionOperator,
     achlioptas_operator,
@@ -88,12 +91,12 @@ def explicit_projected_fit(x, q, op):
     """The sketched fit on the explicit (q*M)-row Hankel pair, as eigenvalues,
     full-space modes and amplitudes: the reference for the compressed path."""
     pair = hankel_augment(x, q)
-    svd = thin_svd(apply(op, pair.x1_aug))
+    svd = thin_svd(apply(op, pair.x1))
     r = RankPolicy.relative_threshold(1e-10).resolve(svd.singular_values)
     v, sigma = svd.v[:, :r], svd.singular_values[:r]
-    eig = eig_dense((svd.u[:, :r].T @ apply(op, pair.x2_aug) @ v) / sigma)
-    modes = pair.x2_aug @ ((v / sigma) @ eig.eigenvectors)
-    return eig.eigenvalues, modes, pseudoinverse_apply(modes, pair.x1_aug[:, 0])
+    eig = eig_dense((svd.u[:, :r].T @ apply(op, pair.x2) @ v) / sigma)
+    modes = pair.x2 @ ((v / sigma) @ eig.eigenvectors)
+    return eig.eigenvalues, modes, pseudoinverse_apply(modes, pair.x1[:, 0])
 
 
 def assert_same_raw_modes(model, mu, modes, rtol):
@@ -113,6 +116,24 @@ def assert_same_raw_modes(model, mu, modes, rtol):
 def small_signal_snapshots(nx=16, nt=40):
     grid = GridMeta(nx, nx, -2.0, 2.0, -2.0, 2.0)
     return generate_signal(SignalParams(grid=grid, nt=nt))
+
+
+@lru_cache(maxsize=None)
+def stock_window(problem):
+    """The training window of a 30x30 stock run, and a delay depth for it."""
+    if problem == "signal":
+        return small_signal_snapshots(nx=30, nt=64), 2
+    grid = replace(DoubleGyreParams().grid, nx=30, ny=30)
+    return generate_double_gyre(DoubleGyreParams(grid=grid, nt=174)), 16
+
+
+# Seeded 50-row operators for the sketched fits, by kind.
+SKETCHES = {
+    "sampling": lambda d: sampling_operator(d, 50, 1),
+    "gaussian": lambda d: gaussian_operator(d, 50, 2),
+    "achlioptas": lambda d: achlioptas_operator(d, 50, 3, 3),
+    "krylov": lambda d: krylov_operator(d, 49, 4),
+}
 
 
 class TestRankPolicy:
@@ -360,7 +381,7 @@ class TestCompressedEmbedding:
     def test_tdc_matches_classic_on_explicit_pair(self, shape_kind, seed, q):
         x = random_snapshots(shape_kind, seed)
         pair = hankel_augment(x, q)
-        reference = dmd_classic(pair.x1_aug, pair.x2_aug, dt=x.dt)
+        reference = dmd_classic(pair.x1, pair.x2, dt=x.dt)
         model = dmd_tdc(x, q)
         assert_same_spectrum(model.eigenvalues_discrete,
                              reference.eigenvalues_discrete, atol=1e-10)
@@ -390,7 +411,7 @@ class TestCompressedEmbedding:
         x = random_snapshots(shape_kind, 11)
         if kind == "tdc":
             pair = hankel_augment(x, q)
-            reference = dmd_classic(pair.x1_aug, pair.x2_aug, dt=x.dt)
+            reference = dmd_classic(pair.x1, pair.x2, dt=x.dt)
             mu, modes = reference.eigenvalues_discrete, reference.modes
             model = dmd_tdc(x, q)
         else:
@@ -411,6 +432,32 @@ class TestCompressedEmbedding:
                                           own.eigenvalues_discrete)
             np.testing.assert_array_equal(shared.modes, own.modes)
 
+    @pytest.mark.parametrize("kind", ["tdc", *SKETCHES])
+    @pytest.mark.parametrize("problem", ["signal", "gyre"])
+    def test_explicit_embedding_is_a_reference_input(self, problem, kind):
+        # hankel_augment is the embedding with Q = I, so the fits take it as
+        # they take delay_embed's. A sketch reads only the snapshots, so the
+        # sketched eigenvalues agree bit for bit.
+        x, q = stock_window(problem)
+        op = None if kind == "tdc" else SKETCHES[kind](q * x.m)
+
+        def fit(emb):
+            return dmd_tdc(emb, q) if op is None else dmd_projected(emb, q, op)
+
+        explicit, compressed = fit(hankel_augment(x, q)), fit(delay_embed(x, q))
+        if kind == "tdc":
+            # The trailing eigenvalues sit below the numerical rank and move
+            # with roundoff; those of every dominant mode must not.
+            for model, other in ((explicit, compressed), (compressed, explicit)):
+                amp = np.abs(model.amplitudes)
+                mu = model.eigenvalues_discrete[amp >= 1e-3 * amp.max()]
+                dist = np.abs(mu[:, None] - other.eigenvalues_discrete[None, :])
+                assert np.max(dist.min(axis=1)) <= 1e-10
+        else:
+            np.testing.assert_array_equal(explicit.eigenvalues_discrete,
+                                          compressed.eigenvalues_discrete)
+        assert_same_predictions(explicit, lambda k: predict(compressed, k), x.n, x.m, 1e-10)
+
     def test_embedding_depth_must_match(self):
         emb = delay_embed(small_signal_snapshots(), 2)
         with pytest.raises(InvalidParameterError, match="q = 2"):
@@ -429,10 +476,10 @@ class TestCompressedEmbedding:
         assert emb.compressed.shape == (3 * 20, 18)
         pair = hankel_augment(x, 3)
         np.testing.assert_allclose(thin_svd(emb.x1).singular_values,
-                                   thin_svd(pair.x1_aug).singular_values,
+                                   thin_svd(pair.x1).singular_values,
                                    rtol=1e-12, atol=1e-12 * np.linalg.norm(x.data))
         basis = np.linalg.qr(x.data)[0]
-        np.testing.assert_allclose(np.kron(np.eye(3), basis) @ emb.x2, pair.x2_aug,
+        np.testing.assert_allclose(np.kron(np.eye(3), basis) @ emb.x2, pair.x2,
                                    atol=1e-12)
         n = emb.x2.shape[1]
         np.testing.assert_allclose(basis @ emb.x2[:20], x.data[:, 1:n + 1], atol=1e-12)

@@ -143,21 +143,21 @@ class TestHankelAugment:
     def test_six_snapshots_depth_two(self):
         x = snaps(np.arange(1.0, 7.0).reshape(1, 6))
         pair = hankel_augment(x, 2)
-        np.testing.assert_array_equal(pair.x1_aug, [[1, 2, 3, 4], [2, 3, 4, 5]])
-        np.testing.assert_array_equal(pair.x2_aug, [[2, 3, 4, 5], [3, 4, 5, 6]])
-        assert pair.q == 2 and pair.base_m == 1 and pair.base_n == 6
+        np.testing.assert_array_equal(pair.x1, [[1, 2, 3, 4], [2, 3, 4, 5]])
+        np.testing.assert_array_equal(pair.x2, [[2, 3, 4, 5], [3, 4, 5, 6]])
+        assert pair.q == 2 and pair.snapshots.m == 1 and pair.snapshots.n == 6
 
     def test_depth_one_equals_split(self):
         x = snaps(np.random.default_rng(0).standard_normal((4, 7)))
         pair = hankel_augment(x, 1)
         x1, x2 = split(x)
-        np.testing.assert_array_equal(pair.x1_aug, x1)
-        np.testing.assert_array_equal(pair.x2_aug, x2)
+        np.testing.assert_array_equal(pair.x1, x1)
+        np.testing.assert_array_equal(pair.x2, x2)
 
     def test_scalar_depth_three(self):
         pair = hankel_augment(snaps([[1.0, 2.0, 3.0, 4.0]]), 3)
-        np.testing.assert_array_equal(pair.x1_aug, [[1.0], [2.0], [3.0]])
-        np.testing.assert_array_equal(pair.x2_aug, [[2.0], [3.0], [4.0]])
+        np.testing.assert_array_equal(pair.x1, [[1.0], [2.0], [3.0]])
+        np.testing.assert_array_equal(pair.x2, [[2.0], [3.0], [4.0]])
 
     @pytest.mark.parametrize("q", [0, 4, -1])
     def test_invalid_depth(self, q):
@@ -171,12 +171,12 @@ class TestHankelAugment:
         q = data.draw(st.integers(1, n - 1))
         x = snaps(np.random.default_rng(seed).standard_normal((m, n)))
         pair = hankel_augment(x, q)
-        assert pair.x1_aug.shape == (q * m, n - q)
+        assert pair.x1.shape == (q * m, n - q)
         # Successive x1 columns overlap with x2 columns shifted by one.
         for j in range(n - q - 1):
-            np.testing.assert_array_equal(pair.x2_aug[:, j], pair.x1_aug[:, j + 1])
+            np.testing.assert_array_equal(pair.x2[:, j], pair.x1[:, j + 1])
         # The first m rows reproduce the leading snapshots.
-        np.testing.assert_array_equal(pair.x1_aug[:m], x.data[:, : n - q])
+        np.testing.assert_array_equal(pair.x1[:m], x.data[:, : n - q])
 
 
 class TestDelayEmbedding:
