@@ -21,7 +21,7 @@ from .dmd import (
 )
 from .errors import DelayDmdError, InvalidParameterError, ShapeMismatchError
 from .problems import DoubleGyreParams, SignalParams, generate_double_gyre, generate_signal
-from .snapshots import FLOAT_FMT, GridMeta, SnapshotMatrix, delay_embed, train_test_split
+from .snapshots import GridMeta, SnapshotMatrix, delay_embed, train_test_split
 
 # Norms below this floor count as zero when normalizing per-snapshot errors,
 # so an identically-zero snapshot cannot divide by zero.
@@ -56,6 +56,8 @@ class ErrorSeries:
         return float(np.mean(self.rel_error[self.n_train:]))
 
     def max_train_error(self) -> float:
+        if self.n_train < 1:
+            raise InvalidParameterError("no training window before n_train")
         return float(np.max(self.rel_error[: self.n_train]))
 
 
@@ -345,13 +347,3 @@ def run_comparison(problem, variant_specs, master_seed: int = 0, *,
         seeds["data"] = derive_seed(master_seed, "data")
     return ExperimentReport(problem=problem_name, variants=results,
                             config=config, seeds=seeds)
-
-
-def write_csv(path, header, rows) -> None:
-    """Write ``rows`` under a ``header`` line: numbers as ``FLOAT_FMT``, which
-    reads back as the same float, and text as is. ``cli.cmd_run`` writes the
-    spectrum and error CSVs with it from :meth:`ExperimentReport.to_dict`."""
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(v if isinstance(v, str) else FLOAT_FMT % v for v in row) + "\n")

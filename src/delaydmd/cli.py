@@ -22,8 +22,6 @@ from dataclasses import MISSING, dataclass, field as dc_field, fields, replace
 from pathlib import Path
 from typing import get_args, get_type_hints
 
-import numpy as np
-
 from . import analysis, dmd, snapshots
 from .analysis import STOCK_RUNS, VARIANT_NAMES, VariantSpec
 from .dmd import RankPolicy, load_model, save_model, spectrum as model_spectrum
@@ -260,17 +258,16 @@ def cmd_run(args) -> int:
             print(f"{result.variant}: FAILED ({result.error_message})")
             continue
         rows = entry["spectrum"]
-        analysis.write_csv(out / f"spectrum_{result.variant}.csv", rows[0],
-                           [row.values() for row in rows])
+        snapshots.write_csv(out / f"spectrum_{result.variant}.csv", rows[0],
+                            [row.values() for row in rows])
         errors = entry["errors"]
-        analysis.write_csv(out / f"errors_{result.variant}.csv", ("time", "rel_error"),
-                           zip(errors["times"], errors["rel_error"]))
+        snapshots.write_csv(out / f"errors_{result.variant}.csv", ("time", "rel_error"),
+                            zip(errors["times"], errors["rel_error"]))
         save_model(result.model, out / f"model_{result.variant}.json")
         for k in cfg.emit_modes:
             for part in ("real", "imag"):
                 field = analysis.mode_field(result.model, k, grid, part)
-                path = out / f"mode_{result.variant}_{k}_{part}.csv"
-                np.savetxt(path, field, fmt=snapshots.FLOAT_FMT, delimiter=",")
+                snapshots.write_csv(out / f"mode_{result.variant}_{k}_{part}.csv", None, field)
         print(f"{result.variant}: a={result.measurements} rank={result.model.rank} "
               f"wall={result.wall_time:.2f}s")
     print(f"report written to {out / 'report.json'}")

@@ -44,8 +44,8 @@ from .errors import (
 )
 from .numerics import eig_dense, pseudoinverse_apply, real_complex_matmul, thin_svd
 from .projections import ProjectionOperator, apply as apply_operator
-from .snapshots import (FLOAT_FMT, DelayEmbedding, SnapshotMatrix, delay_embed, hankel_block,
-                        integral, read_field, read_json, read_matrix, real, write_json)
+from .snapshots import (DelayEmbedding, SnapshotMatrix, delay_embed, hankel_block, integral,
+                        read_field, read_json, read_matrix, real, write_csv, write_json)
 
 # Discrete eigenvalues below this modulus cannot be mapped to a finite
 # continuous exponent; they are dropped with a warning.
@@ -349,12 +349,15 @@ def _complex_list(values) -> list[dict]:
 
 
 def _complex_array(items) -> np.ndarray:
-    return np.array([complex(d["re"], d["im"]) for d in items], dtype=complex)
+    return np.array([complex(real(d["re"]), real(d["im"])) for d in items], dtype=complex)
 
 
-def model_to_dict(model: DmdModel) -> dict:
-    """JSON-friendly view of a model, modes excluded (they go to CSV)."""
-    return {
+def save_model(model: DmdModel, path, include_modes: bool = False) -> None:
+    """Write the model JSON, modes excluded; with ``include_modes`` also write
+    ``<path stem>.modes.csv`` holding 2*base_m rows per mode column (real
+    block stacked on imaginary block)."""
+    path = Path(path)
+    write_json(path, {
         "variant": model.variant,
         "rank": model.rank,
         "q": model.q,
@@ -365,20 +368,12 @@ def model_to_dict(model: DmdModel) -> dict:
         "eigenvalues_discrete": _complex_list(model.eigenvalues_discrete),
         "exponents": _complex_list(model.exponents),
         "amplitudes": _complex_list(model.amplitudes),
-    }
-
-
-def save_model(model: DmdModel, path, include_modes: bool = False) -> None:
-    """Write the model JSON; with ``include_modes`` also write ``<path
-    stem>.modes.csv`` holding 2*base_m rows per mode column (real block
-    stacked on imaginary block)."""
-    path = Path(path)
-    write_json(path, model_to_dict(model))
+    })
     if include_modes:
         if model.modes is None:
             raise InvalidParameterError("model carries no modes to write")
         stacked = np.vstack([model.modes.real, model.modes.imag])
-        np.savetxt(path.with_suffix(".modes.csv"), stacked, fmt=FLOAT_FMT, delimiter=",")
+        write_csv(path.with_suffix(".modes.csv"), None, stacked)
 
 
 def load_model(path) -> DmdModel:

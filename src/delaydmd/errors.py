@@ -31,10 +31,6 @@ class InvalidDelayError(DelayDmdError):
     """Delay depth q outside 1 <= q <= N - 1."""
 
 
-class InvalidSplitError(DelayDmdError):
-    """Requested train length outside 2 <= n_train < N."""
-
-
 class SnapshotParseError(DelayDmdError):
     """Snapshot file is malformed; message carries the offending position."""
 
@@ -49,6 +45,10 @@ class SnapshotConsistencyError(DelayDmdError):
 
 class InvalidParameterError(DelayDmdError):
     """A configuration or operator parameter violates its constraints."""
+
+
+class InvalidSplitError(InvalidParameterError):
+    """Requested train length outside 2 <= n_train < N."""
 
 
 class InvalidGridError(InvalidParameterError):

@@ -1,11 +1,11 @@
 """Snapshot data model: splitting, time-delay embedding, and the file formats.
 
 A snapshot matrix stores one state vector per column at successive, equally
-spaced times. The package's JSON reader and writer, CSV reader and number
-format live here (:func:`read_json`, :func:`write_json`, :func:`read_matrix`,
-:data:`FLOAT_FMT`); ``dmd``, ``cli`` and ``analysis`` write CSVs of their own
-in it. Snapshots are a bare CSV of the matrix (one row per spatial node, no
-header) plus a ``<name>.meta.json`` sidecar holding ``{m, n, dt, t0, grid?}``.
+spaced times. Every file the package writes or reads goes through the JSON
+and CSV writers and readers here (:func:`write_json`, :func:`read_json`,
+:func:`write_csv`, :func:`read_matrix`; numbers as :data:`FLOAT_FMT`).
+Snapshots are a bare CSV of the matrix (one row per spatial node, no header)
+plus a ``<name>.meta.json`` sidecar holding ``{m, n, dt, t0, grid?}``.
 
 The delay embedding has one type, :class:`DelayEmbedding`, and two
 constructors: :func:`hankel_augment` keeps the explicit Hankel matrix, and
@@ -228,6 +228,21 @@ def write_json(path, record) -> None:
         fh.write("\n")
 
 
+def write_csv(path, header, rows) -> None:
+    """Write ``rows``, a float matrix or rows of numbers and text, under a
+    ``header`` line unless it is None: text as is, numbers as ``FLOAT_FMT``,
+    each row by the first row's format in one step, as numpy's ``savetxt`` does."""
+    with open(path, "w", encoding="utf-8") as fh:
+        if header is not None:
+            fh.write(",".join(header) + "\n")
+        row_format = None
+        for row in rows:
+            if row_format is None:
+                row_format = ",".join("%s" if isinstance(v, str) else FLOAT_FMT
+                                      for v in row) + "\n"
+            fh.write(row_format % tuple(row))
+
+
 def read_matrix(path, error) -> np.ndarray:
     """The comma-separated numbers of ``path``, one matrix row per line, as
     ``np.loadtxt`` reads them; raises ``error`` naming the file and where it
@@ -311,7 +326,7 @@ def save(x: SnapshotMatrix, path) -> None:
     if x.grid is not None:
         meta["grid"] = asdict(x.grid)
     write_json(f"{base}.meta.json", meta)
-    np.savetxt(f"{base}.csv", x.data, fmt=FLOAT_FMT, delimiter=",")
+    write_csv(f"{base}.csv", None, x.data)
 
 
 def load(path) -> SnapshotMatrix:

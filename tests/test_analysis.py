@@ -18,7 +18,6 @@ from delaydmd.analysis import (
     mode_field,
     relative_error_series,
     run_comparison,
-    write_csv,
 )
 from delaydmd.dmd import DmdModel, RankPolicy, dmd_tdc, predict
 from delaydmd.errors import (
@@ -29,7 +28,7 @@ from delaydmd.errors import (
     ShapeMismatchError,
 )
 from delaydmd.problems import SignalParams, generate_signal
-from delaydmd.snapshots import GridMeta, SnapshotMatrix, train_test_split
+from delaydmd.snapshots import GridMeta, SnapshotMatrix, train_test_split, write_csv
 
 
 def small_signal_params(nx=16, nt=40, **kw):
@@ -110,6 +109,11 @@ class TestRelativeErrorSeries:
             pred = predict(signal_model, 30 + k)
             expected = np.linalg.norm(truth - pred) / np.linalg.norm(truth)
             assert series.rel_error[k] == pytest.approx(expected, rel=1e-12, abs=1e-15)
+
+    def test_empty_training_window_raises(self, signal_data, signal_model):
+        series = relative_error_series(signal_model, signal_data)
+        with pytest.raises(InvalidParameterError, match="no training window"):
+            series.max_train_error()
 
     def test_model_without_modes_raises(self, signal_data, signal_model):
         bare = dataclasses.replace(signal_model, modes=None)

@@ -380,7 +380,8 @@ class TestProblemParameters:
         ("generate", "double-gyre", ["--nx", "2", "--ny", "2"], "nx, ny >= 3"),
         ("generate", "signal-2d", ["--dt", "0.2"], "undersamples"),
         ("run", "signal-2d", ["--dt", "0.2"], "undersamples"),
-    ], ids=["gyre-nx-2", "signal-dt-0.2", "run-signal-dt-0.2"])
+        ("run", "signal-2d", ["--nx", "12", "--ny", "12", "--n-train", "1"], "2 <= n_train"),
+    ], ids=["gyre-nx-2", "signal-dt-0.2", "run-signal-dt-0.2", "run-n-train-1"])
     def test_exits_64_and_writes_nothing(self, tmp_path, capsys, command, problem, flags,
                                          named):
         out = tmp_path / "out"

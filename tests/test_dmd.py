@@ -673,6 +673,18 @@ class TestModelSerialization:
         with pytest.raises(ModelParseError, match=f"model.json.*'{key}'.*not an integer"):
             load_model(path)
 
+    @pytest.mark.parametrize("key,value", [
+        ("eigenvalues_discrete", float("nan")), ("amplitudes", float("inf")),
+        ("exponents", True),
+    ])
+    def test_non_finite_or_boolean_complex_part_raises_parse_error(self, tmp_path, key, value):
+        path = self._saved(tmp_path)
+        record = json.loads(path.read_text())
+        record[key][0]["re"] = value
+        path.write_text(json.dumps(record))
+        with pytest.raises(ModelParseError, match=f"model.json.*'{key}'.*not a finite number"):
+            load_model(path)
+
     def test_integral_float_fields_load_as_ints(self, tmp_path):
         path = self._saved(tmp_path)
         record = json.loads(path.read_text())

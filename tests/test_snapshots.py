@@ -31,6 +31,7 @@ from delaydmd.snapshots import (
     save,
     split,
     train_test_split,
+    write_csv,
 )
 
 
@@ -114,6 +115,33 @@ class TestReadMatrix:
         path.write_text("1,2,3\n\n4,5\n")
         with pytest.raises(SnapshotParseError, match="line 3 has 2 fields, expected 3"):
             read_matrix(path, SnapshotParseError)
+
+
+class TestWriteCsv:
+    """Every CSV is written with the bytes of ``np.savetxt`` at ``FLOAT_FMT``."""
+
+    @pytest.mark.parametrize("matrix", [
+        np.array([[-0.0, 5e-324, 1e308], [0.1, 2.0, -7.0], [1e16, 3.0, 0.0]]),
+        np.array([[0.1, -2.0, 3.5, 1e-300]]),
+        np.array([[0.1], [-2.0], [3.5], [1e-300]]),
+    ], ids=["extremes", "1xn", "nx1"])
+    def test_matrix_matches_savetxt_and_reads_back(self, tmp_path, matrix):
+        write_csv(tmp_path / "w.csv", None, matrix)
+        np.savetxt(tmp_path / "s.csv", matrix, fmt="%.17g", delimiter=",")
+        assert (tmp_path / "w.csv").read_bytes() == (tmp_path / "s.csv").read_bytes()
+        back = read_matrix(tmp_path / "w.csv", SnapshotParseError)
+        assert back.tobytes() == matrix.tobytes()  # -0.0 and subnormals included
+
+    def test_numbers_and_text_under_a_header(self, tmp_path):
+        header = ("re_mu", "im_mu", "amp", "circle")
+        rows = [[0.5, -0.25, 3.0, "inside"], [1.0, 0.1, 1e-17, "on"]]
+        write_csv(tmp_path / "w.csv", header, rows)
+        np.savetxt(tmp_path / "s.csv", np.array(rows, dtype=object),
+                   fmt=["%.17g"] * 3 + ["%s"], delimiter=",", header=",".join(header),
+                   comments="")
+        assert (tmp_path / "w.csv").read_bytes() == (tmp_path / "s.csv").read_bytes()
+        assert (tmp_path / "w.csv").read_text().splitlines()[2] == (
+            "1,0.10000000000000001,1.0000000000000001e-17,on")
 
 
 class TestSplit:
