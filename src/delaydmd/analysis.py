@@ -172,7 +172,6 @@ class VariantResult:
     measurements: int | None
     spectrum: list[SpectrumEntry] = field(default_factory=list)
     errors: ErrorSeries | None = None
-    gram_deviation: float | None = None
     wall_time: float = 0.0
     error_message: str | None = None
     model: DmdModel | None = None
@@ -204,7 +203,6 @@ class ExperimentReport:
             entry = {
                 "variant": v.variant,
                 "measurements": v.measurements,
-                "gram_deviation": v.gram_deviation,
                 "wall_time": v.wall_time,
                 "error_message": v.error_message,
                 "spectrum": [
@@ -269,20 +267,6 @@ def _build_operator(spec: VariantSpec, state_dim: int, seed: int):
     raise InvalidParameterError(f"no operator for variant {spec.name!r}")
 
 
-def _fit_sketched(spec, embedding, state_dim, seed, result, rank_policy,
-                  project_before_augment):
-    """Build the variant's operator, fit, and record its diagnostics on
-    ``result``, also when the fit fails. The gram deviation is read after
-    the fit, which computed it while sketching. The operator is dropped on
-    return, so at most one is alive at a time."""
-    op = _build_operator(spec, state_dim, seed)
-    try:
-        return dmd_projected(embedding, embedding.q, op, rank_policy,
-                             project_before_augment=project_before_augment)
-    finally:
-        result.gram_deviation = projections.gram_deviation(op)
-
-
 def run_comparison(problem, variant_specs, master_seed: int = 0, *,
                    q: int = 2, n_train: int | None = None,
                    rank_policy: RankPolicy = DEFAULT_RANK_POLICY,
@@ -319,9 +303,11 @@ def run_comparison(problem, variant_specs, master_seed: int = 0, *,
                 model = dmd_tdc(embedding, q, rank_policy)
                 result.measurements = data.m
             else:
-                model = _fit_sketched(spec, embedding, state_dim,
-                                      derive_seed(master_seed, spec.name), result,
-                                      rank_policy, project_before_augment)
+                # The operator is a temporary, so at most one is alive at a time.
+                model = dmd_projected(
+                    embedding, q,
+                    _build_operator(spec, state_dim, derive_seed(master_seed, spec.name)),
+                    rank_policy, project_before_augment=project_before_augment)
             result.wall_time = time.perf_counter() - started
             result.model = model
             result.spectrum = spectrum(model)

@@ -356,6 +356,8 @@ def save_model(model: DmdModel, path, include_modes: bool = False) -> None:
     """Write the model JSON, modes excluded; with ``include_modes`` also write
     ``<path stem>.modes.csv`` holding 2*base_m rows per mode column (real
     block stacked on imaginary block)."""
+    if include_modes and model.modes is None:  # before any file is written
+        raise InvalidParameterError("model carries no modes to write")
     path = Path(path)
     write_json(path, {
         "variant": model.variant,
@@ -370,8 +372,6 @@ def save_model(model: DmdModel, path, include_modes: bool = False) -> None:
         "amplitudes": _complex_list(model.amplitudes),
     })
     if include_modes:
-        if model.modes is None:
-            raise InvalidParameterError("model carries no modes to write")
         stacked = np.vstack([model.modes.real, model.modes.imag])
         write_csv(path.with_suffix(".modes.csv"), None, stacked)
 

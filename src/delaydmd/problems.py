@@ -8,20 +8,12 @@ vector reshapes to ``(ny, nx)``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidGridError, InvalidParameterError, SamplingRateError
 from .snapshots import GridMeta, SnapshotMatrix
-
-
-def _default_gyre_grid() -> GridMeta:
-    return GridMeta(nx=100, ny=100, x_min=0.0, x_max=2.0, y_min=0.0, y_max=1.0)
-
-
-def _default_signal_grid() -> GridMeta:
-    return GridMeta(nx=100, ny=100, x_min=-2.0, x_max=2.0, y_min=-2.0, y_max=2.0)
 
 
 @dataclass(frozen=True)
@@ -37,7 +29,7 @@ class DoubleGyreParams:
     amp: float = 0.1
     omega: float = 2.0 * math.pi / 10.0
     eps: float = 0.25
-    grid: GridMeta = field(default_factory=_default_gyre_grid)
+    grid: GridMeta = GridMeta(nx=100, ny=100, x_min=0.0, x_max=2.0, y_min=0.0, y_max=1.0)
     nt: int = 200
     dt: float = 0.05
     t0: float = 0.0
@@ -68,7 +60,7 @@ class SignalParams:
     f1: float = 1.3
     f2: float = 8.4
     noise_amp: float = 0.0
-    grid: GridMeta = field(default_factory=_default_signal_grid)
+    grid: GridMeta = GridMeta(nx=100, ny=100, x_min=-2.0, x_max=2.0, y_min=-2.0, y_max=2.0)
     dt: float = 0.05
     t_final: float = 4.0
     nt: int | None = None

@@ -15,9 +15,9 @@ a-by-D matrix (Tropp, Yurtsever, Udell & Cevher 2017). Each row has a
 generator that starts at its first draw without drawing the rows before it,
 so building an operator draws nothing. :func:`apply` regenerates the matrix
 in column panels of at most ``_PANEL_ENTRIES`` entries, each delay block split
-evenly, and sums the panel products (Halko, Martinsson & Tropp 2011); the
-same sweep accumulates the row gram, so :func:`gram_deviation` costs no
-second pass.
+evenly, and sums the panel products (Halko, Martinsson & Tropp 2011).
+:func:`gram_deviation` is a diagnostic the run never calls: it regenerates
+the operator's panels afresh on each call and keeps nothing.
 """
 
 from __future__ import annotations
@@ -73,7 +73,6 @@ class ProjectionOperator:
             raise InvalidParameterError(f"unknown operator kind {kind!r}")
         self.kind, self.a, self.seed, self.sparsity_s = kind, a, seed, sparsity_s
         self._stored = None
-        self._gram_deviation = None
         if matrix is not None and kind in ("identity", "sampling"):
             reason = "it is I_a" if kind == "identity" else "its indices define it"
             raise InvalidParameterError(f"the {kind} operator takes no matrix; {reason}")
@@ -284,9 +283,7 @@ def krylov_operator(d: int, a: int, seed: int) -> ProjectionOperator:
         raise RankDeficientBasisError(
             "CholeskyQR left the rows more than 1e-12 from orthonormal; try another seed")
     rows.setflags(write=False)
-    op = ProjectionOperator(kind="krylov", matrix=rows, a=w, seed=seed)
-    op._gram_deviation = _deviation(gram)  # so gram_deviation forms no second gram
-    return op
+    return ProjectionOperator(kind="krylov", matrix=rows, a=w, seed=seed)
 
 
 def apply(op: ProjectionOperator, x, q: int = 1) -> np.ndarray:
@@ -298,8 +295,7 @@ def apply(op: ProjectionOperator, x, q: int = 1) -> np.ndarray:
     identity returns the Hankel matrix itself. The other kinds sum the
     products P_b @ x[:, b:b+N-q+1], each panel P_b = R[:, b*M:(b+1)*M] split
     into equal sub-panels of at most ``_PANEL_ENTRIES`` entries, sliced from a
-    stored matrix or regenerated from the seed; a regenerated operator's first
-    sweep also sums their grams into its row gram for :func:`gram_deviation`.
+    stored matrix or regenerated from the seed. Nothing is written to ``op``.
     With q = 1 this is the plain product with ``x``.
     """
     x = np.asarray(x, dtype=float)
@@ -319,18 +315,12 @@ def apply(op: ProjectionOperator, x, q: int = 1) -> np.ndarray:
     if op.kind == "sampling":
         blocks, rows = np.divmod(op.indices, m)
         return x[rows[:, None], blocks[:, None] + np.arange(cols)]
-    record = op._stored is None and op._gram_deviation is None
-    gram = np.zeros((op.a, op.a))
     out = np.zeros((op.a, cols))
     # Each sub-panel meets one row block of x, in its delay block b.
     parts = np.array_split(x, -(-m // max(1, _PANEL_ENTRIES // op.a)))
     spans = [(b, part) for b in range(q) for part in parts]
     for (b, part), panel in zip(spans, _panels(op, [len(part) for _, part in spans])):
         out += panel @ part[:, b:b + cols]
-        if record:
-            gram += panel @ panel.T
-    if record:
-        op._gram_deviation = _deviation(gram)
     return out
 
 
@@ -342,22 +332,15 @@ def gram_deviation(op: ProjectionOperator) -> float:
     kind, and order D/a for the dense random kinds (their normalization
     targets the column gram instead).
 
-    Computed once per operator: the Krylov build records it, a regenerated
-    operator reuses the gram the first :func:`apply` summed over its panels,
-    and otherwise the grams of a panels of about one row's size are summed;
-    the last bits thus follow the first sweep's panel partition.
+    Otherwise each call sums the grams of a panels of about D/a columns,
+    regenerated from the seed or sliced from the stored matrix: one sweep of
+    the operator and about 2a^2 D flops. Nothing is cached on ``op``.
     """
     if op.kind in ("sampling", "identity"):
         return 0.0
-    if op._gram_deviation is None:
-        widths = [op.d // op.a + (r < op.d % op.a) for r in range(op.a)]
-        op._gram_deviation = _deviation(sum(p @ p.T for p in _panels(op, widths)))
-    return op._gram_deviation
-
-
-def _deviation(gram: np.ndarray) -> float:
-    a = gram.shape[0]
-    return float(np.linalg.norm(gram - np.eye(a)) / np.sqrt(a))
+    widths = [op.d // op.a + (r < op.d % op.a) for r in range(op.a)]
+    gram = sum(p @ p.T for p in _panels(op, widths))
+    return float(np.linalg.norm(gram - np.eye(op.a)) / np.sqrt(op.a))
 
 
 def _panels(op: ProjectionOperator, widths):

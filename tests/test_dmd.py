@@ -584,6 +584,13 @@ class TestModelSerialization:
         assert back.variant == model.variant and back.q == model.q
         np.testing.assert_allclose(predict(back, 4), predict(model, 4), atol=1e-12)
 
+    def test_refused_modes_write_leaves_no_file(self, tmp_path):
+        x = snaps(np.random.default_rng(10).standard_normal((4, 12)))
+        model = replace(dmd_tdc(x, 2), modes=None)
+        with pytest.raises(InvalidParameterError, match="no modes"):
+            save_model(model, tmp_path / "model.json", include_modes=True)
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("keep_rows,keep_cols", [(-1, None), (-2, None), (None, -1)])
     def test_truncated_modes_file_raises(self, tmp_path, keep_rows, keep_cols):
         x = snaps(np.random.default_rng(12).standard_normal((4, 12)))
