@@ -259,12 +259,10 @@ def _build_operator(spec: VariantSpec, state_dim: int, seed: int):
     if spec.name == "achlioptas":
         return projections.achlioptas_operator(state_dim, spec.measurements,
                                                spec.sparsity_s, seed)
-    if spec.name == "krylov":
-        # The operator row count is the start vector plus one row per step.
-        if spec.measurements < 2:
-            raise InvalidParameterError("krylov variant needs measurements >= 2")
-        return projections.krylov_operator(state_dim, spec.measurements - 1, seed)
-    raise InvalidParameterError(f"no operator for variant {spec.name!r}")
+    # Krylov: the operator row count is the start vector plus one row per step.
+    if spec.measurements < 2:
+        raise InvalidParameterError("krylov variant needs measurements >= 2")
+    return projections.krylov_operator(state_dim, spec.measurements - 1, seed)
 
 
 def run_comparison(problem, variant_specs, master_seed: int = 0, *,
@@ -276,9 +274,11 @@ def run_comparison(problem, variant_specs, master_seed: int = 0, *,
     window, and score each model against the full window.
 
     Without ``n_train`` the first max(2, min(N - 1, int(0.8 * N))) of the N
-    columns train. ``wall_time`` excludes the shared delay embedding.
-    Per-variant failures are captured in the report unless ``strict``, in
-    which case the first failure propagates.
+    columns train. The delay embedding is built once, before any fit, so an
+    invalid ``q`` raises even without ``strict``; ``wall_time`` excludes it.
+    ``project_before_augment`` only sizes each operator: M columns instead of
+    q*M. Per-variant failures are captured in the report unless ``strict``,
+    in which case the first failure propagates.
     """
     if not variant_specs:
         raise InvalidParameterError("at least one variant is required")
@@ -286,19 +286,14 @@ def run_comparison(problem, variant_specs, master_seed: int = 0, *,
     if n_train is None:
         n_train = max(2, min(data.n - 1, int(0.8 * data.n)))
     train, _ = train_test_split(data, n_train)
+    embedding = delay_embed(train, q)
     state_dim = data.m if project_before_augment else q * data.m
 
     results = []
-    # Built by the first variant and shared, inside the per-variant try so that
-    # an invalid q fails each variant; its time is charged to no variant.
-    embedding = None
     for spec in variant_specs:
         result = VariantResult(variant=spec.name, measurements=spec.measurements)
         started = time.perf_counter()
         try:
-            if embedding is None:
-                embedding = delay_embed(train, q)
-                started = time.perf_counter()
             if spec.name == "classic":
                 model = dmd_tdc(embedding, q, rank_policy)
                 result.measurements = data.m
@@ -307,7 +302,7 @@ def run_comparison(problem, variant_specs, master_seed: int = 0, *,
                 model = dmd_projected(
                     embedding, q,
                     _build_operator(spec, state_dim, derive_seed(master_seed, spec.name)),
-                    rank_policy, project_before_augment=project_before_augment)
+                    rank_policy)
             result.wall_time = time.perf_counter() - started
             result.model = model
             result.spectrum = spectrum(model)

@@ -10,7 +10,8 @@ variant never depend on which other variants run.
 
 Exit codes: 0 success, 2 variant failure under ``--strict`` or a malformed
 input file (``SnapshotParseError``, ``ModelParseError``), 64 usage error
-(unknown config keys and malformed values included), 74 I/O error.
+(unknown or malformed settings, q outside 1..N-1, a repeated variant), 74
+I/O error.
 """
 
 from __future__ import annotations
@@ -228,6 +229,9 @@ def cmd_generate(args) -> int:
 
 def cmd_run(args) -> int:
     cfg = build_config(args)
+    for i, name in enumerate(cfg.variants):  # each writes its own files
+        if name in cfg.variants[:i]:
+            raise InvalidParameterError(f"variants: {name} is listed twice")
     specs = [VariantSpec(name, None if name == "classic"
                          else cfg.measurements.get(name, _MEASUREMENTS), cfg.sparsity)
              for name in cfg.variants]
@@ -291,12 +295,7 @@ def _add_common(p):
     p.add_argument("--problem", help="double-gyre, signal-2d, or file:<path>")
     p.add_argument("--config", help="JSON config file; flags override it")
     p.add_argument("--seed", type=int, help="master seed (else DELAYDMD_SEED, else 0)")
-    p.add_argument("--q", type=int, help="delay depth")
     p.add_argument("--out", help="output directory")
-    p.add_argument("--strict", action="store_true", default=None,
-                   help="fail the whole run on any variant failure")
-    p.add_argument("--project-before-augment", action="store_true", default=None,
-                   help="sketch raw states before delay embedding")
     # Problem parameter overrides, one flag per overridable parameter.
     for name, kind in _OVERRIDE_TYPES.items():
         p.add_argument("--" + name.replace("_", "-"), dest=name, type=kind,
@@ -314,6 +313,11 @@ def build_parser() -> _Parser:
 
     run = sub.add_parser("run", help="fit the requested variants and write a report")
     _add_common(run)
+    run.add_argument("--q", type=int, help="delay depth")
+    run.add_argument("--strict", action="store_true", default=None,
+                     help="fail the whole run on any variant failure")
+    run.add_argument("--project-before-augment", action="store_true", default=None,
+                     help="size each operator for the raw state (M), not the embedded one")
     run.add_argument("--n-train", dest="n_train", type=int,
                      help="training columns; the rest are held out")
     run.add_argument("--rank", help="rank policy: fixed:R or tol:T")

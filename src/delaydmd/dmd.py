@@ -263,26 +263,24 @@ def dmd_tdc(x: SnapshotMatrix | DelayEmbedding, q: int,
 
 
 def dmd_projected(x: SnapshotMatrix | DelayEmbedding, q: int, op: ProjectionOperator,
-                  policy: RankPolicy = DEFAULT_RANK_POLICY,
-                  *, project_before_augment: bool = False) -> DmdModel:
+                  policy: RankPolicy = DEFAULT_RANK_POLICY) -> DmdModel:
     """Sketch the delay-embedded pair through ``op``, fit in sketch space,
     and recover raw-state modes from the unprojected shifted matrix.
 
-    By default the operator acts on the embedded state (its column count
-    must be q*M). With ``project_before_augment`` the raw snapshots are
-    sketched first and the embedding applied to the sketch, which is a
-    different factorization; the operator then acts on M-dimensional states.
-    ``x`` may be snapshots or a prebuilt embedding of depth q, as in
-    :func:`dmd_tdc`.
+    The operator's width says where it acts. At q > 1 an operator P of width
+    M sketches the raw snapshots and the sketch is embedded, which is the
+    embedded-state sketch by I_q kron P, so the sketch has a*q rows. Any other
+    operator acts on the embedded state and must have width q*M; its sketch
+    has a rows. ``x`` may be snapshots or a prebuilt embedding of depth q, as
+    in :func:`dmd_tdc`.
 
-    The nominal truncation rank must not exceed the sketch's row count: a,
-    the operator's measurement count, or a*q with ``project_before_augment``.
+    The nominal truncation rank must not exceed the sketch's row count.
     """
     emb = x if isinstance(x, DelayEmbedding) else delay_embed(x, q)
     if emb.q != q:
         raise InvalidParameterError(f"embedding has depth q = {emb.q}, fit asked for q = {q}")
     s = emb.snapshots
-    if project_before_augment:
+    if q > 1 and op.d == s.m:
         # Sketching each delay block equals embedding the sketched snapshots.
         sketch = hankel_block(apply_operator(op, s.data), q)
         rank_limit = (op.a * q, "measurements*q")

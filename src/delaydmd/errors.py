@@ -16,7 +16,7 @@ class NumericalFailureError(DelayDmdError):
 
 
 class DegenerateModesError(DelayDmdError):
-    """Every singular value of the mode matrix fell below the cutoff."""
+    """The mode matrix is zero, so no amplitudes can be solved for."""
 
 
 class DegenerateDataError(DelayDmdError):
@@ -25,10 +25,6 @@ class DegenerateDataError(DelayDmdError):
 
 class InsufficientSnapshotsError(DelayDmdError):
     """Fewer than two snapshots; nothing to split into before/after pairs."""
-
-
-class InvalidDelayError(DelayDmdError):
-    """Delay depth q outside 1 <= q <= N - 1."""
 
 
 class SnapshotParseError(DelayDmdError):
@@ -45,6 +41,10 @@ class SnapshotConsistencyError(DelayDmdError):
 
 class InvalidParameterError(DelayDmdError):
     """A configuration or operator parameter violates its constraints."""
+
+
+class InvalidDelayError(InvalidParameterError):
+    """Delay depth q outside 1 <= q <= N - 1."""
 
 
 class InvalidSplitError(InvalidParameterError):

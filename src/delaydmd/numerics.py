@@ -121,8 +121,10 @@ def pseudoinverse_apply(phi, x) -> np.ndarray:
 
     Raises
     ------
+    InvalidParameterError
+        If ``phi`` or ``x`` holds a NaN or an infinity.
     DegenerateModesError
-        If every singular value falls below the cutoff.
+        If ``phi`` is zero or empty.
     """
     phi = np.asarray(phi)
     x = np.asarray(x)
@@ -132,6 +134,9 @@ def pseudoinverse_apply(phi, x) -> np.ndarray:
         raise InvalidParameterError(
             f"x must be a vector of length {phi.shape[0]}, got shape {x.shape}"
         )
+    for name, a in (("phi", phi), ("x", x)):
+        if not np.all(np.isfinite(a)):
+            raise InvalidParameterError(f"{name} contains non-finite entries")
     try:
         u, s, vh = np.linalg.svd(phi, full_matrices=False)
     except np.linalg.LinAlgError as exc:
@@ -139,10 +144,6 @@ def pseudoinverse_apply(phi, x) -> np.ndarray:
     if s.size == 0 or s[0] <= 0.0:
         raise DegenerateModesError("mode matrix is numerically zero")
     keep = s > PINV_CUTOFF * s[0]
-    if not np.any(keep):
-        raise DegenerateModesError(
-            f"all {s.size} singular values below {PINV_CUTOFF:g} * sigma_1"
-        )
     coeffs = (u[:, keep].conj().T @ x) / s[keep]
     return vh[keep, :].conj().T @ coeffs
 

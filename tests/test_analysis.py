@@ -318,13 +318,12 @@ class TestRunComparison:
         assert ga.failed and "InsufficientMeasurements" in ga.error_message
         assert not report.variant("classic").failed
 
-    def test_invalid_q_fails_each_variant_non_strict(self):
+    def test_invalid_q_raises_before_any_fit(self):
         specs = [VariantSpec("classic"), VariantSpec("gaussian", measurements=20)]
-        report = run_comparison(small_signal_params(), specs, 0, q=30, n_train=30)
-        for v in report.variants:
-            assert v.failed and v.error_message.startswith("InvalidDelayError")
-        with pytest.raises(InvalidDelayError):
-            run_comparison(small_signal_params(), specs, 0, q=30, n_train=30, strict=True)
+        for strict in (False, True):
+            with pytest.raises(InvalidDelayError):
+                run_comparison(small_signal_params(), specs, 0, q=30, n_train=30,
+                               strict=strict)
 
     def test_failure_raises_strict(self):
         specs = [VariantSpec("gaussian", measurements=1)]

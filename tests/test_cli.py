@@ -381,7 +381,14 @@ class TestProblemParameters:
         ("generate", "signal-2d", ["--dt", "0.2"], "undersamples"),
         ("run", "signal-2d", ["--dt", "0.2"], "undersamples"),
         ("run", "signal-2d", ["--nx", "12", "--ny", "12", "--n-train", "1"], "2 <= n_train"),
-    ], ids=["gyre-nx-2", "signal-dt-0.2", "run-signal-dt-0.2", "run-n-train-1"])
+        ("run", "signal-2d", ["--nx", "12", "--ny", "12", "--q", "0"], "1 <= q"),
+        ("run", "signal-2d", ["--nx", "12", "--ny", "12", "--q", "999"], "1 <= q"),
+        ("run", "signal-2d", ["--nx", "12", "--ny", "12", "--variants", "classic,classic"],
+         "classic is listed twice"),
+        ("generate", "signal-2d", ["--q", "3"], "unrecognized arguments: --q 3"),
+        ("generate", "signal-2d", ["--strict"], "unrecognized arguments: --strict"),
+    ], ids=["gyre-nx-2", "signal-dt-0.2", "run-signal-dt-0.2", "run-n-train-1", "run-q-0",
+            "run-q-999", "run-repeated-variant", "generate-q", "generate-strict"])
     def test_exits_64_and_writes_nothing(self, tmp_path, capsys, command, problem, flags,
                                          named):
         out = tmp_path / "out"

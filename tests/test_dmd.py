@@ -308,10 +308,8 @@ class TestDmdProjected:
     def test_guard_counts_a_times_q_before_augment(self):
         x = generate_signal(SignalParams(grid=GridMeta(20, 20, -2, 2, -2, 2)))
         with pytest.raises(InsufficientMeasurementsError, match="measurements\\*q = 2"):
-            dmd_projected(x, 2, gaussian_operator(x.m, 1, seed=0), RankPolicy.fixed(4),
-                          project_before_augment=True)
-        model = dmd_projected(x, 2, gaussian_operator(x.m, 2, seed=0), RankPolicy.fixed(4),
-                              project_before_augment=True)
+            dmd_projected(x, 2, gaussian_operator(x.m, 1, seed=0), RankPolicy.fixed(4))
+        model = dmd_projected(x, 2, gaussian_operator(x.m, 2, seed=0), RankPolicy.fixed(4))
         assert model.rank == 4
 
     @settings(deadline=None, max_examples=15)
@@ -332,9 +330,26 @@ class TestDmdProjected:
     def test_project_before_augment_variant(self):
         x = small_signal_snapshots()
         op = gaussian_operator(x.m, 40, seed=5)
-        model = dmd_projected(x, 2, op, project_before_augment=True)
+        model = dmd_projected(x, 2, op)
         freqs = sorted({round(abs(w.imag) / (2 * np.pi), 3) for w in model.exponents})
         assert freqs == [1.3, 8.4]
+
+    @pytest.mark.parametrize("q", [2, 3])
+    @pytest.mark.parametrize("make_op", [
+        lambda d: sampling_operator(d, 30, 1),
+        lambda d: gaussian_operator(d, 20, 1),
+        lambda d: achlioptas_operator(d, 20, 3, 1),
+        lambda d: krylov_operator(d, 19, 1),
+    ], ids=["sampling", "gaussian", "achlioptas", "krylov"])
+    def test_raw_state_operator_fits_as_its_block_diagonal(self, make_op, q):
+        # An operator P of width M sketches the raw snapshots, which is the
+        # embedded-state sketch through I_q kron P.
+        x = small_signal_snapshots()
+        op = make_op(x.m)
+        block = ProjectionOperator("krylov", np.kron(np.eye(q), op.matrix), q * op.a, None)
+        raw, embedded = dmd_projected(x, q, op), dmd_projected(x, q, block)
+        np.testing.assert_array_equal(raw.eigenvalues_discrete, embedded.eigenvalues_discrete)
+        np.testing.assert_array_equal(raw.modes, embedded.modes)
 
     def test_zero_initial_column(self):
         # At q = 1 the first embedded column is the (identically zero) t = 0
@@ -493,7 +508,7 @@ class TestCompressedEmbedding:
     def test_projected_modes_are_raw_state(self, before):
         x = small_signal_snapshots()
         op = gaussian_operator(x.m if before else 3 * x.m, 30, seed=2)
-        model = dmd_projected(x, 3, op, project_before_augment=before)
+        model = dmd_projected(x, 3, op)
         assert model.modes.shape == (x.m, model.rank)
 
 

@@ -153,3 +153,12 @@ class TestPseudoinverseApply:
         b = pseudoinverse_apply(phi, x)
         # Residual of the least-squares solution is orthogonal to the columns.
         np.testing.assert_allclose(phi.T @ (phi @ b - x), np.zeros(3), atol=1e-12)
+
+    @pytest.mark.parametrize("where,bad", [("phi", np.nan), ("phi", np.inf), ("x", np.nan)],
+                             ids=["phi-nan", "phi-inf", "x-nan"])
+    def test_non_finite_input_raises(self, where, bad):
+        phi = np.eye(4, 2) + 0j
+        x = np.ones(4)
+        (phi if where == "phi" else x)[1] = bad
+        with pytest.raises(InvalidParameterError, match=f"{where} contains non-finite"):
+            pseudoinverse_apply(phi, x)
