@@ -39,7 +39,7 @@ _SCORE_BLOCK = 16
 # misaligned.
 OFFSET_STEP_TOL = 1e-9
 
-VARIANT_NAMES = ("classic", "sampling", "gaussian", "achlioptas", "krylov")
+VARIANT_NAMES = ("classic", *projections.KINDS)
 
 
 @dataclass(frozen=True)
@@ -136,9 +136,9 @@ class VariantSpec:
             raise InvalidParameterError(
                 f"unknown variant {self.name!r}; choose from {VARIANT_NAMES}"
             )
-        if self.name != "classic":
-            if self.measurements is None or self.measurements < 1:
-                raise InvalidParameterError(f"variant {self.name} needs measurements >= 1")
+        least = 2 if self.name == "krylov" else 1  # Krylov: the ones row and a random one
+        if self.name != "classic" and (self.measurements is None or self.measurements < least):
+            raise InvalidParameterError(f"variant {self.name} needs measurements >= {least}")
         if self.sparsity_s not in (1, 3):
             raise InvalidParameterError("sparsity_s must be 1 or 3")
 
@@ -260,8 +260,6 @@ def _build_operator(spec: VariantSpec, state_dim: int, seed: int):
         return projections.achlioptas_operator(state_dim, spec.measurements,
                                                spec.sparsity_s, seed)
     # Krylov: the operator row count is the start vector plus one row per step.
-    if spec.measurements < 2:
-        raise InvalidParameterError("krylov variant needs measurements >= 2")
     return projections.krylov_operator(state_dim, spec.measurements - 1, seed)
 
 

@@ -10,8 +10,9 @@ variant never depend on which other variants run.
 
 Exit codes: 0 success, 2 variant failure under ``--strict`` or a malformed
 input file (``SnapshotParseError``, ``ModelParseError``), 64 usage error
-(unknown or malformed settings, q outside 1..N-1, a repeated variant), 74
-I/O error.
+(unknown or malformed settings, q outside 1..N-1, a repeated variant, a
+measurement count for classic, a Krylov count below 2, a sparsity other
+than 1 or 3), 74 I/O error.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import MISSING, dataclass, field as dc_field, fields, replace
 from pathlib import Path
 from typing import get_args, get_type_hints
 
-from . import analysis, dmd, snapshots
+from . import analysis, dmd, projections, snapshots
 from .analysis import STOCK_RUNS, VARIANT_NAMES, VariantSpec
 from .dmd import RankPolicy, load_model, save_model, spectrum as model_spectrum
 from .errors import DelayDmdError, InvalidParameterError
@@ -93,14 +94,15 @@ def _comma_list(item):
 
 
 def _measurements(name, value) -> dict:
-    """Counts per variant, as ``variant=count`` comma text or a JSON object."""
+    """Counts per reduced variant, as ``variant=count`` comma text or a JSON object."""
     if isinstance(value, str):
         value = {variant.strip(): count for variant, _, count
                  in (part.partition("=") for part in _comma_list(_text)(name, value))}
     counts = {}
     for variant, count in _of(dict, "variant counts")(name, value).items():
-        if variant not in VARIANT_NAMES:
-            raise InvalidParameterError(f"{name}: unknown variant {variant!r}")
+        if variant not in projections.KINDS:  # classic takes no count
+            raise InvalidParameterError(f"{name}: no count for variant {variant!r}; "
+                                        f"choose from {projections.KINDS}")
         counts[variant] = _integer(f"{name} of {variant}", count)
     return counts
 
@@ -321,12 +323,10 @@ def build_parser() -> _Parser:
     run.add_argument("--n-train", dest="n_train", type=int,
                      help="training columns; the rest are held out")
     run.add_argument("--rank", help="rank policy: fixed:R or tol:T")
-    run.add_argument("--variants",
-                     help="comma list from classic,sampling,gaussian,achlioptas,krylov")
+    run.add_argument("--variants", help=f"comma list from {','.join(VARIANT_NAMES)}")
     run.add_argument("--measurements", action="append",
                      help="per-variant counts, e.g. sampling=100 (repeatable)")
-    run.add_argument("--sparsity", type=int, choices=(1, 3),
-                     help="Achlioptas sparsity parameter s")
+    run.add_argument("--sparsity", type=int, help="Achlioptas sparsity parameter s: 1 or 3")
     run.add_argument("--emit-modes",
                      help="comma list of mode indices to write as grid CSVs")
     run.set_defaults(func=cmd_run)

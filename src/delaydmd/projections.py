@@ -1,14 +1,15 @@
 """Measurement-reduction operators and the Arnoldi process.
 
-Five operator kinds are supported: ``identity`` (no reduction), ``sampling``
+Four operator kinds are supported, those the paper compares: ``sampling``
 (random row extraction without replacement), ``gaussian`` (dense random
 projection, entry variance 1/a), ``achlioptas`` (sparse three-point random
 projection) and ``krylov`` (orthonormal rows spanning the all-ones vector
-plus a random subspace). The Krylov rows are a seeded Gaussian block,
-orthonormalized in place by two CholeskyQR passes, which refuse a block with
-condition number above 1e7, their limit; the row span has the same
-distribution as that of an Arnoldi run on a seeded d-by-d Gaussian matrix.
-All constructors are pure functions of their arguments.
+plus a random subspace). No reduction is the sampling of every row, which
+:func:`identity_operator` builds. The Krylov rows are a seeded Gaussian
+block, orthonormalized in place by two CholeskyQR passes, which refuse a
+block with condition number above 1e7, their limit; the row span has the
+same distribution as that of an Arnoldi run on a seeded d-by-d Gaussian
+matrix. All constructors are pure functions of their arguments.
 
 The seeded random kinds store only what regenerates their rows, never the
 a-by-D matrix (Tropp, Yurtsever, Udell & Cevher 2017). Each row has a
@@ -33,9 +34,8 @@ from .errors import (
     RankDeficientBasisError,
     ShapeMismatchError,
 )
-from .snapshots import hankel_block
 
-KINDS = ("identity", "sampling", "gaussian", "achlioptas", "krylov")
+KINDS = ("sampling", "gaussian", "achlioptas", "krylov")
 
 # Operator entries in one panel that apply regenerates or slices (4 MB).
 _PANEL_ENTRIES = 2**19
@@ -46,8 +46,6 @@ class ProjectionOperator:
 
     Each kind keeps only what applies its matrix:
 
-    - ``identity``: nothing (D = a). It takes no ``matrix``, which
-      ``apply`` would ignore;
     - ``sampling``: ``indices``, its rows of I_D, sorted ascending. It takes
       no ``matrix``, which could disagree with them;
     - ``gaussian``: ``seed``. Row r is drawn from its own stream, the r-th
@@ -62,8 +60,7 @@ class ProjectionOperator:
       anything else is copied once, so the caller's array stays theirs.
 
     Without a matrix, ``d`` gives D. Reading ``matrix`` returns the dense
-    a-by-D array, built afresh on each access unless it is stored (None for
-    identity).
+    a-by-D array, built afresh on each access unless it is stored.
     """
 
     def __init__(self, kind: str, matrix, a: int, seed: int | None,
@@ -73,9 +70,9 @@ class ProjectionOperator:
             raise InvalidParameterError(f"unknown operator kind {kind!r}")
         self.kind, self.a, self.seed, self.sparsity_s = kind, a, seed, sparsity_s
         self._stored = None
-        if matrix is not None and kind in ("identity", "sampling"):
-            reason = "it is I_a" if kind == "identity" else "its indices define it"
-            raise InvalidParameterError(f"the {kind} operator takes no matrix; {reason}")
+        if matrix is not None and kind == "sampling":
+            raise InvalidParameterError("the sampling operator takes no matrix; "
+                                        "its indices define it")
         if matrix is None and kind in ("gaussian", "achlioptas"):
             _check_seed(seed)
         if matrix is not None:
@@ -89,8 +86,6 @@ class ProjectionOperator:
                 raise InvalidParameterError("operator matrix contains non-finite entries")
             m.setflags(write=False)
             self._stored, d = m, m.shape[1]
-        elif kind == "identity":
-            d = a
         elif d is None or not {
                 "sampling": indices is not None,
                 "achlioptas": sparsity_s in (1, 3),
@@ -106,9 +101,9 @@ class ProjectionOperator:
         self.indices = _checked_indices(indices, a, d) if kind == "sampling" else None
 
     @property
-    def matrix(self) -> np.ndarray | None:
+    def matrix(self) -> np.ndarray:
         """The dense a-by-D matrix; a fresh array unless it is stored."""
-        if self._stored is not None or self.kind == "identity":
+        if self._stored is not None:
             return self._stored
         if self.kind == "sampling":
             m = np.zeros((self.a, self.d))
@@ -134,8 +129,9 @@ class ArnoldiResult:
 
 
 def identity_operator(d: int) -> ProjectionOperator:
-    """The no-op operator; useful as the reduction-free reference."""
-    return ProjectionOperator(kind="identity", matrix=None, a=d, seed=None)
+    """I_d, the reduction-free reference: the sampling of all d rows. It
+    stores their indices and draws nothing."""
+    return ProjectionOperator("sampling", None, d, None, indices=np.arange(d), d=d)
 
 
 def sampling_operator(d: int, a: int, seed: int) -> ProjectionOperator:
@@ -291,12 +287,12 @@ def apply(op: ProjectionOperator, x, q: int = 1) -> np.ndarray:
     measurement space, without forming that matrix.
 
     Row b*M + i of the (q*M)-by-(N-q+1) Hankel matrix of the M-by-N data is
-    row i of ``x[:, b:b+N-q+1]``. Sampling gathers those entries directly;
-    identity returns the Hankel matrix itself. The other kinds sum the
-    products P_b @ x[:, b:b+N-q+1], each panel P_b = R[:, b*M:(b+1)*M] split
-    into equal sub-panels of at most ``_PANEL_ENTRIES`` entries, sliced from a
-    stored matrix or regenerated from the seed. Nothing is written to ``op``.
-    With q = 1 this is the plain product with ``x``.
+    row i of ``x[:, b:b+N-q+1]``. Sampling gathers those entries directly, so
+    the identity operator gives a copy of the Hankel matrix. The other kinds
+    sum the products P_b @ x[:, b:b+N-q+1], each panel P_b = R[:, b*M:(b+1)*M]
+    split into equal sub-panels of at most ``_PANEL_ENTRIES`` entries, sliced
+    from a stored matrix or regenerated from the seed. Nothing is written to
+    ``op``. With q = 1 this is the plain product with ``x``.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
@@ -309,8 +305,6 @@ def apply(op: ProjectionOperator, x, q: int = 1) -> np.ndarray:
             f"operator expects {op.d} rows, the depth-{q} Hankel matrix of the data "
             f"has {q * m}"
         )
-    if op.kind == "identity":
-        return x if q == 1 else hankel_block(x, q)
     cols = n - q + 1
     if op.kind == "sampling":
         blocks, rows = np.divmod(op.indices, m)
@@ -327,16 +321,16 @@ def apply(op: ProjectionOperator, x, q: int = 1) -> np.ndarray:
 def gram_deviation(op: ProjectionOperator) -> float:
     """Row-gram departure from orthonormality: ||R R* - I||_F / sqrt(a).
 
-    Exactly zero for sampling and identity, whose rows are distinct rows of
-    I_D, so it is returned without forming R R*; below 1e-10 for the Krylov
-    kind, and order D/a for the dense random kinds (their normalization
-    targets the column gram instead).
+    Exactly zero for sampling, the identity operator included, whose rows
+    are distinct rows of I_D, so it is returned without forming R R*; below
+    1e-10 for the Krylov kind, and order D/a for the dense random kinds
+    (their normalization targets the column gram instead).
 
     Otherwise each call sums the grams of a panels of about D/a columns,
     regenerated from the seed or sliced from the stored matrix: one sweep of
     the operator and about 2a^2 D flops. Nothing is cached on ``op``.
     """
-    if op.kind in ("sampling", "identity"):
+    if op.kind == "sampling":
         return 0.0
     widths = [op.d // op.a + (r < op.d % op.a) for r in range(op.a)]
     gram = sum(p @ p.T for p in _panels(op, widths))

@@ -140,8 +140,7 @@ def hankel_block(data: np.ndarray, q: int) -> np.ndarray:
     is column j+b of the data. Its first N-q columns are the ``x1`` of a
     :class:`DelayEmbedding` and its last N-q are the ``x2``."""
     n = data.shape[1]
-    if not 1 <= q <= n - 1:
-        raise InvalidDelayError(f"q must satisfy 1 <= q <= N-1 = {n - 1}, got {q}")
+    _check_depth(q, n)
     return np.vstack([data[:, b:b + n - q + 1] for b in range(q)])
 
 
@@ -184,10 +183,16 @@ def hankel_augment(x: SnapshotMatrix, q: int) -> DelayEmbedding:
 
 def delay_embed(x: SnapshotMatrix, q: int) -> DelayEmbedding:
     """Embed the snapshots to depth q through the R of the raw data, by row blocks."""
+    _check_depth(q, x.n)  # before the QR
     r = np.linalg.qr(x.data[:_QR_ROWS], mode="r")
     for start in range(_QR_ROWS, x.m, _QR_ROWS):
         r = np.linalg.qr(np.vstack([r, x.data[start:start + _QR_ROWS]]), mode="r")
     return DelayEmbedding(snapshots=x, q=q, compressed=hankel_block(r, q))
+
+
+def _check_depth(q: int, n: int) -> None:
+    if not 1 <= q <= n - 1:
+        raise InvalidDelayError(f"q must satisfy 1 <= q <= N-1 = {n - 1}, got {q}")
 
 
 def train_test_split(x: SnapshotMatrix, n_train: int):

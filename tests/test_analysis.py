@@ -267,8 +267,9 @@ class TestVariantSpec:
         ({"name": "svd"}, "unknown variant"),
         ({"name": "gaussian"}, "needs measurements"),
         ({"name": "krylov", "measurements": 0}, "needs measurements"),
+        ({"name": "krylov", "measurements": 1}, "krylov needs measurements >= 2"),
         ({"name": "achlioptas", "measurements": 10, "sparsity_s": 2}, "sparsity_s"),
-    ], ids=["unknown", "no budget", "zero budget", "sparsity 2"])
+    ], ids=["unknown", "no budget", "zero budget", "krylov one row", "sparsity 2"])
     def test_invalid_specs_refused(self, kwargs, match):
         with pytest.raises(InvalidParameterError, match=match):
             VariantSpec(**kwargs)

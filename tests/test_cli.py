@@ -87,7 +87,7 @@ class TestRun:
                        "--nt", "40", "--n-train", "30", "--seed", "4",
                        "--variants", "classic,gaussian,achlioptas,krylov",
                        "--measurements", "gaussian=30", "--measurements", "achlioptas=30",
-                       "--measurements", "krylov=1", "--out", str(tmp_path))
+                       "--measurements", "krylov=1000", "--out", str(tmp_path))
         assert code == EXIT_OK
         succeeded = 0
         for entry in read_report(tmp_path)["variants"]:
@@ -385,10 +385,17 @@ class TestProblemParameters:
         ("run", "signal-2d", ["--nx", "12", "--ny", "12", "--q", "999"], "1 <= q"),
         ("run", "signal-2d", ["--nx", "12", "--ny", "12", "--variants", "classic,classic"],
          "classic is listed twice"),
+        ("run", "signal-2d", ["--nx", "12", "--ny", "12", "--measurements", "krylov=1"],
+         "krylov needs measurements >= 2"),
+        ("run", "signal-2d", ["--nx", "12", "--ny", "12", "--measurements", "classic=5"],
+         "no count for variant 'classic'"),
+        ("run", "signal-2d", ["--nx", "12", "--ny", "12", "--sparsity", "2"],
+         "sparsity_s must be 1 or 3"),
         ("generate", "signal-2d", ["--q", "3"], "unrecognized arguments: --q 3"),
         ("generate", "signal-2d", ["--strict"], "unrecognized arguments: --strict"),
     ], ids=["gyre-nx-2", "signal-dt-0.2", "run-signal-dt-0.2", "run-n-train-1", "run-q-0",
-            "run-q-999", "run-repeated-variant", "generate-q", "generate-strict"])
+            "run-q-999", "run-repeated-variant", "run-krylov-1", "run-classic-count",
+            "run-sparsity-2", "generate-q", "generate-strict"])
     def test_exits_64_and_writes_nothing(self, tmp_path, capsys, command, problem, flags,
                                          named):
         out = tmp_path / "out"

@@ -100,6 +100,12 @@ class TestIdentityOperator:
         assert peak < 2**20
         assert op.d == op.a == 5000
 
+    def test_is_the_sampling_of_every_row(self):
+        op = identity_operator(7)
+        assert op.kind == "sampling" and op.a == op.d == 7
+        np.testing.assert_array_equal(op.indices, np.arange(7))
+        np.testing.assert_array_equal(op.matrix, np.eye(7))
+
     @pytest.mark.parametrize("kind", ["sampling", "gaussian", "achlioptas", "krylov"])
     def test_other_kinds_need_a_matrix(self, kind):
         with pytest.raises(InvalidParameterError):
@@ -642,7 +648,7 @@ class TestStoredStateValidation:
                                indices=np.array([1, 2]))
 
     def test_identity_refuses_a_matrix(self):
-        with pytest.raises(InvalidParameterError, match="identity operator takes no matrix"):
+        with pytest.raises(InvalidParameterError, match="unknown operator kind 'identity'"):
             ProjectionOperator("identity", np.ones((2, 3)), 2, None)
 
     def test_sampling_count_above_dimension_raises(self):

@@ -238,6 +238,16 @@ class TestDelayEmbedding:
         assert emb.compressed.shape == (2 * 174, 173)
         assert grown < 0.1 * 20000 * 174 * 8
 
+    @pytest.mark.parametrize("past", [False, True], ids=["q-0", "q-n"])
+    def test_depth_checked_before_the_qr(self, monkeypatch, past):
+        def no_qr(*args, **kwargs):
+            raise AssertionError("QR run before the depth check")
+
+        x = snaps(np.random.default_rng(5).standard_normal((6, 9)))
+        monkeypatch.setattr(np.linalg, "qr", no_qr)
+        with pytest.raises(InvalidDelayError, match="1 <= q <= N-1 = 8"):
+            delay_embed(x, x.n if past else 0)
+
 
 def _rank_two(m, n):
     rng = np.random.default_rng(m + n)
