@@ -125,7 +125,7 @@ def mode_field(model: DmdModel, k: int, grid: GridMeta, part: str) -> np.ndarray
 
 @dataclass(frozen=True)
 class VariantSpec:
-    """One fit to run: a variant name, its measurement budget and sparsity."""
+    """One fit: a variant name, its integer measurement count (none for classic) and sparsity."""
 
     name: str
     measurements: int | None = None
@@ -137,8 +137,12 @@ class VariantSpec:
                 f"unknown variant {self.name!r}; choose from {VARIANT_NAMES}"
             )
         least = 2 if self.name == "krylov" else 1  # Krylov: the ones row and a random one
-        if self.name != "classic" and (self.measurements is None or self.measurements < least):
-            raise InvalidParameterError(f"variant {self.name} needs measurements >= {least}")
+        if self.name == "classic" and self.measurements is not None:
+            raise InvalidParameterError("no count for variant 'classic'; it measures every row")
+        if self.name != "classic" and not (isinstance(self.measurements, (int, np.integer))
+                                           and self.measurements >= least):
+            raise InvalidParameterError(
+                f"variant {self.name} needs measurements >= {least} (an integer)")
         if self.sparsity_s not in (1, 3):
             raise InvalidParameterError("sparsity_s must be 1 or 3")
 
@@ -268,8 +272,8 @@ def run_comparison(problem, variant_specs, master_seed: int = 0, *,
                    rank_policy: RankPolicy = DEFAULT_RANK_POLICY,
                    project_before_augment: bool = False,
                    strict: bool = False) -> ExperimentReport:
-    """Generate the data once, fit every requested variant on the training
-    window, and score each model against the full window.
+    """Refuse a repeated variant, generate the data once, fit every variant on
+    the training window, and score each model against the full window.
 
     Without ``n_train`` the first max(2, min(N - 1, int(0.8 * N))) of the N
     columns train. The delay embedding is built once, before any fit, so an
@@ -280,12 +284,20 @@ def run_comparison(problem, variant_specs, master_seed: int = 0, *,
     """
     if not variant_specs:
         raise InvalidParameterError("at least one variant is required")
+    names = [s.name for s in variant_specs]
+    for i, name in enumerate(names):  # each variant has one report entry
+        if name in names[:i]:
+            raise InvalidParameterError(f"variants: {name} is listed twice")
     problem_name, data = generate_problem(problem, master_seed)
     if n_train is None:
         n_train = max(2, min(data.n - 1, int(0.8 * data.n)))
     train, _ = train_test_split(data, n_train)
     embedding = delay_embed(train, q)
     state_dim = data.m if project_before_augment else q * data.m
+    seeds = {"master": master_seed}
+    seeds.update({name: derive_seed(master_seed, name) for name in names if name != "classic"})
+    if problem_name == "signal-2d":
+        seeds["data"] = derive_seed(master_seed, "data")
 
     results = []
     for spec in variant_specs:
@@ -299,7 +311,7 @@ def run_comparison(problem, variant_specs, master_seed: int = 0, *,
                 # The operator is a temporary, so at most one is alive at a time.
                 model = dmd_projected(
                     embedding, q,
-                    _build_operator(spec, state_dim, derive_seed(master_seed, spec.name)),
+                    _build_operator(spec, state_dim, seeds[spec.name]),
                     rank_policy)
             result.wall_time = time.perf_counter() - started
             result.model = model
@@ -319,10 +331,5 @@ def run_comparison(problem, variant_specs, master_seed: int = 0, *,
         "project_before_augment": project_before_augment,
         "variants": [asdict(s) for s in variant_specs],
     }
-    seeds = {"master": master_seed}
-    seeds.update({s.name: derive_seed(master_seed, s.name)
-                  for s in variant_specs if s.name != "classic"})
-    if problem_name == "signal-2d":
-        seeds["data"] = derive_seed(master_seed, "data")
     return ExperimentReport(problem=problem_name, variants=results,
                             config=config, seeds=seeds)

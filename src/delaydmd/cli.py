@@ -9,10 +9,10 @@ sub-seeds by hashing the component name, so the random draws of one
 variant never depend on which other variants run.
 
 Exit codes: 0 success, 2 variant failure under ``--strict`` or a malformed
-input file (``SnapshotParseError``, ``ModelParseError``), 64 usage error
-(unknown or malformed settings, q outside 1..N-1, a repeated variant, a
-measurement count for classic, a Krylov count below 2, a sparsity other
-than 1 or 3), 74 I/O error.
+input file (``SnapshotParseError``, ``ModelParseError``), 64 usage error,
+that is any ``InvalidParameterError`` (unknown or malformed settings, q
+outside 1..N-1, a repeated variant, a measurement count for classic, a
+Krylov count below 2, a sparsity other than 1 or 3), 74 I/O error.
 """
 
 from __future__ import annotations
@@ -52,13 +52,9 @@ _OVERRIDE_TYPES = {name: kind for params in _PARAMS.values()
                    for name, kind in _overridable(params).items()}
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise _UsageError(message)
+        raise InvalidParameterError(message)
 
 
 # Setting parsers take the setting's name and the value a flag or a config
@@ -231,9 +227,6 @@ def cmd_generate(args) -> int:
 
 def cmd_run(args) -> int:
     cfg = build_config(args)
-    for i, name in enumerate(cfg.variants):  # each writes its own files
-        if name in cfg.variants[:i]:
-            raise InvalidParameterError(f"variants: {name} is listed twice")
     specs = [VariantSpec(name, None if name == "classic"
                          else cfg.measurements.get(name, _MEASUREMENTS), cfg.sparsity)
              for name in cfg.variants]
@@ -342,7 +335,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (_UsageError, InvalidParameterError) as exc:
+    except InvalidParameterError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

@@ -68,8 +68,8 @@ class RankPolicy:
 
     def __post_init__(self):
         if self.mode == "fixed":
-            if self.r is None or self.r < 1:
-                raise InvalidParameterError("fixed rank must be >= 1")
+            if not (isinstance(self.r, (int, np.integer)) and self.r >= 1):
+                raise InvalidParameterError("fixed rank must be >= 1 (an integer)")
         elif self.mode == "tol":
             if self.tol is None or not 0.0 < self.tol < 1.0:
                 raise InvalidParameterError("relative threshold must lie in (0, 1)")

@@ -39,8 +39,8 @@ class DoubleGyreParams:
             raise InvalidParameterError("amp and omega must be positive and finite")
         if not 0 <= self.eps < 0.5:
             raise InvalidParameterError(f"eps must lie in [0, 0.5), got {self.eps}")
-        if self.nt < 2:
-            raise InvalidParameterError(f"nt must be at least 2, got {self.nt}")
+        if not (isinstance(self.nt, (int, np.integer)) and self.nt >= 2):
+            raise InvalidParameterError(f"nt must be an integer of at least 2, got {self.nt}")
         if not 0 < self.dt < math.inf:
             raise InvalidParameterError(f"dt must be positive and finite, got {self.dt}")
         if not -math.inf < self.t0 < math.inf:
@@ -83,8 +83,8 @@ class SignalParams:
             )
         if self.nt is None:
             object.__setattr__(self, "nt", int(math.floor(self.t_final / self.dt + 1e-9)) + 1)
-        if self.nt < 2:
-            raise InvalidParameterError(f"nt must be at least 2, got {self.nt}")
+        if not (isinstance(self.nt, (int, np.integer)) and self.nt >= 2):
+            raise InvalidParameterError(f"nt must be an integer of at least 2, got {self.nt}")
         if self.t0 is None:
             object.__setattr__(self, "t0", self.dt)
         if not -math.inf < self.t0 < math.inf:

@@ -93,9 +93,9 @@ class ProjectionOperator:
             raise InvalidParameterError(
                 f"a {kind} operator needs its matrix, or d and what regenerates its rows"
             )
-        if not 1 <= a <= d:
+        if not (isinstance(a, (int, np.integer)) and 1 <= a <= d):
             raise InvalidParameterError(
-                f"measurement count {a} must satisfy 1 <= a <= state dimension {d}"
+                f"measurement count {a} must be an integer with 1 <= a <= state dimension {d}"
             )
         self.d = d
         self.indices = _checked_indices(indices, a, d) if kind == "sampling" else None
@@ -141,9 +141,9 @@ def sampling_operator(d: int, a: int, seed: int) -> ProjectionOperator:
     generator and sorted ascending, so the operator extracts a spatial
     traces in index order. Only the indices are stored.
     """
-    if not 1 <= a <= d:  # before rng.choice, which raises ValueError
+    if not (isinstance(a, (int, np.integer)) and 1 <= a <= d):  # before rng.choice's bare errors
         raise InvalidParameterError(
-            f"measurement count {a} must satisfy 1 <= a <= state dimension {d}")
+            f"measurement count {a} must be an integer with 1 <= a <= state dimension {d}")
     _check_seed(seed)
     rng = np.random.default_rng(seed)
     indices = np.sort(rng.choice(d, size=a, replace=False))
@@ -246,12 +246,9 @@ def krylov_operator(d: int, a: int, seed: int) -> ProjectionOperator:
     final rows are more than 1e-12 from orthonormal. A Gaussian block that
     ill-conditioned is vanishingly rare.
     """
-    if a < 1:
-        raise InvalidParameterError(f"subspace dimension must be positive, got {a}")
-    if a + 1 > d:
+    if not (isinstance(a, (int, np.integer)) and 1 <= a <= d - 1):  # a + 1 basis vectors
         raise InvalidParameterError(
-            f"subspace dimension {a} needs a + 1 <= d = {d} basis vectors"
-        )
+            f"subspace dimension {a} must be an integer with 1 <= a <= d - 1 = {d - 1}")
     _check_seed(seed)
     rng = np.random.default_rng(seed)
     w = a + 1
@@ -298,8 +295,8 @@ def apply(op: ProjectionOperator, x, q: int = 1) -> np.ndarray:
     if x.ndim != 2:
         raise ShapeMismatchError(f"x must be 2-d, got shape {x.shape}")
     m, n = x.shape
-    if q != 1 and not 1 <= q <= n - 1:
-        raise InvalidDelayError(f"q must satisfy 1 <= q <= N-1 = {n - 1}, got {q}")
+    if not (isinstance(q, (int, np.integer)) and (q == 1 or 1 <= q <= n - 1)):
+        raise InvalidDelayError(f"q must be an integer with 1 <= q <= N-1 = {n - 1}, got {q}")
     if q * m != op.d:
         raise ShapeMismatchError(
             f"operator expects {op.d} rows, the depth-{q} Hankel matrix of the data "

@@ -52,8 +52,8 @@ class GridMeta:
     y_max: float
 
     def __post_init__(self):
-        if self.nx < 1 or self.ny < 1:
-            raise InvalidParameterError("grid needs nx >= 1 and ny >= 1")
+        if not all(isinstance(k, (int, np.integer)) and k >= 1 for k in (self.nx, self.ny)):
+            raise InvalidParameterError("grid needs integer nx >= 1 and ny >= 1")
         if not (self.x_min < self.x_max and self.y_min < self.y_max):
             raise InvalidParameterError("grid extents must satisfy min < max")
 
@@ -191,14 +191,15 @@ def delay_embed(x: SnapshotMatrix, q: int) -> DelayEmbedding:
 
 
 def _check_depth(q: int, n: int) -> None:
-    if not 1 <= q <= n - 1:
-        raise InvalidDelayError(f"q must satisfy 1 <= q <= N-1 = {n - 1}, got {q}")
+    if not (isinstance(q, (int, np.integer)) and 1 <= q <= n - 1):
+        raise InvalidDelayError(f"q must be an integer with 1 <= q <= N-1 = {n - 1}, got {q}")
 
 
 def train_test_split(x: SnapshotMatrix, n_train: int):
     """First ``n_train`` columns for training, the rest (with advanced t0) for testing."""
-    if not 2 <= n_train < x.n:
-        raise InvalidSplitError(f"n_train must satisfy 2 <= n_train < N = {x.n}, got {n_train}")
+    if not (isinstance(n_train, (int, np.integer)) and 2 <= n_train < x.n):
+        raise InvalidSplitError(
+            f"n_train must be an integer with 2 <= n_train < N = {x.n}, got {n_train}")
     train = SnapshotMatrix(x.data[:, :n_train], dt=x.dt, grid=x.grid, t0=x.t0)
     test = SnapshotMatrix(x.data[:, n_train:], dt=x.dt, grid=x.grid,
                           t0=x.t0 + n_train * x.dt)

@@ -25,8 +25,19 @@ from delaydmd.errors import (
     InvalidParameterError,
     ShapeMismatchError,
 )
-from delaydmd.problems import SignalParams, generate_signal
-from delaydmd.snapshots import GridMeta, SnapshotMatrix, train_test_split, write_csv
+from delaydmd.problems import (
+    DoubleGyreParams,
+    SignalParams,
+    generate_double_gyre,
+    generate_signal,
+)
+from delaydmd.snapshots import (
+    GridMeta,
+    SnapshotMatrix,
+    delay_embed,
+    train_test_split,
+    write_csv,
+)
 
 
 def small_signal_params(nx=16, nt=40, **kw):
@@ -269,7 +280,10 @@ class TestVariantSpec:
         ({"name": "krylov", "measurements": 0}, "needs measurements"),
         ({"name": "krylov", "measurements": 1}, "krylov needs measurements >= 2"),
         ({"name": "achlioptas", "measurements": 10, "sparsity_s": 2}, "sparsity_s"),
-    ], ids=["unknown", "no budget", "zero budget", "krylov one row", "sparsity 2"])
+        ({"name": "classic", "measurements": 5}, "no count for variant 'classic'"),
+        ({"name": "gaussian", "measurements": 2.5}, "needs measurements >= 1 \\(an integer\\)"),
+    ], ids=["unknown", "no budget", "zero budget", "krylov one row", "sparsity 2",
+            "classic count", "gaussian 2.5"])
     def test_invalid_specs_refused(self, kwargs, match):
         with pytest.raises(InvalidParameterError, match=match):
             VariantSpec(**kwargs)
@@ -352,6 +366,35 @@ class TestRunComparison:
         np.testing.assert_array_equal(report.variant("classic").model.eigenvalues_discrete,
                                       dmd_tdc(train, 2).eigenvalues_discrete)
 
+    @pytest.mark.parametrize("names", [["classic", "gaussian", "classic"],
+                                       ["sampling", "gaussian", "gaussian"]])
+    def test_repeated_variant_refused_before_any_data(self, monkeypatch, names):
+        def no_data(*args):
+            raise AssertionError("data generated before the variants were checked")
+
+        monkeypatch.setattr(analysis, "generate_problem", no_data)
+        specs = [VariantSpec(name, None if name == "classic" else 10 + i)
+                 for i, name in enumerate(names)]
+        with pytest.raises(InvalidParameterError, match=f"variants: {names[-1]} is listed twice"):
+            run_comparison(small_signal_params(), specs, 0, q=2, n_train=30)
+
+    def test_each_variant_seed_is_derived_once(self, monkeypatch):
+        components = []
+
+        def counted(master_seed, component):
+            components.append(component)
+            return derive_seed(master_seed, component)
+
+        monkeypatch.setattr(analysis, "derive_seed", counted)
+        specs = [VariantSpec("sampling", measurements=40), VariantSpec("classic"),
+                 VariantSpec("gaussian", measurements=20)]
+        report = run_comparison(small_signal_params(), specs, 3, q=2, n_train=30)
+        assert components.count("sampling") == components.count("gaussian") == 1
+        assert "classic" not in components
+        assert list(report.seeds.items()) == [
+            ("master", 3), ("sampling", derive_seed(3, "sampling")),
+            ("gaussian", derive_seed(3, "gaussian")), ("data", derive_seed(3, "data"))]
+
     def test_wall_time_excludes_the_shared_embedding(self, monkeypatch):
         embed = analysis.delay_embed
 
@@ -405,3 +448,35 @@ class TestReportSerialization:
         spec_lines = (tmp_path / "spec.csv").read_text().splitlines()
         assert spec_lines[0] == "re_mu,im_mu,re_omega,im_omega,amp,circle"
         assert len(spec_lines) == 1 + signal_model.rank
+
+
+_SNAPSHOTS = SnapshotMatrix(np.random.default_rng(0).standard_normal((5, 10)), dt=0.1)
+
+
+class TestIntegerCounts:
+    """A count that is not an integer is a typed error at each entry point."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: run_comparison(small_signal_params(), [VariantSpec("gaussian", 2.5)], 0,
+                               q=2, n_train=30),
+        lambda: run_comparison(small_signal_params(), [VariantSpec("classic")], 0,
+                               q=2.5, n_train=30),
+        lambda: run_comparison(small_signal_params(), [VariantSpec("classic")], 0,
+                               q=2, n_train=30.5),
+        lambda: dmd_tdc(_SNAPSHOTS, 2, RankPolicy.fixed(2.5)),
+        lambda: projections.gaussian_operator(10, 2.5, 0).matrix,
+        lambda: projections.sampling_operator(10, 2.5, 0),
+        lambda: projections.krylov_operator(10, 2.5, 0),
+        lambda: projections.apply(projections.gaussian_operator(5, 2, 0), _SNAPSHOTS.data, 1.0),
+        lambda: projections.apply(projections.gaussian_operator(10, 2, 0), _SNAPSHOTS.data, 2.0),
+        lambda: delay_embed(_SNAPSHOTS, 2.5),
+        lambda: train_test_split(_SNAPSHOTS, 5.5),
+        lambda: generate_double_gyre(DoubleGyreParams(nt=20.5)),
+        lambda: generate_signal(small_signal_params(nt=20.5)),
+        lambda: generate_signal(SignalParams(grid=GridMeta(10.5, 10, -2.0, 2.0, -2.0, 2.0))),
+    ], ids=["variant-count", "run-q", "run-n-train", "fixed-rank", "gaussian-a", "sampling-a",
+            "krylov-a", "apply-q-1.0", "apply-q-2.0", "delay-embed-q", "split-n-train", "gyre-nt",
+            "signal-nt", "grid-nx"])
+    def test_float_count_is_refused(self, call):
+        with pytest.raises(InvalidParameterError, match="integer"):
+            call()
