@@ -21,7 +21,7 @@ from .dmd import (
 )
 from .errors import DelayDmdError, InvalidParameterError, ShapeMismatchError
 from .problems import DoubleGyreParams, SignalParams, generate_double_gyre, generate_signal
-from .snapshots import GridMeta, SnapshotMatrix, delay_embed, train_test_split
+from .snapshots import GridMeta, SnapshotMatrix, delay_embed, is_integer, train_test_split
 
 # Norms below this floor count as zero when normalizing per-snapshot errors,
 # so an identically-zero snapshot cannot divide by zero.
@@ -139,7 +139,7 @@ class VariantSpec:
         least = 2 if self.name == "krylov" else 1  # Krylov: the ones row and a random one
         if self.name == "classic" and self.measurements is not None:
             raise InvalidParameterError("no count for variant 'classic'; it measures every row")
-        if self.name != "classic" and not (isinstance(self.measurements, (int, np.integer))
+        if self.name != "classic" and not (is_integer(self.measurements)
                                            and self.measurements >= least):
             raise InvalidParameterError(
                 f"variant {self.name} needs measurements >= {least} (an integer)")
@@ -244,14 +244,15 @@ def derive_seed(master_seed: int, component: str) -> int:
 
 
 def generate_problem(problem, master_seed: int):
-    """The problem's name and its snapshots; signal noise comes from the
-    ``"data"`` sub-seed."""
+    """The problem's name, its snapshots and the sub-seeds they were drawn
+    with: ``{"data": ...}`` for the signal's noise, none for the others."""
     if isinstance(problem, DoubleGyreParams):
-        return "double-gyre", generate_double_gyre(problem)
+        return "double-gyre", generate_double_gyre(problem), {}
     if isinstance(problem, SignalParams):
-        return "signal-2d", generate_signal(problem, rng_seed=derive_seed(master_seed, "data"))
+        seed = derive_seed(master_seed, "data")
+        return "signal-2d", generate_signal(problem, rng_seed=seed), {"data": seed}
     if isinstance(problem, SnapshotMatrix):
-        return "file", problem
+        return "file", problem, {}
     raise InvalidParameterError(f"unsupported problem object {type(problem).__name__}")
 
 
@@ -288,7 +289,7 @@ def run_comparison(problem, variant_specs, master_seed: int = 0, *,
     for i, name in enumerate(names):  # each variant has one report entry
         if name in names[:i]:
             raise InvalidParameterError(f"variants: {name} is listed twice")
-    problem_name, data = generate_problem(problem, master_seed)
+    problem_name, data, data_seeds = generate_problem(problem, master_seed)
     if n_train is None:
         n_train = max(2, min(data.n - 1, int(0.8 * data.n)))
     train, _ = train_test_split(data, n_train)
@@ -296,8 +297,7 @@ def run_comparison(problem, variant_specs, master_seed: int = 0, *,
     state_dim = data.m if project_before_augment else q * data.m
     seeds = {"master": master_seed}
     seeds.update({name: derive_seed(master_seed, name) for name in names if name != "classic"})
-    if problem_name == "signal-2d":
-        seeds["data"] = derive_seed(master_seed, "data")
+    seeds.update(data_seeds)
 
     results = []
     for spec in variant_specs:

@@ -218,7 +218,7 @@ def cmd_generate(args) -> int:
     cfg = build_config(args)
     if cfg.problem.startswith("file:"):
         raise InvalidParameterError("generate needs a synthetic problem, not file:")
-    _, data = analysis.generate_problem(make_problem(cfg), cfg.seed)
+    _, data, _ = analysis.generate_problem(make_problem(cfg), cfg.seed)
     base = cfg.out / cfg.problem
     snapshots.save(data, base)
     print(f"wrote {base}.csv and {base}.meta.json ({data.m}x{data.n})")

@@ -45,7 +45,7 @@ from .errors import (
 from .numerics import eig_dense, pseudoinverse_apply, real_complex_matmul, thin_svd
 from .projections import ProjectionOperator, apply as apply_operator
 from .snapshots import (DelayEmbedding, SnapshotMatrix, delay_embed, hankel_block, integral,
-                        read_field, read_json, read_matrix, real, write_csv, write_json)
+                        is_integer, read_field, read_json, read_matrix, real, write_csv, write_json)
 
 # Discrete eigenvalues below this modulus cannot be mapped to a finite
 # continuous exponent; they are dropped with a warning.
@@ -68,7 +68,7 @@ class RankPolicy:
 
     def __post_init__(self):
         if self.mode == "fixed":
-            if not (isinstance(self.r, (int, np.integer)) and self.r >= 1):
+            if not (is_integer(self.r) and self.r >= 1):
                 raise InvalidParameterError("fixed rank must be >= 1 (an integer)")
         elif self.mode == "tol":
             if self.tol is None or not 0.0 < self.tol < 1.0:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidGridError, InvalidParameterError, SamplingRateError
-from .snapshots import GridMeta, SnapshotMatrix
+from .snapshots import GridMeta, SnapshotMatrix, is_integer
 
 
 @dataclass(frozen=True)
@@ -39,7 +39,7 @@ class DoubleGyreParams:
             raise InvalidParameterError("amp and omega must be positive and finite")
         if not 0 <= self.eps < 0.5:
             raise InvalidParameterError(f"eps must lie in [0, 0.5), got {self.eps}")
-        if not (isinstance(self.nt, (int, np.integer)) and self.nt >= 2):
+        if not (is_integer(self.nt) and self.nt >= 2):
             raise InvalidParameterError(f"nt must be an integer of at least 2, got {self.nt}")
         if not 0 < self.dt < math.inf:
             raise InvalidParameterError(f"dt must be positive and finite, got {self.dt}")
@@ -83,7 +83,7 @@ class SignalParams:
             )
         if self.nt is None:
             object.__setattr__(self, "nt", int(math.floor(self.t_final / self.dt + 1e-9)) + 1)
-        if not (isinstance(self.nt, (int, np.integer)) and self.nt >= 2):
+        if not (is_integer(self.nt) and self.nt >= 2):
             raise InvalidParameterError(f"nt must be an integer of at least 2, got {self.nt}")
         if self.t0 is None:
             object.__setattr__(self, "t0", self.dt)

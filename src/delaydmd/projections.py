@@ -6,19 +6,19 @@ projection, entry variance 1/a), ``achlioptas`` (sparse three-point random
 projection) and ``krylov`` (orthonormal rows spanning the all-ones vector
 plus a random subspace). No reduction is the sampling of every row, which
 :func:`identity_operator` builds. The Krylov rows are a seeded Gaussian
-block, orthonormalized in place by two CholeskyQR passes, which refuse a
-block with condition number above 1e7, their limit; the row span has the
-same distribution as that of an Arnoldi run on a seeded d-by-d Gaussian
-matrix. All constructors are pure functions of their arguments.
+block orthonormalized by two CholeskyQR passes, which refuse a block with
+condition number above 1e7, their limit; the row span has the same
+distribution as that of an Arnoldi run on a seeded d-by-d Gaussian matrix.
 
-The seeded random kinds store only what regenerates their rows, never the
-a-by-D matrix (Tropp, Yurtsever, Udell & Cevher 2017). Each row has a
-generator that starts at its first draw without drawing the rows before it,
-so building an operator draws nothing. :func:`apply` regenerates the matrix
-in column panels of at most ``_PANEL_ENTRIES`` entries, each delay block split
-evenly, and sums the panel products (Halko, Martinsson & Tropp 2011).
-:func:`gram_deviation` is a diagnostic the run never calls: it regenerates
-the operator's panels afresh on each call and keeps nothing.
+The seeded kinds store only what regenerates their rows, never the a-by-D
+matrix (Tropp, Yurtsever, Udell & Cevher 2017): Krylov its seed and two
+inverse Cholesky factors, the others a seed from which each row's generator
+starts at its first draw, so that their build draws nothing. :func:`apply`
+regenerates the matrix in column panels of at most ``_PANEL_ENTRIES``
+entries, each delay block split evenly, and sums the panel products (Halko,
+Martinsson & Tropp 2011). :func:`gram_deviation` is a diagnostic the run
+never calls: it regenerates the operator's panels afresh on each call and
+keeps nothing. All constructors are pure functions of their arguments.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from .errors import (
     RankDeficientBasisError,
     ShapeMismatchError,
 )
+from .snapshots import is_integer
 
 KINDS = ("sampling", "gaussian", "achlioptas", "krylov")
 
@@ -54,9 +55,9 @@ class ProjectionOperator:
     - ``achlioptas``: ``seed`` and ``sparsity_s``. Every uniform draw takes
       one 64-bit word, so row r starts at the seeded generator advanced by
       r*D;
-    - ``krylov``, and any other kind given an explicit ``matrix``: that
-      matrix, read-only and C-ordered. A read-only, C-contiguous float64
-      array is kept as it is, as :func:`krylov_operator` hands over its rows;
+    - ``krylov``: ``seed`` and ``factors``, its 2-by-a-by-a inverse Cholesky factors;
+    - any other kind given an explicit ``matrix``: that matrix, read-only and
+      C-ordered. A read-only, C-contiguous float64 array is kept as it is;
       anything else is copied once, so the caller's array stays theirs.
 
     Without a matrix, ``d`` gives D. Reading ``matrix`` returns the dense
@@ -65,7 +66,7 @@ class ProjectionOperator:
 
     def __init__(self, kind: str, matrix, a: int, seed: int | None,
                  sparsity_s: int | None = None, indices=None, *,
-                 d: int | None = None):
+                 d: int | None = None, factors=None):
         if kind not in KINDS:
             raise InvalidParameterError(f"unknown operator kind {kind!r}")
         self.kind, self.a, self.seed, self.sparsity_s = kind, a, seed, sparsity_s
@@ -73,7 +74,7 @@ class ProjectionOperator:
         if matrix is not None and kind == "sampling":
             raise InvalidParameterError("the sampling operator takes no matrix; "
                                         "its indices define it")
-        if matrix is None and kind in ("gaussian", "achlioptas"):
+        if matrix is None and kind != "sampling":
             _check_seed(seed)
         if matrix is not None:
             m = matrix
@@ -89,16 +90,18 @@ class ProjectionOperator:
         elif d is None or not {
                 "sampling": indices is not None,
                 "achlioptas": sparsity_s in (1, 3),
-                "krylov": False}.get(kind, True):
+                "krylov": np.shape(factors) == (2, a, a) and np.all(np.isfinite(factors)),
+                }.get(kind, True):
             raise InvalidParameterError(
                 f"a {kind} operator needs its matrix, or d and what regenerates its rows"
             )
-        if not (isinstance(a, (int, np.integer)) and 1 <= a <= d):
+        if not (is_integer(a) and 1 <= a <= d):
             raise InvalidParameterError(
                 f"measurement count {a} must be an integer with 1 <= a <= state dimension {d}"
             )
         self.d = d
         self.indices = _checked_indices(indices, a, d) if kind == "sampling" else None
+        self.factors = np.asarray(factors, float) if kind == "krylov" and matrix is None else None
 
     @property
     def matrix(self) -> np.ndarray:
@@ -141,7 +144,7 @@ def sampling_operator(d: int, a: int, seed: int) -> ProjectionOperator:
     generator and sorted ascending, so the operator extracts a spatial
     traces in index order. Only the indices are stored.
     """
-    if not (isinstance(a, (int, np.integer)) and 1 <= a <= d):  # before rng.choice's bare errors
+    if not (is_integer(a) and 1 <= a <= d):  # before rng.choice's bare errors
         raise InvalidParameterError(
             f"measurement count {a} must be an integer with 1 <= a <= state dimension {d}")
     _check_seed(seed)
@@ -232,34 +235,31 @@ def krylov_operator(d: int, a: int, seed: int) -> ProjectionOperator:
     """Orthonormal rows spanning the all-ones vector and a random subspace.
 
     Row 0 is 1/sqrt(d); rows 1..a are the rest of Q* for the thin QR, with
-    diag(R) > 0, of the block [1/sqrt(d), standard_normal((d, a))]. The row
+    diag(R) > 0, of the block B = [1/sqrt(d), standard_normal((d, a))]. The row
     span has the same distribution as the Krylov space K_(a+1)(G, 1) of a
     d-by-d Gaussian G (Q G Q* has the law of G for each orthogonal Q fixing 1).
 
-    The block is drawn straight into the operator's (a+1)-by-d rows, a+1
-    columns at a time, in the order ``standard_normal((d, a))`` draws it. Two
-    CholeskyQR passes (Fukaya et al. 2014) then set rows to L^-1 rows, where
-    L L* = rows rows*, which in exact arithmetic is that Q*. They reach
-    roundoff-level orthogonality only up to condition number about 1e7
-    (Yamamoto et al. 2015), so this raises :class:`RankDeficientBasisError`
-    if a Cholesky factor fails or has condition number above 1e7, or if the
-    final rows are more than 1e-12 from orthonormal. A Gaussian block that
-    ill-conditioned is vanishingly rare.
+    Two CholeskyQR passes (Fukaya et al. 2014) give rows L2^-1 L1^-1 B*, with
+    L1 L1* = B* B and L2 L2* the gram of L1^-1 B*: that Q* in exact arithmetic.
+    Each is a sweep that draws B again, in the order ``standard_normal((d, a))``
+    draws it, and sums its panel grams; only the seed and the two inverse
+    factors are stored. The passes reach roundoff-level orthogonality only up
+    to condition number about 1e7 (Yamamoto et al. 2015), so this raises
+    :class:`RankDeficientBasisError` if a Cholesky factor fails or has
+    condition number above 1e7, or if by the second sweep's gram the rows are
+    more than 1e-12 from orthonormal. Gaussian blocks that bad are rare.
     """
-    if not (isinstance(a, (int, np.integer)) and 1 <= a <= d - 1):  # a + 1 basis vectors
+    if not (is_integer(a) and 1 <= a <= d - 1):  # a + 1 basis vectors
         raise InvalidParameterError(
             f"subspace dimension {a} must be an integer with 1 <= a <= d - 1 = {d - 1}")
     _check_seed(seed)
-    rng = np.random.default_rng(seed)
-    w = a + 1
-    rows = np.empty((w, d))
-    rows[0] = 1.0 / np.sqrt(d)
-    blocks = [slice(start, min(start + w, d)) for start in range(0, d, w)]
-    for blk in blocks:
-        rows[1:, blk] = rng.standard_normal((blk.stop - blk.start, a)).T
+    w, step = a + 1, max(1, _PANEL_ENTRIES // (a + 1))
+    widths = [min(step, d - start) for start in range(0, d, step)]
+    factors = []
     for _ in range(2):
+        gram = sum(p @ p.T for p in _krylov_panels(d, w, seed, factors, widths))
         try:
-            factor = np.linalg.cholesky(rows @ rows.T)
+            factor = np.linalg.cholesky(gram)
             usable = np.linalg.cond(factor) <= 1e7  # past it, a factor can be roundoff
         except np.linalg.LinAlgError:
             usable = False
@@ -268,15 +268,11 @@ def krylov_operator(d: int, a: int, seed: int) -> ProjectionOperator:
                 "random block too ill-conditioned for CholeskyQR; try another seed")
         # The inverse is lower triangular; dropping roundoff above its
         # diagonal keeps row 0 a multiple of the ones vector.
-        inv_l = np.tril(np.linalg.inv(factor))
-        for blk in blocks:
-            rows[:, blk] = inv_l @ rows[:, blk]
-    gram = rows @ rows.T
-    if not np.max(np.abs(gram - np.eye(w))) <= 1e-12:  # NaN fails too
+        factors.append(np.tril(np.linalg.inv(factor)))
+    if not np.max(np.abs(factors[1] @ gram @ factors[1].T - np.eye(w))) <= 1e-12:  # NaN fails too
         raise RankDeficientBasisError(
             "CholeskyQR left the rows more than 1e-12 from orthonormal; try another seed")
-    rows.setflags(write=False)
-    return ProjectionOperator(kind="krylov", matrix=rows, a=w, seed=seed)
+    return ProjectionOperator(kind="krylov", matrix=None, a=w, seed=seed, d=d, factors=factors)
 
 
 def apply(op: ProjectionOperator, x, q: int = 1) -> np.ndarray:
@@ -295,7 +291,7 @@ def apply(op: ProjectionOperator, x, q: int = 1) -> np.ndarray:
     if x.ndim != 2:
         raise ShapeMismatchError(f"x must be 2-d, got shape {x.shape}")
     m, n = x.shape
-    if not (isinstance(q, (int, np.integer)) and (q == 1 or 1 <= q <= n - 1)):
+    if not (is_integer(q) and (q == 1 or 1 <= q <= n - 1)):
         raise InvalidDelayError(f"q must be an integer with 1 <= q <= N-1 = {n - 1}, got {q}")
     if q * m != op.d:
         raise ShapeMismatchError(
@@ -324,8 +320,8 @@ def gram_deviation(op: ProjectionOperator) -> float:
     (their normalization targets the column gram instead).
 
     Otherwise each call sums the grams of a panels of about D/a columns,
-    regenerated from the seed or sliced from the stored matrix: one sweep of
-    the operator and about 2a^2 D flops. Nothing is cached on ``op``.
+    regenerated or sliced from a caller's matrix: one sweep of the operator
+    and about 2a^2 D flops. Nothing is cached on ``op``.
     """
     if op.kind == "sampling":
         return 0.0
@@ -338,12 +334,15 @@ def _panels(op: ProjectionOperator, widths):
     """Yield the operator's consecutive column panels of the given widths,
     which sum to D, left to right.
 
-    A stored matrix is sliced. Otherwise each row gets its own generator,
-    positioned at the row's first draw, and every panel draws the next
-    entries of each row into one reused buffer.
+    A stored matrix is sliced; :func:`_krylov_panels` regenerates Krylov's.
+    Otherwise each row gets its own generator at its first draw, and every
+    panel draws the next entries of each row into one reused buffer.
     """
     if op._stored is not None:
         yield from np.split(op._stored, np.cumsum(widths)[:-1], axis=1)
+        return
+    if op.kind == "krylov":
+        yield from _krylov_panels(op.d, op.a, op.seed, op.factors, widths)
         return
     if op.kind == "gaussian":
         def row_bits(r):
@@ -375,6 +374,19 @@ def _panels(op: ProjectionOperator, widths):
         yield panel
 
 
+def _krylov_panels(d: int, w: int, seed: int, factors, widths):
+    """Yield panels of [1/sqrt(d); G] times each factor, made w columns at a time."""
+    rng = np.random.default_rng(seed)
+    buffer = np.empty((w, max(widths)))
+    for width in widths:
+        for block in np.hsplit(buffer[:, :width], range(w, width, w)):
+            block[0] = 1.0 / np.sqrt(d)
+            block[1:] = rng.standard_normal((block.shape[1], w - 1)).T
+            for inv_l in factors:
+                block[...] = inv_l @ block
+        yield buffer[:, :width]
+
+
 def _checked_indices(indices, a: int, d: int) -> np.ndarray:
     """Sampling rows, checked to be a sorted, distinct, in-range set of a."""
     idx = np.asarray([] if indices is None else indices)
@@ -387,5 +399,5 @@ def _checked_indices(indices, a: int, d: int) -> np.ndarray:
 
 
 def _check_seed(seed) -> None:
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
+    if not is_integer(seed) or seed < 0:
         raise InvalidParameterError(f"seed must be a nonnegative integer, got {seed!r}")

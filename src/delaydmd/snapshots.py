@@ -52,7 +52,7 @@ class GridMeta:
     y_max: float
 
     def __post_init__(self):
-        if not all(isinstance(k, (int, np.integer)) and k >= 1 for k in (self.nx, self.ny)):
+        if not all(is_integer(k) and k >= 1 for k in (self.nx, self.ny)):
             raise InvalidParameterError("grid needs integer nx >= 1 and ny >= 1")
         if not (self.x_min < self.x_max and self.y_min < self.y_max):
             raise InvalidParameterError("grid extents must satisfy min < max")
@@ -191,13 +191,13 @@ def delay_embed(x: SnapshotMatrix, q: int) -> DelayEmbedding:
 
 
 def _check_depth(q: int, n: int) -> None:
-    if not (isinstance(q, (int, np.integer)) and 1 <= q <= n - 1):
+    if not (is_integer(q) and 1 <= q <= n - 1):
         raise InvalidDelayError(f"q must be an integer with 1 <= q <= N-1 = {n - 1}, got {q}")
 
 
 def train_test_split(x: SnapshotMatrix, n_train: int):
     """First ``n_train`` columns for training, the rest (with advanced t0) for testing."""
-    if not (isinstance(n_train, (int, np.integer)) and 2 <= n_train < x.n):
+    if not (is_integer(n_train) and 2 <= n_train < x.n):
         raise InvalidSplitError(
             f"n_train must be an integer with 2 <= n_train < N = {x.n}, got {n_train}")
     train = SnapshotMatrix(x.data[:, :n_train], dt=x.dt, grid=x.grid, t0=x.t0)
@@ -307,11 +307,15 @@ def read_field(record, key, convert, source, error=SnapshotParseError):
         raise error(f"{source}: cannot read field {key!r} ({type(exc).__name__}: {exc})") from exc
 
 
+def is_integer(value) -> bool:
+    """Whether ``value`` is an int or a NumPy integer, never a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def integral(value) -> int:
     """``value`` as an int if it is an integral number, for :func:`read_field`:
     an int, or a float with no fractional part, but never a bool."""
-    if isinstance(value, bool) or not (
-            isinstance(value, int) or isinstance(value, float) and value.is_integer()):
+    if not (is_integer(value) or isinstance(value, float) and value.is_integer()):
         raise ValueError(f"{value!r} is not an integer")
     return int(value)
 
@@ -319,8 +323,7 @@ def integral(value) -> int:
 def real(value) -> float:
     """``value`` as a float if it is a finite number, for :func:`read_field`:
     an int or a float, but never a bool, a string, NaN or an infinity."""
-    if isinstance(value, bool) or not (
-            isinstance(value, (int, float)) and np.isfinite(float(value))):
+    if not ((is_integer(value) or isinstance(value, float)) and np.isfinite(float(value))):
         raise ValueError(f"{value!r} is not a finite number")
     return float(value)
 

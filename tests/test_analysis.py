@@ -480,3 +480,46 @@ class TestIntegerCounts:
     def test_float_count_is_refused(self, call):
         with pytest.raises(InvalidParameterError, match="integer"):
             call()
+
+
+class TestBoolCounts:
+    """A bool is an int to Python but no count: True is refused where 1 would pass."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: run_comparison(SignalParams(grid=GridMeta(12, 12, -2.0, 2.0, -2.0, 2.0)),
+                               [VariantSpec("classic"), VariantSpec("gaussian", True)], 0,
+                               q=True),
+        lambda: run_comparison(small_signal_params(), [VariantSpec("classic")], 0,
+                               q=True, n_train=30),
+        lambda: dmd_tdc(_SNAPSHOTS, 2, RankPolicy.fixed(True)),
+        lambda: projections.gaussian_operator(10, True, 0),
+        lambda: projections.achlioptas_operator(10, True, 3, 0),
+        lambda: projections.sampling_operator(10, True, 0),
+        lambda: projections.krylov_operator(10, True, 0),
+        lambda: projections.ProjectionOperator("krylov", np.ones((1, 4)), True, None),
+        lambda: projections.gaussian_operator(10, 2, True),
+        lambda: projections.apply(projections.gaussian_operator(5, 2, 0), _SNAPSHOTS.data, True),
+        lambda: delay_embed(_SNAPSHOTS, True),
+        lambda: generate_signal(SignalParams(grid=GridMeta(True, 10, -2.0, 2.0, -2.0, 2.0))),
+    ], ids=["variant-count", "run-q", "fixed-rank", "gaussian-a", "achlioptas-a", "sampling-a",
+            "krylov-a", "matrix-a", "seed", "apply-q", "delay-embed-q", "grid-nx"])
+    def test_bool_count_is_refused(self, call):
+        with pytest.raises(InvalidParameterError, match="integer"):
+            call()
+
+
+class TestDataSeed:
+    def test_data_seed_is_derived_once_per_signal_run(self, monkeypatch):
+        components = []
+
+        def counted(master_seed, component):
+            components.append(component)
+            return derive_seed(master_seed, component)
+
+        monkeypatch.setattr(analysis, "derive_seed", counted)
+        specs = [VariantSpec("classic"), VariantSpec("gaussian", measurements=20)]
+        report = run_comparison(small_signal_params(), specs, 3, q=2, n_train=30)
+        assert components.count("data") == 1
+        assert list(report.seeds.items()) == [
+            ("master", 3), ("gaussian", derive_seed(3, "gaussian")),
+            ("data", derive_seed(3, "data"))]

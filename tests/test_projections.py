@@ -672,3 +672,58 @@ class TestStoredStateValidation:
     def test_matrix_shape_and_values_checked(self, matrix, match):
         with pytest.raises(InvalidParameterError, match=match):
             ProjectionOperator("krylov", matrix, 2, None)
+
+
+class TestKrylovFromItsSeed:
+    """A Krylov operator stores its seed and two (a+1)-by-(a+1) factors, not its rows."""
+
+    @pytest.fixture(scope="class")
+    def deep(self):
+        # The q = 16 embedding of the stock 100x100 grid, at the stock count.
+        return _traced_peak(lambda: krylov_operator(160000, 99, seed=3))
+
+    def test_deep_operator_stores_under_a_megabyte(self, deep):
+        op, _ = deep
+        held = [v for v in vars(op).values() if isinstance(v, np.ndarray)]
+        assert sum(v.nbytes for v in held) < 2**20
+        assert all(v.shape[-1] != op.d for v in held)
+
+    def test_deep_build_and_apply_hold_at_most_two_panels(self, deep):
+        # A panel is 2**19 entries, 4 MB; the stored rows would be 122 MB.
+        op, build_peak = deep
+        x = np.random.default_rng(0).standard_normal((10000, 174))
+        out, apply_peak = _traced_peak(lambda: apply(op, x, 16))
+        assert out.shape == (100, 159)
+        assert max(build_peak, apply_peak) < 2 * 4 * 2**20 + out.nbytes
+
+    def test_two_sweeps_at_build_and_one_per_apply(self, monkeypatch):
+        real_rng, seeds = np.random.default_rng, []
+
+        def counted(seed):
+            seeds.append(seed)
+            return real_rng(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", counted)
+        op = krylov_operator(3000, 29, seed=5)
+        assert seeds == [5, 5]
+        apply(op, np.ones((1500, 10)), 2)
+        assert seeds == [5, 5, 5]
+
+    def test_seed_and_factors_regenerate_the_rows(self):
+        op = krylov_operator(500, 40, seed=17)
+        again = ProjectionOperator("krylov", None, op.a, op.seed, d=op.d, factors=op.factors)
+        np.testing.assert_array_equal(again.matrix, op.matrix)
+        np.testing.assert_array_equal(apply(again, np.eye(500)), op.matrix)
+
+    @pytest.mark.parametrize("factors", [
+        None,
+        np.eye(3),
+        np.stack([np.eye(3)]),
+        np.stack([np.eye(3)] * 3),
+        np.stack([np.eye(4)] * 2),
+        np.stack([np.eye(3), np.diag([1.0, np.nan, 1.0])]),
+        np.stack([np.diag([1.0, np.inf, 1.0]), np.eye(3)]),
+    ], ids=["none", "one 2-d array", "one factor", "three factors", "4-by-4", "nan", "inf"])
+    def test_factors_checked(self, factors):
+        with pytest.raises(InvalidParameterError):
+            ProjectionOperator("krylov", None, 3, 0, d=6, factors=factors)
