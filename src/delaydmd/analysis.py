@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -67,9 +67,10 @@ def relative_error_series(model: DmdModel, x_true: SnapshotMatrix,
 
     Each entry is ||truth - prediction|| / max(||truth||, floor). The truth
     window may start later than the model's origin as long as the offset is
-    a whole number of steps. The columns are predicted and compared in
-    blocks of ``_SCORE_BLOCK``, against the truth norms cached on ``x_true``,
-    so no full-window prediction is ever held.
+    a whole number of steps. The model's modes are formed once per call,
+    and the columns predicted from them and compared in blocks of
+    ``_SCORE_BLOCK``, against the truth norms cached on ``x_true``, so no
+    full-window prediction is ever held.
     """
     if model.base_m != x_true.m:
         raise ShapeMismatchError(
@@ -90,6 +91,7 @@ def relative_error_series(model: DmdModel, x_true: SnapshotMatrix,
             f"origin t0 = {model.t0!r}; the model cannot predict backwards"
         )
     errors = np.empty(x_true.n)
+    model = replace(model, basis=model.modes, coefficients=None)  # modes formed once
     # A lone last column would be summed pairwise; it joins the block before.
     for lo in range(0, max(x_true.n - 1, 1), _SCORE_BLOCK):
         hi = x_true.n if x_true.n - lo <= _SCORE_BLOCK + 1 else lo + _SCORE_BLOCK
@@ -102,8 +104,9 @@ def relative_error_series(model: DmdModel, x_true: SnapshotMatrix,
 
 
 def mode_field(model: DmdModel, k: int, grid: GridMeta, part: str) -> np.ndarray:
-    """Reshape mode column k to the grid as a (ny, nx) array of the chosen part."""
-    if model.modes is None:
+    """Reshape mode column k to the grid as a (ny, nx) array of the chosen
+    part. The modes are formed on each call, as in :func:`predict`."""
+    if model.basis is None:
         raise InvalidParameterError("model carries no modes")
     if not 0 <= k < model.rank:
         raise InvalidParameterError(f"mode index {k} outside 0..{model.rank - 1}")

@@ -263,9 +263,12 @@ def cmd_run(args) -> int:
         snapshots.write_csv(out / f"errors_{result.variant}.csv", ("time", "rel_error"),
                             zip(errors["times"], errors["rel_error"]))
         save_model(result.model, out / f"model_{result.variant}.json")
+        model = result.model
+        if cfg.emit_modes:  # the modes, formed once for all the fields
+            model = replace(model, basis=model.modes, coefficients=None)
         for k in cfg.emit_modes:
             for part in ("real", "imag"):
-                field = analysis.mode_field(result.model, k, grid, part)
+                field = analysis.mode_field(model, k, grid, part)
                 snapshots.write_csv(out / f"mode_{result.variant}_{k}_{part}.csv", None, field)
         print(f"{result.variant}: a={result.measurements} rank={result.model.rank} "
               f"wall={result.wall_time:.2f}s")

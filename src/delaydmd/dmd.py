@@ -18,11 +18,12 @@ with q*min(M, N) rows and the same singular values, right singular vectors,
 pencil and least-squares solutions, on which the SVD, eigenproblem and
 amplitude solve run. Q is not kept: a mode's raw-state block is the same
 combination V W / sigma of the training snapshots' columns (exact DMD's
-X V W / sigma). A sketched fit never forms the explicit Hankel matrix
-either: the operator is applied one delay block at a time
-(:func:`~delaydmd.projections.apply` with depth q), so the sketch allocates
-only its own a-by-(N-q+1) result. Mode columns may differ from those of a
-fit on the explicit embedding by a sign or phase per column; the
+X V W / sigma), which the model keeps with a view of those columns, forming
+the modes on access (:attr:`DmdModel.modes`). A sketched fit never forms
+the explicit Hankel matrix either: the operator is applied one delay block
+at a time (:func:`~delaydmd.projections.apply` with depth q), so the sketch
+allocates only its own a-by-(N-q+1) result. Mode columns may differ from
+those of a fit on the explicit embedding by a sign or phase per column; the
 amplitudes compensate, so spectra and predictions agree to roundoff.
 """
 
@@ -119,11 +120,13 @@ class DmdModel:
     ``eigenvalues_discrete`` are the per-step multipliers mu,
     ``exponents`` their continuous counterparts ln(mu)/dt, and
     ``amplitudes`` the coordinates of the first snapshot in the mode basis.
-    ``modes`` are raw-state modes (``base_m`` rows, one column per
-    eigenvalue), or None for models reloaded from a spectrum-only file.
+    The raw-state ``modes`` (``base_m`` rows, one column per eigenvalue) are
+    ``basis @ coefficients``. A delay fit's basis is a read-only view of its
+    training snapshots, which the model keeps alive; explicit modes are a
+    basis without coefficients; a spectrum-only model has neither.
     """
 
-    modes: np.ndarray | None
+    basis: np.ndarray | None
     eigenvalues_discrete: np.ndarray
     exponents: np.ndarray
     amplitudes: np.ndarray
@@ -134,17 +137,32 @@ class DmdModel:
     t0: float = 0.0
     variant: str = "classic"
     measurements: int | None = None
+    coefficients: np.ndarray | None = None
 
     def __post_init__(self):
         r = self.eigenvalues_discrete.shape[0]
         if self.exponents.shape != (r,) or self.amplitudes.shape != (r,):
             raise InvalidParameterError("eigenvalues, exponents and amplitudes must align")
-        if self.modes is not None and self.modes.shape[1] != r:
-            raise InvalidParameterError("modes must have one column per eigenvalue")
+        shape = np.shape(self.basis)
+        # Explicit modes are a basis with the identity as its coefficients.
+        c_shape = shape[1:] * 2 if self.coefficients is None else np.shape(self.coefficients)
+        if (self.basis is not None or self.coefficients is not None) and (
+                len(shape) != 2 or shape[0] != self.base_m or c_shape != (shape[1], r)):
+            raise InvalidParameterError(
+                f"modes must be base_m-by-rank, {self.base_m}-by-{r}: got a basis of shape "
+                f"{shape} and coefficients of shape {np.shape(self.coefficients)}")
         if self.rank != r:
             raise InvalidParameterError("rank must equal the number of retained eigenvalues")
         if not 0 < self.dt < np.inf:
             raise InvalidParameterError(f"dt must be positive and finite, got {self.dt}")
+
+    @property
+    def modes(self) -> np.ndarray | None:
+        """``real_complex_matmul(basis, coefficients)``, formed on each access;
+        the basis itself without coefficients."""
+        if self.coefficients is None:
+            return self.basis
+        return real_complex_matmul(self.basis, self.coefficients)
 
 
 def _truncate(svd, policy: RankPolicy, rank_limit=None) -> int:
@@ -182,8 +200,9 @@ def _fit(x1, x2, policy: RankPolicy, *, sketch=None, rank_limit=None,
     map come from the sketch, its rank capped by ``rank_limit``, and the
     modes are the exact modes x2 V W / sigma. Amplitudes fit the first
     column of x1. With ``raw``, snapshots whose columns 0..n-1 and 1..n head
-    x1 and x2, the modes kept are raw[:, :n] V W / sigma (raw[:, 1:n+1] if
-    sketched). ``model_fields`` (dt among them) go to the :class:`DmdModel`.
+    x1 and x2, the model keeps the basis raw[:, :n] (raw[:, 1:n+1] if
+    sketched) and the coefficients V W / sigma, not their product.
+    ``model_fields`` (dt among them) go to the :class:`DmdModel`.
     """
     first = x1[:, 0]
     if not np.any(first != 0.0):
@@ -211,17 +230,18 @@ def _fit(x1, x2, policy: RankPolicy, *, sketch=None, rank_limit=None,
     if not np.any(keep):
         raise DegenerateDataError("every eigenvalue collapsed to zero")
     mu, modes = eig.eigenvalues[keep], modes[:, keep]
-    amplitudes = pseudoinverse_apply(modes, first)
+    basis, coefficients = modes, None
     if raw is not None:
         n = x1.shape[1]
-        modes = real_complex_matmul(raw[:, :n] if sketch is None else raw[:, 1:n + 1],
-                                    coeffs[:, keep])
+        basis = raw[:, :n] if sketch is None else raw[:, 1:n + 1]
+        coefficients = coeffs[:, keep]
     return DmdModel(
-        modes=modes,
+        basis=basis,
         eigenvalues_discrete=mu,
         exponents=np.log(mu) / model_fields["dt"],
-        amplitudes=amplitudes,
+        amplitudes=pseudoinverse_apply(modes, first),
         rank=mu.size,
+        coefficients=coefficients,
         **model_fields,
     )
 
@@ -296,17 +316,20 @@ def predict(model: DmdModel, k) -> np.ndarray:
     """Raw state at step k (time t0 + k*dt).
 
     ``k`` may also be a 1-d array of steps; the states are then the columns
-    of the result, computed in one product. Extrapolation beyond the
-    training window is permitted; the caller decides how far to trust it.
+    of the result, computed in one product. The modes are formed once per
+    call; a frequent caller keeps them formed, as the basis of a copy of the
+    model. Extrapolation beyond the training window is permitted; the caller
+    decides how far to trust it.
     """
     if np.any(np.asarray(k) < 0):
         raise InvalidParameterError(f"step index must be nonnegative, got {k}")
-    if model.modes is None:
+    modes = model.modes
+    if modes is None:
         raise InvalidParameterError("model carries no modes; refit or reload with modes")
     times = np.atleast_1d(k) * model.dt
     coeff = np.exp(np.outer(model.exponents, times)) * model.amplitudes[:, None]
     # A copy, so the caller does not keep the complex product alive.
-    states = (model.modes @ coeff).real.copy()
+    states = (modes @ coeff).real.copy()
     return states if np.ndim(k) else states[:, 0]
 
 
@@ -354,7 +377,7 @@ def save_model(model: DmdModel, path, include_modes: bool = False) -> None:
     """Write the model JSON, modes excluded; with ``include_modes`` also write
     ``<path stem>.modes.csv`` holding 2*base_m rows per mode column (real
     block stacked on imaginary block)."""
-    if include_modes and model.modes is None:  # before any file is written
+    if include_modes and model.basis is None:  # before any file is written
         raise InvalidParameterError("model carries no modes to write")
     path = Path(path)
     write_json(path, {
@@ -370,7 +393,8 @@ def save_model(model: DmdModel, path, include_modes: bool = False) -> None:
         "amplitudes": _complex_list(model.amplitudes),
     })
     if include_modes:
-        stacked = np.vstack([model.modes.real, model.modes.imag])
+        modes = model.modes
+        stacked = np.vstack([modes.real, modes.imag])
         write_csv(path.with_suffix(".modes.csv"), None, stacked)
 
 
@@ -394,7 +418,7 @@ def load_model(path) -> DmdModel:
 
     try:
         model = DmdModel(
-            modes=None,
+            basis=None,
             eigenvalues_discrete=field("eigenvalues_discrete", _complex_array),
             exponents=field("exponents", _complex_array),
             amplitudes=field("amplitudes", _complex_array),
@@ -419,4 +443,4 @@ def load_model(path) -> DmdModel:
             f"{2 * base_m}x{model.rank} (real and imaginary blocks of "
             f"base_m rows, one column per eigenvalue)"
         )
-    return replace(model, modes=stacked[:base_m] + 1j * stacked[base_m:])
+    return replace(model, basis=stacked[:base_m] + 1j * stacked[base_m:])

@@ -76,13 +76,15 @@ class ProjectionOperator:
                                         "its indices define it")
         if matrix is None and kind != "sampling":
             _check_seed(seed)
+        factors = _array(factors, dtype=float) if kind == "krylov" and matrix is None else None
         if matrix is not None:
             m = matrix
             if not (type(m) is np.ndarray and m.dtype == float and m.flags.c_contiguous
                     and not m.flags.writeable):
-                m = np.array(m, dtype=float, order="C")
-            if m.ndim != 2 or m.shape[0] != a:
-                raise InvalidParameterError(f"matrix must be {a}-by-D, got shape {m.shape}")
+                m = _array(m, dtype=float, order="C")
+            if m is None or m.ndim != 2 or m.shape[0] != a:
+                got = "a ragged or non-numeric array" if m is None else f"shape {m.shape}"
+                raise InvalidParameterError(f"matrix must be {a}-by-D, got {got}")
             if not np.all(np.isfinite(m)):
                 raise InvalidParameterError("operator matrix contains non-finite entries")
             m.setflags(write=False)
@@ -101,7 +103,7 @@ class ProjectionOperator:
             )
         self.d = d
         self.indices = _checked_indices(indices, a, d) if kind == "sampling" else None
-        self.factors = np.asarray(factors, float) if kind == "krylov" and matrix is None else None
+        self.factors = factors
 
     @property
     def matrix(self) -> np.ndarray:
@@ -387,10 +389,18 @@ def _krylov_panels(d: int, w: int, seed: int, factors, widths):
         yield buffer[:, :width]
 
 
+def _array(value, **kwargs):
+    """``np.array(value, **kwargs)``, or None if ``value`` is ragged or does not convert."""
+    try:
+        return np.array(value, **kwargs)
+    except (TypeError, ValueError):
+        return None
+
+
 def _checked_indices(indices, a: int, d: int) -> np.ndarray:
     """Sampling rows, checked to be a sorted, distinct, in-range set of a."""
-    idx = np.asarray([] if indices is None else indices)
-    if (idx.shape != (a,) or not np.issubdtype(idx.dtype, np.integer)
+    idx = _array([] if indices is None else indices)
+    if (idx is None or idx.shape != (a,) or not np.issubdtype(idx.dtype, np.integer)
             or idx[0] < 0 or idx[-1] >= d or np.any(np.diff(idx) <= 0)):
         raise InvalidParameterError(
             f"sampling indices must be {a} distinct integers in [0, {d}), sorted ascending"

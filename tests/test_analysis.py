@@ -65,7 +65,7 @@ class TestRelativeErrorSeries:
     def test_zero_prediction_gives_ones(self, signal_data, signal_model):
         from delaydmd.dmd import DmdModel
         silent = DmdModel(
-            modes=signal_model.modes,
+            basis=signal_model.modes,
             eigenvalues_discrete=signal_model.eigenvalues_discrete,
             exponents=signal_model.exponents,
             amplitudes=np.zeros_like(signal_model.amplitudes),
@@ -125,7 +125,7 @@ class TestRelativeErrorSeries:
             series.max_train_error()
 
     def test_model_without_modes_raises(self, signal_data, signal_model):
-        bare = dataclasses.replace(signal_model, modes=None)
+        bare = dataclasses.replace(signal_model, basis=None, coefficients=None)
         with pytest.raises(InvalidParameterError, match="no modes"):
             relative_error_series(bare, signal_data)
 
@@ -176,7 +176,7 @@ class TestBlockedScoring:
         m = 1000
         rng = np.random.default_rng(n)
         mu = np.array([0.99 + 0j])
-        model = DmdModel(modes=rng.standard_normal((m, 1)) + 0j, eigenvalues_discrete=mu,
+        model = DmdModel(basis=rng.standard_normal((m, 1)) + 0j, eigenvalues_discrete=mu,
                          exponents=np.log(mu), amplitudes=np.ones(1, dtype=complex),
                          rank=1, q=1, base_m=m, dt=1.0)
         truth = SnapshotMatrix(rng.standard_normal((m, n)), dt=1.0)
@@ -189,7 +189,7 @@ class TestBlockedScoring:
         m, n, r = 4000, 512, 4
         rng = np.random.default_rng(0)
         mu = np.exp(1j * np.array([0.1, -0.1, 0.3, -0.3]))
-        model = DmdModel(modes=rng.standard_normal((m, r)) + 1j * rng.standard_normal((m, r)),
+        model = DmdModel(basis=rng.standard_normal((m, r)) + 1j * rng.standard_normal((m, r)),
                          eigenvalues_discrete=mu, exponents=np.log(mu),
                          amplitudes=np.ones(r, dtype=complex), rank=r, q=1, base_m=m, dt=1.0)
         truth = SnapshotMatrix(rng.standard_normal((m, n)), dt=1.0)
@@ -234,7 +234,7 @@ class TestModeField:
             mode_field(signal_model, 0, signal_data.grid, "phase")
 
     def test_model_without_modes_raises(self, signal_model, signal_data):
-        bare = dataclasses.replace(signal_model, modes=None)
+        bare = dataclasses.replace(signal_model, basis=None, coefficients=None)
         with pytest.raises(InvalidParameterError, match="no modes"):
             mode_field(bare, 0, signal_data.grid, "real")
 
@@ -324,6 +324,21 @@ class TestRunComparison:
         for v in report.variants:
             assert not v.failed, v.error_message
             assert v.model.modes.shape == (16 * 16, v.model.rank)
+
+    def test_run_holds_no_modes_array_per_variant(self):
+        # Rank 20 on a 64x64 grid: each modes array is 1.3 MB, the data 7 MB.
+        params = DoubleGyreParams(grid=dataclasses.replace(DoubleGyreParams().grid, nx=64, ny=64))
+        tracemalloc.start()
+        try:
+            data = generate_double_gyre(params)
+            report = run_comparison(data, default_variant_specs("double-gyre"), 0, q=2,
+                                    n_train=174, rank_policy=RankPolicy.fixed(20))
+            live = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        modes_bytes = report.variants[0].model.modes.nbytes
+        assert modes_bytes >= 2**20 and not any(v.failed for v in report.variants)
+        assert live < data.data.nbytes + 2 * modes_bytes
 
     def test_failure_captured_non_strict(self):
         specs = [VariantSpec("classic"), VariantSpec("gaussian", measurements=1)]

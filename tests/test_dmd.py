@@ -28,7 +28,7 @@ from delaydmd.errors import (
     ShapeMismatchError,
     ZeroInitialConditionError,
 )
-from delaydmd.numerics import eig_dense, pseudoinverse_apply, thin_svd
+from delaydmd.numerics import eig_dense, pseudoinverse_apply, real_complex_matmul, thin_svd
 from delaydmd.problems import (DoubleGyreParams, SignalParams, generate_double_gyre,
                                generate_signal)
 from delaydmd.projections import (
@@ -512,6 +512,49 @@ class TestCompressedEmbedding:
         assert model.modes.shape == (x.m, model.rank)
 
 
+class TestModesFromCoefficients:
+    """A delay fit keeps a view of its training snapshots and its coefficients
+    over them; the M-by-r modes are formed when read."""
+
+    @pytest.mark.parametrize("sketched", [False, True], ids=["tdc", "sketched"])
+    def test_fit_keeps_a_view_of_the_snapshots(self, sketched):
+        x = small_signal_snapshots()
+        model = (dmd_projected(x, 3, gaussian_operator(3 * x.m, 30, seed=2)) if sketched
+                 else dmd_tdc(x, 3))
+        assert np.shares_memory(model.basis, x.data) and not model.basis.flags.writeable
+        owned = [v for v in vars(model).values()
+                 if isinstance(v, np.ndarray) and not np.shares_memory(v, x.data)]
+        assert all(v.shape[0] != model.base_m for v in owned)
+        np.testing.assert_array_equal(model.modes,
+                                      real_complex_matmul(model.basis, model.coefficients))
+
+    def test_explicit_modes_are_returned_as_given(self):
+        x = snaps(np.random.default_rng(3).standard_normal((4, 12)))
+        classic = dmd_classic(x.data[:, :-1], x.data[:, 1:], x.dt)
+        assert classic.coefficients is None and classic.modes is classic.basis
+        modes = np.ones((3, 1), dtype=complex)
+        one = np.ones(1, dtype=complex)
+        model = DmdModel(basis=modes, eigenvalues_discrete=one, exponents=one, amplitudes=one,
+                         rank=1, q=1, base_m=3, dt=1.0)
+        assert model.modes is modes
+
+    @pytest.mark.parametrize("basis,coefficients", [
+        (np.ones((5, 1), dtype=complex), None),
+        (np.ones(3, dtype=complex), None),
+        (None, np.ones((4, 1), dtype=complex)),
+        (np.ones((3, 2), dtype=complex), None),
+        (np.ones((3, 4)), np.ones((3, 1), dtype=complex)),
+        (np.ones((3, 4)), np.ones((4, 2), dtype=complex)),
+    ], ids=["five-rows", "1-d", "no-basis", "two-columns", "three-coefficient-rows",
+            "two-coefficient-columns"])
+    def test_model_refuses_modes_of_the_wrong_shape(self, basis, coefficients):
+        # Five-row modes for base_m = 3 used to predict five-row states.
+        one = np.ones(1, dtype=complex)
+        with pytest.raises(InvalidParameterError, match="modes must be base_m-by-rank, 3-by-1"):
+            DmdModel(basis=basis, eigenvalues_discrete=one, exponents=one, amplitudes=one,
+                     rank=1, q=1, base_m=3, dt=1.0, coefficients=coefficients)
+
+
 class TestPredict:
     def test_reconstructs_first_snapshot(self):
         rng = np.random.default_rng(7)
@@ -565,7 +608,7 @@ class TestSpectrum:
         mu = np.asarray(mu, dtype=complex)
         from delaydmd.dmd import DmdModel
         return DmdModel(
-            modes=np.ones((1, mu.size), dtype=complex),
+            basis=np.ones((1, mu.size), dtype=complex),
             eigenvalues_discrete=mu,
             exponents=np.log(mu) / dt,
             amplitudes=np.ones(mu.size, dtype=complex),
@@ -601,7 +644,7 @@ class TestModelSerialization:
 
     def test_refused_modes_write_leaves_no_file(self, tmp_path):
         x = snaps(np.random.default_rng(10).standard_normal((4, 12)))
-        model = replace(dmd_tdc(x, 2), modes=None)
+        model = replace(dmd_tdc(x, 2), basis=None, coefficients=None)
         with pytest.raises(InvalidParameterError, match="no modes"):
             save_model(model, tmp_path / "model.json", include_modes=True)
         assert list(tmp_path.iterdir()) == []
@@ -744,7 +787,7 @@ class TestModelSerialization:
     def test_model_refuses_a_dt_that_is_not_positive_and_finite(self, dt):
         one = np.ones(1, dtype=complex)
         with pytest.raises(InvalidParameterError, match="dt must be positive and finite"):
-            DmdModel(modes=None, eigenvalues_discrete=one, exponents=one, amplitudes=one,
+            DmdModel(basis=None, eigenvalues_discrete=one, exponents=one, amplitudes=one,
                      rank=1, q=1, base_m=1, dt=dt)
 
     def test_unparseable_json_names_the_line(self, tmp_path):

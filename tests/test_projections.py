@@ -727,3 +727,20 @@ class TestKrylovFromItsSeed:
     def test_factors_checked(self, factors):
         with pytest.raises(InvalidParameterError):
             ProjectionOperator("krylov", None, 3, 0, d=6, factors=factors)
+
+    @pytest.mark.parametrize("factors", [
+        [np.eye(3), np.eye(4)],
+        np.full((2, 3, 3), "x"),
+        np.full((2, 3, 3), None),
+    ], ids=["ragged", "strings", "objects"])
+    def test_malformed_factors_are_a_typed_error(self, factors):
+        with pytest.raises(InvalidParameterError, match="what regenerates its rows"):
+            ProjectionOperator("krylov", None, 3, 0, d=6, factors=factors)
+
+    def test_ragged_matrix_is_a_typed_error(self):
+        with pytest.raises(InvalidParameterError, match="must be 2-by-D"):
+            ProjectionOperator("gaussian", [[1.0, 2.0], [3.0]], 2, None)
+
+    def test_ragged_indices_are_a_typed_error(self):
+        with pytest.raises(InvalidParameterError, match="sampling indices must be 2 distinct"):
+            ProjectionOperator("sampling", None, 2, None, indices=[[1], [2, 3]], d=5)
