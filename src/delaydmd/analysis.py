@@ -146,8 +146,7 @@ class VariantSpec:
                                            and self.measurements >= least):
             raise InvalidParameterError(
                 f"variant {self.name} needs measurements >= {least} (an integer)")
-        if self.sparsity_s not in (1, 3):
-            raise InvalidParameterError("sparsity_s must be 1 or 3")
+        projections.check_sparsity(self.sparsity_s)
 
 
 # The stock run of each built-in benchmark, in config-file form: what a

@@ -45,8 +45,9 @@ from .errors import (
 )
 from .numerics import eig_dense, pseudoinverse_apply, real_complex_matmul, thin_svd
 from .projections import ProjectionOperator, apply as apply_operator
-from .snapshots import (DelayEmbedding, SnapshotMatrix, delay_embed, hankel_block, integral,
-                        is_integer, read_field, read_json, read_matrix, real, write_csv, write_json)
+from .snapshots import (DelayEmbedding, SnapshotMatrix, check_time_axis, delay_embed, hankel_block,
+                        integral, is_integer, read_field, read_json, read_matrix, real, write_csv,
+                        write_json)
 
 # Discrete eigenvalues below this modulus cannot be mapped to a finite
 # continuous exponent; they are dropped with a warning.
@@ -153,8 +154,7 @@ class DmdModel:
                 f"{shape} and coefficients of shape {np.shape(self.coefficients)}")
         if self.rank != r:
             raise InvalidParameterError("rank must equal the number of retained eigenvalues")
-        if not 0 < self.dt < np.inf:
-            raise InvalidParameterError(f"dt must be positive and finite, got {self.dt}")
+        check_time_axis(self.dt, self.t0)
 
     @property
     def modes(self) -> np.ndarray | None:

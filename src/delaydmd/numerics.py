@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateModesError, InvalidParameterError, NumericalFailureError
+from .snapshots import check_finite
 
 # Relative cutoff below which singular values are treated as exact zeros
 # when solving least-squares systems.
@@ -50,8 +51,7 @@ def _as_finite_matrix(a, name):
     a = a.astype(float, copy=False)
     if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
         raise InvalidParameterError(f"{name} must be a 2-d matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise InvalidParameterError(f"{name} contains non-finite entries")
+    check_finite(name, a)
     return a
 
 
@@ -96,8 +96,7 @@ def eig_dense(a) -> EigResult:
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InvalidParameterError(f"a must be square, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise InvalidParameterError("a contains non-finite entries")
+    check_finite("a", a)
     try:
         w, vec = np.linalg.eig(a)
     except np.linalg.LinAlgError as exc:
@@ -134,9 +133,8 @@ def pseudoinverse_apply(phi, x) -> np.ndarray:
         raise InvalidParameterError(
             f"x must be a vector of length {phi.shape[0]}, got shape {x.shape}"
         )
-    for name, a in (("phi", phi), ("x", x)):
-        if not np.all(np.isfinite(a)):
-            raise InvalidParameterError(f"{name} contains non-finite entries")
+    check_finite("phi", phi)
+    check_finite("x", x)
     try:
         u, s, vh = np.linalg.svd(phi, full_matrices=False)
     except np.linalg.LinAlgError as exc:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidGridError, InvalidParameterError, SamplingRateError
-from .snapshots import GridMeta, SnapshotMatrix, is_integer
+from .snapshots import GridMeta, SnapshotMatrix, check_time_axis
 
 
 @dataclass(frozen=True)
@@ -39,12 +39,7 @@ class DoubleGyreParams:
             raise InvalidParameterError("amp and omega must be positive and finite")
         if not 0 <= self.eps < 0.5:
             raise InvalidParameterError(f"eps must lie in [0, 0.5), got {self.eps}")
-        if not (is_integer(self.nt) and self.nt >= 2):
-            raise InvalidParameterError(f"nt must be an integer of at least 2, got {self.nt}")
-        if not 0 < self.dt < math.inf:
-            raise InvalidParameterError(f"dt must be positive and finite, got {self.dt}")
-        if not -math.inf < self.t0 < math.inf:
-            raise InvalidParameterError(f"t0 must be finite, got {self.t0}")
+        check_time_axis(self.dt, self.t0, self.nt)
 
 
 @dataclass(frozen=True)
@@ -71,8 +66,9 @@ class SignalParams:
             raise InvalidParameterError("f1 and f2 must be positive and finite")
         if not 0 <= self.noise_amp < math.inf:
             raise InvalidParameterError("noise_amp must be nonnegative and finite")
-        if not 0 < self.dt < math.inf:
-            raise InvalidParameterError(f"dt must be positive and finite, got {self.dt}")
+        if self.t0 is None:
+            object.__setattr__(self, "t0", self.dt)
+        check_time_axis(self.dt, self.t0)  # before dt is compared with the Nyquist step
         if not 0 < self.t_final < math.inf:
             raise InvalidParameterError(f"t_final must be positive and finite, got {self.t_final}")
         nyquist_dt = 1.0 / (2.0 * max(self.f1, self.f2))
@@ -83,12 +79,7 @@ class SignalParams:
             )
         if self.nt is None:
             object.__setattr__(self, "nt", int(math.floor(self.t_final / self.dt + 1e-9)) + 1)
-        if not (is_integer(self.nt) and self.nt >= 2):
-            raise InvalidParameterError(f"nt must be an integer of at least 2, got {self.nt}")
-        if self.t0 is None:
-            object.__setattr__(self, "t0", self.dt)
-        if not -math.inf < self.t0 < math.inf:
-            raise InvalidParameterError(f"t0 must be finite, got {self.t0}")
+        check_time_axis(self.dt, self.t0, self.nt)
 
 
 def _gyre_phase(x, t, p: DoubleGyreParams):

@@ -28,13 +28,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    InvalidDelayError,
     InvalidParameterError,
     InvalidStartVectorError,
     RankDeficientBasisError,
     ShapeMismatchError,
 )
-from .snapshots import is_integer
+from .snapshots import as_array, check_depth, check_finite, is_integer
 
 KINDS = ("sampling", "gaussian", "achlioptas", "krylov")
 
@@ -56,9 +55,8 @@ class ProjectionOperator:
       one 64-bit word, so row r starts at the seeded generator advanced by
       r*D;
     - ``krylov``: ``seed`` and ``factors``, its 2-by-a-by-a inverse Cholesky factors;
-    - any other kind given an explicit ``matrix``: that matrix, read-only and
-      C-ordered. A read-only, C-contiguous float64 array is kept as it is;
-      anything else is copied once, so the caller's array stays theirs.
+    - any other kind given an explicit ``matrix``: one read-only, C-ordered
+      float64 copy of it, so the caller's array stays theirs.
 
     Without a matrix, ``d`` gives D. Reading ``matrix`` returns the dense
     a-by-D array, built afresh on each access unless it is stored.
@@ -76,22 +74,19 @@ class ProjectionOperator:
                                         "its indices define it")
         if matrix is None and kind != "sampling":
             _check_seed(seed)
-        factors = _array(factors, dtype=float) if kind == "krylov" and matrix is None else None
+            if kind == "achlioptas":
+                check_sparsity(sparsity_s)
+        factors = as_array(factors, dtype=float) if kind == "krylov" and matrix is None else None
         if matrix is not None:
-            m = matrix
-            if not (type(m) is np.ndarray and m.dtype == float and m.flags.c_contiguous
-                    and not m.flags.writeable):
-                m = _array(m, dtype=float, order="C")
+            m = as_array(matrix, dtype=float, order="C")
             if m is None or m.ndim != 2 or m.shape[0] != a:
-                got = "a ragged or non-numeric array" if m is None else f"shape {m.shape}"
+                got = "a ragged, non-numeric or complex array" if m is None else f"shape {m.shape}"
                 raise InvalidParameterError(f"matrix must be {a}-by-D, got {got}")
-            if not np.all(np.isfinite(m)):
-                raise InvalidParameterError("operator matrix contains non-finite entries")
+            check_finite("operator matrix", m)
             m.setflags(write=False)
             self._stored, d = m, m.shape[1]
         elif d is None or not {
                 "sampling": indices is not None,
-                "achlioptas": sparsity_s in (1, 3),
                 "krylov": np.shape(factors) == (2, a, a) and np.all(np.isfinite(factors)),
                 }.get(kind, True):
             raise InvalidParameterError(
@@ -181,23 +176,19 @@ def achlioptas_operator(d: int, a: int, s: int, seed: int) -> ProjectionOperator
     which compares ``rng.random((a, d))`` against the normalized cumulative
     probabilities. Only the seed and s are stored; nothing is drawn here.
     """
-    if s not in (1, 3):
-        raise InvalidParameterError(f"sparsity s must be 1 or 3, got {s}")
     return ProjectionOperator(kind="achlioptas", matrix=None, a=a, seed=seed,
                               sparsity_s=s, d=d)
 
 
-def arnoldi(a_matrix, b, m: int, tol: float | None = None) -> ArnoldiResult:
+def arnoldi(a_matrix, b, m: int) -> ArnoldiResult:
     """Modified Gram-Schmidt Arnoldi iteration on (a_matrix, b) for m steps.
 
     Builds an orthonormal basis of the Krylov subspace
     span{b, A b, ..., A^(m-1) b} column by column; entry (j, i) of the
     Hessenberg matrix records the component of A v_i along v_j and entry
-    (i+1, i) the norm of what remains. If that norm falls to ``tol`` or
-    below, the subspace is invariant and the iteration stops early with
-    ``breakdown = True``.
-
-    ``tol`` defaults to 1e-12 times the Frobenius norm of ``a_matrix``.
+    (i+1, i) the norm of what remains. If that norm falls to 1e-12 times the
+    Frobenius norm of ``a_matrix`` or below, the subspace is invariant and the
+    iteration stops early with ``breakdown = True``.
     """
     a_matrix = np.asarray(a_matrix, dtype=float)
     if a_matrix.ndim != 2 or a_matrix.shape[0] != a_matrix.shape[1]:
@@ -211,8 +202,7 @@ def arnoldi(a_matrix, b, m: int, tol: float | None = None) -> ArnoldiResult:
     b_norm = np.linalg.norm(b)
     if b_norm == 0.0:
         raise InvalidStartVectorError("start vector is zero")
-    if tol is None:
-        tol = 1e-12 * np.linalg.norm(a_matrix)
+    tol = 1e-12 * np.linalg.norm(a_matrix)
 
     v = np.empty((n, m + 1))
     h = np.zeros((m + 1, m))
@@ -293,8 +283,8 @@ def apply(op: ProjectionOperator, x, q: int = 1) -> np.ndarray:
     if x.ndim != 2:
         raise ShapeMismatchError(f"x must be 2-d, got shape {x.shape}")
     m, n = x.shape
-    if not (is_integer(q) and (q == 1 or 1 <= q <= n - 1)):
-        raise InvalidDelayError(f"q must be an integer with 1 <= q <= N-1 = {n - 1}, got {q}")
+    if q != 1 or not is_integer(q):  # q = 1 is the plain product, one column included
+        check_depth(q, n)
     if q * m != op.d:
         raise ShapeMismatchError(
             f"operator expects {op.d} rows, the depth-{q} Hankel matrix of the data "
@@ -389,23 +379,21 @@ def _krylov_panels(d: int, w: int, seed: int, factors, widths):
         yield buffer[:, :width]
 
 
-def _array(value, **kwargs):
-    """``np.array(value, **kwargs)``, or None if ``value`` is ragged or does not convert."""
-    try:
-        return np.array(value, **kwargs)
-    except (TypeError, ValueError):
-        return None
-
-
 def _checked_indices(indices, a: int, d: int) -> np.ndarray:
     """Sampling rows, checked to be a sorted, distinct, in-range set of a."""
-    idx = _array([] if indices is None else indices)
+    idx = as_array([] if indices is None else indices)
     if (idx is None or idx.shape != (a,) or not np.issubdtype(idx.dtype, np.integer)
             or idx[0] < 0 or idx[-1] >= d or np.any(np.diff(idx) <= 0)):
         raise InvalidParameterError(
             f"sampling indices must be {a} distinct integers in [0, {d}), sorted ascending"
         )
     return idx
+
+
+def check_sparsity(s) -> None:
+    """Refuse an Achlioptas sparsity s other than the integers 1 and 3."""
+    if not (is_integer(s) and s in (1, 3)):
+        raise InvalidParameterError(f"sparsity_s must be 1 or 3, got {s}")
 
 
 def _check_seed(seed) -> None:

@@ -18,6 +18,7 @@ training window (:func:`train_test_split`) is a view.
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from pathlib import Path
@@ -89,17 +90,14 @@ class SnapshotMatrix:
     def __post_init__(self):
         data = self.data
         if not (type(data) is np.ndarray and data.dtype == float and not data.flags.writeable):
-            data = np.array(data, dtype=float)
-        if data.ndim != 2:
-            raise InvalidParameterError(f"data must be 2-d, got shape {data.shape}")
+            data = as_array(data, dtype=float)
+        if data is None or data.ndim != 2:
+            got = "a ragged, non-numeric or complex array" if data is None else data.shape
+            raise InvalidParameterError(f"data must be 2-d and real, got {got}")
         if data.shape[0] < 1 or data.shape[1] < 1:
             raise InvalidParameterError(f"data must be at least 1x1, got {data.shape}")
-        if not np.all(np.isfinite(data)):
-            raise InvalidParameterError("data contains non-finite entries")
-        if not 0 < self.dt < np.inf:
-            raise InvalidParameterError(f"dt must be positive and finite, got {self.dt}")
-        if not np.isfinite(self.t0):
-            raise InvalidParameterError(f"t0 must be finite, got {self.t0}")
+        check_finite("data", data)
+        check_time_axis(self.dt, self.t0)
         if self.grid is not None and self.grid.size != data.shape[0]:
             raise SnapshotConsistencyError(
                 f"grid has nx*ny = {self.grid.size} but data has {data.shape[0]} rows"
@@ -140,7 +138,7 @@ def hankel_block(data: np.ndarray, q: int) -> np.ndarray:
     is column j+b of the data. Its first N-q columns are the ``x1`` of a
     :class:`DelayEmbedding` and its last N-q are the ``x2``."""
     n = data.shape[1]
-    _check_depth(q, n)
+    check_depth(q, n)
     return np.vstack([data[:, b:b + n - q + 1] for b in range(q)])
 
 
@@ -183,14 +181,15 @@ def hankel_augment(x: SnapshotMatrix, q: int) -> DelayEmbedding:
 
 def delay_embed(x: SnapshotMatrix, q: int) -> DelayEmbedding:
     """Embed the snapshots to depth q through the R of the raw data, by row blocks."""
-    _check_depth(q, x.n)  # before the QR
+    check_depth(q, x.n)  # before the QR
     r = np.linalg.qr(x.data[:_QR_ROWS], mode="r")
     for start in range(_QR_ROWS, x.m, _QR_ROWS):
         r = np.linalg.qr(np.vstack([r, x.data[start:start + _QR_ROWS]]), mode="r")
     return DelayEmbedding(snapshots=x, q=q, compressed=hankel_block(r, q))
 
 
-def _check_depth(q: int, n: int) -> None:
+def check_depth(q: int, n: int) -> None:
+    """Refuse a delay depth q that is not an integer in 1..N-1 for N snapshots."""
     if not (is_integer(q) and 1 <= q <= n - 1):
         raise InvalidDelayError(f"q must be an integer with 1 <= q <= N-1 = {n - 1}, got {q}")
 
@@ -310,6 +309,35 @@ def read_field(record, key, convert, source, error=SnapshotParseError):
 def is_integer(value) -> bool:
     """Whether ``value`` is an int or a NumPy integer, never a bool."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def as_array(value, **kwargs):
+    """``np.array(value, **kwargs)``, or None if ``value`` is ragged, does not
+    convert, or would lose an imaginary part to a real ``dtype``."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy warns as it drops an imaginary part
+        try:
+            return np.array(value, **kwargs)
+        except (TypeError, ValueError, Warning):
+            return None
+
+
+def check_finite(name: str, a) -> None:
+    """Refuse an array ``a`` that holds a NaN or an infinity, naming it ``name``."""
+    if not np.all(np.isfinite(a)):
+        raise InvalidParameterError(f"{name} contains non-finite entries")
+
+
+def check_time_axis(dt, t0, nt=None) -> None:
+    """Refuse a time axis t0 + k*dt, k < nt, unless ``dt`` is a positive finite number,
+    ``t0`` a finite number and a given ``nt`` an integer >= 2; a bool is no number."""
+    is_dt, is_t0 = (is_integer(v) or isinstance(v, (float, np.floating)) for v in (dt, t0))
+    if not (is_dt and 0 < dt < np.inf):
+        raise InvalidParameterError(f"dt must be positive and finite, got {dt}")
+    if not (is_t0 and np.isfinite(t0)):
+        raise InvalidParameterError(f"t0 must be finite, got {t0}")
+    if nt is not None and not (is_integer(nt) and nt >= 2):
+        raise InvalidParameterError(f"nt must be an integer of at least 2, got {nt}")
 
 
 def integral(value) -> int:

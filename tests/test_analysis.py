@@ -538,3 +538,19 @@ class TestDataSeed:
         assert list(report.seeds.items()) == [
             ("master", 3), ("gaussian", derive_seed(3, "gaussian")),
             ("data", derive_seed(3, "data"))]
+
+
+class TestTypedRefusals:
+    def test_mean_test_error_needs_a_test_window(self):
+        series = ErrorSeries(times=np.arange(3.0), rel_error=np.zeros(3), n_train=3)
+        with pytest.raises(InvalidParameterError, match="no test window beyond n_train"):
+            series.mean_test_error()
+
+    def test_unsupported_problem_object(self):
+        with pytest.raises(InvalidParameterError, match="unsupported problem object object"):
+            analysis.generate_problem(object(), 0)
+
+    @pytest.mark.parametrize("s", [2, True, 3.0])
+    def test_variant_spec_sparsity_uses_the_operator_rule(self, s):
+        with pytest.raises(InvalidParameterError, match=f"sparsity_s must be 1 or 3, got {s}"):
+            VariantSpec("achlioptas", 10, sparsity_s=s)

@@ -372,6 +372,13 @@ class TestNonFiniteParameters:
         assert "t0 must be finite" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
+    def test_run_refuses_non_finite_t0_before_any_write(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = run_cli("run", "--problem", "signal-2d", *SMALL, "--t0", "inf", "--out", str(out))
+        assert code == EXIT_USAGE
+        assert "t0 must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestProblemParameters:
     """A problem parameter the generator cannot use is a usage error."""
@@ -472,3 +479,18 @@ class TestDeterministicReports:
             for v in rep["variants"]:
                 v["wall_time"] = 0.0
         assert r1 == r2
+
+
+class TestProblemChoice:
+    """A run or generate without a usable problem exits 64 and writes nothing."""
+
+    @pytest.mark.parametrize("argv,named", [
+        (["run"], "a problem is required"),
+        (["run", "--problem", "nope"], "unknown problem 'nope'"),
+        (["generate", "--problem", "file:x"], "generate needs a synthetic problem"),
+    ], ids=["run-no-problem", "run-unknown-problem", "generate-file"])
+    def test_exits_64(self, tmp_path, capsys, argv, named):
+        out = tmp_path / "out"
+        assert run_cli(*argv, "--out", str(out)) == EXIT_USAGE
+        assert named in capsys.readouterr().err
+        assert not out.exists()

@@ -142,6 +142,15 @@ class TestRankPolicy:
         assert RankPolicy.parse("tol:1e-8") == RankPolicy.relative_threshold(1e-8)
         assert RankPolicy.fixed(3).describe() == "fixed:3"
 
+    def test_unknown_mode_is_refused(self):
+        with pytest.raises(InvalidParameterError, match="unknown rank policy mode 'bogus'"):
+            RankPolicy("bogus")
+
+    @pytest.mark.parametrize("text", ["fixed:x", "tol:", "rank:3"])
+    def test_unparseable_text_is_refused(self, text):
+        with pytest.raises(InvalidParameterError, match=f"cannot parse rank policy '{text}'"):
+            RankPolicy.parse(text)
+
     def test_validation(self):
         with pytest.raises(InvalidParameterError):
             RankPolicy.fixed(0)
@@ -789,6 +798,13 @@ class TestModelSerialization:
         with pytest.raises(InvalidParameterError, match="dt must be positive and finite"):
             DmdModel(basis=None, eigenvalues_discrete=one, exponents=one, amplitudes=one,
                      rank=1, q=1, base_m=1, dt=dt)
+
+    @pytest.mark.parametrize("t0", [float("nan"), float("inf"), -float("inf")])
+    def test_model_refuses_a_t0_that_is_not_finite(self, t0):
+        model = dmd_tdc(SnapshotMatrix(np.random.default_rng(0).standard_normal((4, 12)),
+                                       dt=0.1), 2)
+        with pytest.raises(InvalidParameterError, match="t0 must be finite"):
+            replace(model, t0=t0)
 
     def test_unparseable_json_names_the_line(self, tmp_path):
         path = self._saved(tmp_path)

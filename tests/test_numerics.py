@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from delaydmd.errors import DegenerateModesError, InvalidParameterError
+from delaydmd.errors import (DegenerateModesError, InvalidParameterError,
+                             NumericalFailureError)
 from delaydmd.numerics import eig_dense, pseudoinverse_apply, thin_svd
 
 
@@ -162,3 +163,39 @@ class TestPseudoinverseApply:
         (phi if where == "phi" else x)[1] = bad
         with pytest.raises(InvalidParameterError, match=f"{where} contains non-finite"):
             pseudoinverse_apply(phi, x)
+
+
+class TestTypedFailures:
+    """Each kernel's refusals and LAPACK failures raise the package's own errors."""
+
+    @staticmethod
+    def _fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("did not converge")
+
+    @pytest.mark.parametrize("kernel,call,rows,cols", [
+        ("svd", lambda: thin_svd(np.ones((4, 3))), 4, 3),
+        ("eig", lambda: eig_dense(np.eye(3)), 3, 3),
+        ("svd", lambda: pseudoinverse_apply(np.ones((5, 2)), np.ones(5)), 5, 2),
+    ], ids=["thin_svd", "eig_dense", "pseudoinverse_apply"])
+    def test_lapack_failure_names_kernel_and_shape(self, monkeypatch, kernel, call, rows, cols):
+        monkeypatch.setattr(np.linalg, kernel, self._fail)
+        with pytest.raises(NumericalFailureError,
+                           match=f"{kernel} did not converge on a {rows}x{cols} matrix") as info:
+            call()
+        assert (info.value.kernel, info.value.rows, info.value.cols) == (kernel, rows, cols)
+        assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
+    @pytest.mark.parametrize("call,match", [
+        (lambda: eig_dense(np.array([[1.0, np.inf], [0.0, 1.0]])), "a contains non-finite"),
+        (lambda: eig_dense(np.ones((2, 3))), "a must be square"),
+        (lambda: thin_svd(np.eye(2) + 1j), "a must be real"),
+        (lambda: thin_svd(np.ones(3)), "a must be a 2-d matrix"),
+        (lambda: thin_svd(np.array([[1.0, np.nan]])), "a contains non-finite"),
+        (lambda: pseudoinverse_apply(np.ones(3), np.ones(3)), "phi must be 2-d"),
+        (lambda: pseudoinverse_apply(np.ones((3, 2)), np.ones(4)),
+         "x must be a vector of length 3"),
+    ], ids=["eig-inf", "eig-not-square", "svd-complex", "svd-1-d", "svd-nan", "pinv-1-d-phi",
+            "pinv-x-length"])
+    def test_bad_input_is_refused(self, call, match):
+        with pytest.raises(InvalidParameterError, match=match):
+            call()

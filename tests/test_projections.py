@@ -253,10 +253,14 @@ class TestKrylovCholeskyBuild:
             op = krylov_operator(200, 5, seed=0)
         assert op is None
 
-    def test_read_only_c_contiguous_matrix_is_kept(self):
+    def test_read_only_c_contiguous_matrix_is_copied(self):
+        # Every explicit matrix is copied once, even one that could be kept as it is.
         m = np.random.default_rng(0).standard_normal((3, 8))
         m.setflags(write=False)
-        assert np.shares_memory(ProjectionOperator("krylov", m, 3, None).matrix, m)
+        op = ProjectionOperator("krylov", m, 3, None)
+        assert not np.shares_memory(op.matrix, m)
+        assert op.matrix.flags.c_contiguous and not op.matrix.flags.writeable
+        np.testing.assert_array_equal(op.matrix, m)
 
     @pytest.mark.parametrize("prepare,freeze", [
         (lambda m: m, False),
@@ -744,3 +748,49 @@ class TestKrylovFromItsSeed:
     def test_ragged_indices_are_a_typed_error(self):
         with pytest.raises(InvalidParameterError, match="sampling indices must be 2 distinct"):
             ProjectionOperator("sampling", None, 2, None, indices=[[1], [2, 3]], d=5)
+
+
+class TestOneRuleForSparsity:
+    """``check_sparsity`` is the one Achlioptas rule, wherever s arrives."""
+
+    @pytest.mark.parametrize("build", [
+        lambda s: ProjectionOperator("achlioptas", None, 3, 0, sparsity_s=s, d=6),
+        lambda s: achlioptas_operator(10, 2, s, 0),
+    ], ids=["constructor", "factory"])
+    @pytest.mark.parametrize("s", [2, None, True, 3.0])
+    def test_sparsity_is_named(self, build, s):
+        with pytest.raises(InvalidParameterError, match=f"sparsity_s must be 1 or 3, got {s}"):
+            build(s)
+
+    def test_explicit_matrix_needs_no_sparsity(self):
+        op = ProjectionOperator("achlioptas", np.ones((2, 3)), 2, None)
+        assert op.sparsity_s is None and op.d == 3
+
+
+class TestComplexInputIsRefused:
+    def test_complex_matrix(self):
+        with pytest.raises(InvalidParameterError, match="ragged, non-numeric or complex"):
+            ProjectionOperator("gaussian", np.ones((2, 3)) + 1j, 2, None)
+
+    def test_complex_factors(self):
+        factors = np.stack([np.eye(3)] * 2).astype(complex)
+        with pytest.raises(InvalidParameterError, match="what regenerates its rows"):
+            ProjectionOperator("krylov", None, 3, 0, d=6, factors=factors)
+
+
+class TestArnoldiArguments:
+    @pytest.mark.parametrize("a_matrix,b,m,match", [
+        (np.ones((3, 4)), np.ones(3), 2, "a_matrix must be square"),
+        (np.eye(3), np.ones(4), 2, "b must have length 3"),
+        (np.eye(3), np.ones(3), 0, "1 <= m <= n = 3, got 0"),
+        (np.eye(3), np.ones(3), 4, "1 <= m <= n = 3, got 4"),
+    ], ids=["not-square", "b-length", "m-0", "m-past-n"])
+    def test_refused(self, a_matrix, b, m, match):
+        with pytest.raises(InvalidParameterError, match=match):
+            arnoldi(a_matrix, b, m)
+
+    def test_breakdown_tolerance_scales_with_the_matrix(self):
+        # Invariance is judged against 1e-12 * ||A||_F, so a scaled matrix breaks down alike.
+        for scale in (1e-8, 1.0, 1e8):
+            res = arnoldi(scale * np.eye(3), np.array([3.0, 0.0, 4.0]), m=3)
+            assert res.breakdown and res.steps_completed == 1

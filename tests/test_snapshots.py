@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from delaydmd import snapshots
+from delaydmd.dmd import DmdModel
 from delaydmd.errors import (
     InsufficientSnapshotsError,
     InvalidDelayError,
@@ -17,6 +18,7 @@ from delaydmd.errors import (
     SnapshotConsistencyError,
     SnapshotParseError,
 )
+from delaydmd.problems import DoubleGyreParams, SignalParams
 from delaydmd.snapshots import (
     GridMeta,
     SnapshotMatrix,
@@ -584,3 +586,57 @@ class TestReal:
     def test_integer_beyond_float_range_is_a_field_error(self):
         with pytest.raises(SnapshotParseError, match="f.json: cannot read field 'dt'"):
             read_field({"dt": 10**400}, "dt", real, "f.json")
+
+
+class TestOneRuleForTheTimeAxis:
+    """``check_time_axis`` is the one rule for dt and t0, in each class that has a time axis."""
+
+    @staticmethod
+    def _model(**axis):
+        one = np.ones(1, dtype=complex)
+        return DmdModel(basis=None, eigenvalues_discrete=one, exponents=one, amplitudes=one,
+                        rank=1, q=1, base_m=1, **{"dt": 0.1, **axis})
+
+    BUILDERS = {
+        "snapshots": lambda **axis: SnapshotMatrix(np.ones((2, 3)), **{"dt": 0.1, **axis}),
+        "model": lambda **axis: TestOneRuleForTheTimeAxis._model(**axis),
+        "gyre": lambda **axis: DoubleGyreParams(**axis),
+        "signal": lambda **axis: SignalParams(**axis),
+    }
+
+    @pytest.mark.parametrize("value", ["0.1", None, True], ids=["string", "none", "bool"])
+    @pytest.mark.parametrize("owner", BUILDERS)
+    def test_non_number_dt_is_refused(self, owner, value):
+        with pytest.raises(InvalidParameterError, match="dt must be positive and finite"):
+            self.BUILDERS[owner](dt=value)
+
+    # A signal's t0 of None is its default, the second sample.
+    @pytest.mark.parametrize("owner,value", [
+        (owner, value) for owner in BUILDERS for value in ("0.1", None, True)
+        if not (owner == "signal" and value is None)])
+    def test_non_number_t0_is_refused(self, owner, value):
+        with pytest.raises(InvalidParameterError, match="t0 must be finite"):
+            self.BUILDERS[owner](t0=value)
+
+    @pytest.mark.parametrize("owner", BUILDERS)
+    def test_numpy_numbers_pass(self, owner):
+        self.BUILDERS[owner](dt=np.float64(0.05), t0=np.int64(1))
+
+
+class TestCallerArrays:
+    """Snapshot data numpy cannot read as a real matrix is a typed error."""
+
+    @pytest.mark.parametrize("data", [
+        [[1.0, 2.0], [3.0]],
+        [["a", "b"]],
+        np.ones((2, 3)) + 1j,
+        np.ones((2, 3), dtype=complex),
+    ], ids=["ragged", "strings", "complex", "complex-zero-imaginary"])
+    def test_unreadable_data_is_refused(self, data):
+        with pytest.raises(InvalidParameterError,
+                           match="data must be 2-d and real, got a ragged, non-numeric or complex"):
+            SnapshotMatrix(data, dt=1.0)
+
+    def test_nested_lists_are_converted(self):
+        x = SnapshotMatrix([[1, 2], [3, 4]], dt=1.0)
+        assert x.data.dtype == float and not x.data.flags.writeable
