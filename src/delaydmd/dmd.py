@@ -43,11 +43,12 @@ from .errors import (
     ShapeMismatchError,
     ZeroInitialConditionError,
 )
-from .numerics import eig_dense, pseudoinverse_apply, real_complex_matmul, thin_svd
+from .numerics import (eig_dense, pseudoinverse_apply, real_complex_matmul, row_blocked_matmul,
+                       thin_svd)
 from .projections import ProjectionOperator, apply as apply_operator
 from .snapshots import (DelayEmbedding, SnapshotMatrix, check_time_axis, delay_embed, hankel_block,
-                        integral, is_integer, read_field, read_json, read_matrix, real, write_csv,
-                        write_json)
+                        integral, is_integer, read_field, read_json, read_matrix, real, real_array,
+                        write_csv, write_json)
 
 # Discrete eigenvalues below this modulus cannot be mapped to a finite
 # continuous exponent; they are dropped with a warning.
@@ -158,8 +159,8 @@ class DmdModel:
 
     @property
     def modes(self) -> np.ndarray | None:
-        """``real_complex_matmul(basis, coefficients)``, formed on each access;
-        the basis itself without coefficients."""
+        """``real_complex_matmul(basis, coefficients)``, formed on each access in
+        row blocks with the bits of one product; the basis without coefficients."""
         if self.coefficients is None:
             return self.basis
         return real_complex_matmul(self.basis, self.coefficients)
@@ -217,7 +218,7 @@ def _fit(x1, x2, policy: RankPolicy, *, sketch=None, rank_limit=None,
     eig = eig_dense((u.T @ fit_x2 @ v) / sigma)
     coeffs = (v / sigma) @ eig.eigenvectors
     if sketch is None:
-        modes = u.astype(complex) @ eig.eigenvectors
+        modes = row_blocked_matmul(u.astype(complex), eig.eigenvectors)
     else:
         modes = real_complex_matmul(x2, coeffs)
     keep = np.abs(eig.eigenvalues) > _ZERO_EIGENVALUE_CUTOFF
@@ -254,8 +255,8 @@ def dmd_classic(x1, x2, dt: float, policy: RankPolicy = DEFAULT_RANK_POLICY,
     eigenvectors; amplitudes solve the least-squares projection of the first
     column of x1 onto the modes.
     """
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
+    x1 = real_array(x1, "x1")
+    x2 = real_array(x2, "x2")
     if x1.shape != x2.shape:
         raise ShapeMismatchError(f"x1 {x1.shape} and x2 {x2.shape} must match")
     if x1.ndim != 2 or x1.shape[1] < 1:
@@ -315,11 +316,11 @@ def dmd_projected(x: SnapshotMatrix | DelayEmbedding, q: int, op: ProjectionOper
 def predict(model: DmdModel, k) -> np.ndarray:
     """Raw state at step k (time t0 + k*dt).
 
-    ``k`` may also be a 1-d array of steps; the states are then the columns
-    of the result, computed in one product. The modes are formed once per
-    call; a frequent caller keeps them formed, as the basis of a copy of the
-    model. Extrapolation beyond the training window is permitted; the caller
-    decides how far to trust it.
+    ``k`` may also be a 1-d array of steps; the states are then the columns of the
+    result, one product formed in row blocks with the bits of ``(modes @ coeff).real``.
+    The modes are formed once per call; a frequent caller keeps them formed, as the
+    basis of a copy of the model. Extrapolation beyond the training window is
+    permitted; the caller decides how far to trust it.
     """
     if np.any(np.asarray(k) < 0):
         raise InvalidParameterError(f"step index must be nonnegative, got {k}")
@@ -329,7 +330,7 @@ def predict(model: DmdModel, k) -> np.ndarray:
     times = np.atleast_1d(k) * model.dt
     coeff = np.exp(np.outer(model.exponents, times)) * model.amplitudes[:, None]
     # A copy, so the caller does not keep the complex product alive.
-    states = (modes @ coeff).real.copy()
+    states = row_blocked_matmul(modes, coeff).real.copy()
     return states if np.ndim(k) else states[:, 0]
 
 

@@ -33,7 +33,7 @@ from .errors import (
     RankDeficientBasisError,
     ShapeMismatchError,
 )
-from .snapshots import as_array, check_depth, check_finite, is_integer
+from .snapshots import as_array, check_depth, check_finite, is_integer, real_array
 
 KINDS = ("sampling", "gaussian", "achlioptas", "krylov")
 
@@ -190,11 +190,11 @@ def arnoldi(a_matrix, b, m: int) -> ArnoldiResult:
     Frobenius norm of ``a_matrix`` or below, the subspace is invariant and the
     iteration stops early with ``breakdown = True``.
     """
-    a_matrix = np.asarray(a_matrix, dtype=float)
+    a_matrix = real_array(a_matrix, "a_matrix")
     if a_matrix.ndim != 2 or a_matrix.shape[0] != a_matrix.shape[1]:
         raise InvalidParameterError(f"a_matrix must be square, got shape {a_matrix.shape}")
     n = a_matrix.shape[0]
-    b = np.asarray(b, dtype=float)
+    b = real_array(b, "b")
     if b.shape != (n,):
         raise InvalidParameterError(f"b must have length {n}, got shape {b.shape}")
     if not 1 <= m <= n:
@@ -279,7 +279,7 @@ def apply(op: ProjectionOperator, x, q: int = 1) -> np.ndarray:
     from a stored matrix or regenerated from the seed. Nothing is written to
     ``op``. With q = 1 this is the plain product with ``x``.
     """
-    x = np.asarray(x, dtype=float)
+    x = real_array(x, "x")
     if x.ndim != 2:
         raise ShapeMismatchError(f"x must be 2-d, got shape {x.shape}")
     m, n = x.shape

@@ -322,22 +322,39 @@ def as_array(value, **kwargs):
             return None
 
 
+def real_array(value, name: str) -> np.ndarray:
+    """``np.asarray(value, dtype=float)``, refusing complex input where numpy would cast it."""
+    if np.iscomplexobj(value):
+        raise InvalidParameterError(f"{name} must be real")
+    return np.asarray(value, dtype=float)
+
+
 def check_finite(name: str, a) -> None:
     """Refuse an array ``a`` that holds a NaN or an infinity, naming it ``name``."""
     if not np.all(np.isfinite(a)):
         raise InvalidParameterError(f"{name} contains non-finite entries")
 
 
+def _read_real(value) -> tuple[float, str]:
+    """``value`` as a float and as messages show it; a bool, non-number or overflow reads NaN."""
+    if not (is_integer(value) or isinstance(value, (float, np.floating))):
+        return np.nan, repr(value)
+    try:
+        return float(value), str(float(value))
+    except OverflowError:
+        return np.nan, "a number beyond the float range"
+
+
 def check_time_axis(dt, t0, nt=None) -> None:
-    """Refuse a time axis t0 + k*dt, k < nt, unless ``dt`` is a positive finite number,
-    ``t0`` a finite number and a given ``nt`` an integer >= 2; a bool is no number."""
-    is_dt, is_t0 = (is_integer(v) or isinstance(v, (float, np.floating)) for v in (dt, t0))
-    if not (is_dt and 0 < dt < np.inf):
-        raise InvalidParameterError(f"dt must be positive and finite, got {dt}")
-    if not (is_t0 and np.isfinite(t0)):
-        raise InvalidParameterError(f"t0 must be finite, got {t0}")
+    """Refuse a time axis t0 + k*dt, k < nt, unless ``dt`` reads as a positive finite float,
+    ``t0`` as a finite float and a given ``nt`` is an integer >= 2 (see :func:`_read_real`)."""
+    (dt_value, dt_shown), (t0_value, t0_shown) = _read_real(dt), _read_real(t0)
+    if not 0 < dt_value < np.inf:
+        raise InvalidParameterError(f"dt must be positive and finite, got {dt_shown}")
+    if not np.isfinite(t0_value):
+        raise InvalidParameterError(f"t0 must be finite, got {t0_shown}")
     if nt is not None and not (is_integer(nt) and nt >= 2):
-        raise InvalidParameterError(f"nt must be an integer of at least 2, got {nt}")
+        raise InvalidParameterError(f"nt must be an integer of at least 2, got {_read_real(nt)[1]}")
 
 
 def integral(value) -> int:

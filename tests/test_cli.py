@@ -372,6 +372,17 @@ class TestNonFiniteParameters:
         assert "t0 must be finite" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
+    def test_generate_refuses_a_t0_beyond_the_float_range(self, tmp_path, capsys):
+        # It used to end in a TypeError traceback from np.isfinite.
+        config = tmp_path / "big.json"
+        config.write_text('{"problem": "signal-2d", "overrides": {"nx": 12, "ny": 12, '
+                          f'"t0": {10**400}}}}}')
+        out = tmp_path / "out"
+        code = run_cli("generate", "--config", str(config), "--out", str(out))
+        assert code == EXIT_USAGE
+        assert "t0 must be finite, got a number beyond the float range" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_run_refuses_non_finite_t0_before_any_write(self, tmp_path, capsys):
         out = tmp_path / "out"
         code = run_cli("run", "--problem", "signal-2d", *SMALL, "--t0", "inf", "--out", str(out))

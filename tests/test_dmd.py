@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from delaydmd import numerics
 from delaydmd.dmd import (
     DmdModel,
     RankPolicy,
@@ -215,6 +216,14 @@ class TestDmdClassic:
     def test_pair_shapes_checked(self, x1, x2, match):
         with pytest.raises(ShapeMismatchError, match=match):
             dmd_classic(x1, x2, dt=1.0)
+
+    @pytest.mark.parametrize("side", ["x1", "x2"])
+    def test_complex_pair_is_refused(self, side):
+        # The imaginary part used to be dropped with only a ComplexWarning.
+        pair = {"x1": np.eye(3, 4), "x2": np.eye(3, 4)}
+        pair[side] = pair[side] + 1j
+        with pytest.raises(InvalidParameterError, match=f"{side} must be real"):
+            dmd_classic(pair["x1"], pair["x2"], dt=1.0)
 
 
 class TestDmdTdc:
@@ -610,6 +619,20 @@ class TestPredict:
         assert states.base is None and states.dtype == float
         coeff = np.exp(np.outer(model.exponents, steps * model.dt)) * model.amplitudes[:, None]
         np.testing.assert_array_equal(states, (model.modes @ coeff).real)
+
+    @pytest.mark.parametrize("fit", ["tdc", "explicit"])
+    def test_row_blocks_keep_the_bits_of_one_product(self, fit):
+        # Three whole row blocks and a short last one.
+        m = 3 * numerics._ROW_BLOCK + 5
+        rng = np.random.default_rng(21)
+        x = snaps(rng.standard_normal((m, 3)) @ rng.standard_normal((3, 14)))
+        model = dmd_tdc(x, 2, RankPolicy.fixed(4))
+        if fit == "explicit":
+            model = replace(model, basis=model.modes, coefficients=None)
+        steps = np.arange(16)
+        coeff = np.exp(np.outer(model.exponents, steps * model.dt)) * model.amplitudes[:, None]
+        np.testing.assert_array_equal(predict(model, steps), (model.modes @ coeff).real)
+        np.testing.assert_array_equal(predict(model, 5), (model.modes @ coeff[:, 5:6]).real[:, 0])
 
 
 class TestSpectrum:

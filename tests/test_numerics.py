@@ -1,12 +1,20 @@
-"""Kernel contracts: SVD/eig conventions, least-squares solve."""
+"""Kernel contracts: SVD/eig conventions, least-squares solve, row-blocked products."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import delaydmd
+from delaydmd import numerics
 from delaydmd.errors import (DegenerateModesError, InvalidParameterError,
                              NumericalFailureError)
-from delaydmd.numerics import eig_dense, pseudoinverse_apply, thin_svd
+from delaydmd.numerics import (eig_dense, pseudoinverse_apply, real_complex_matmul,
+                               row_blocked_matmul, thin_svd)
 
 
 class TestThinSvd:
@@ -199,3 +207,79 @@ class TestTypedFailures:
     def test_bad_input_is_refused(self, call, match):
         with pytest.raises(InvalidParameterError, match=match):
             call()
+
+
+class TestRowBlockedMatmul:
+    """Products with one row per state run in row blocks, with the bits of one product."""
+
+    # Three whole blocks and a short last one.
+    ROWS = 3 * numerics._ROW_BLOCK + 5
+
+    # numpy multiplies a single row with its vector kernel, whose last bits
+    # differ, so a lone last row must join the block before it.
+    @pytest.mark.parametrize("rows", [ROWS, numerics._ROW_BLOCK + 1, 1],
+                             ids=["short-last-block", "lone-last-row", "one-row"])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_bits_match_one_product(self, dtype, rows):
+        rng = np.random.default_rng(11)
+        wide = rng.standard_normal((rows, 30)).astype(dtype)
+        if dtype is complex:
+            wide += 1j * rng.standard_normal(wide.shape)
+        a = wide[:, :23]  # a strided view, like a fit's basis
+        b = rng.standard_normal((23, 16)) + 1j * rng.standard_normal((23, 16))
+        for right in (b, b.real.copy()):
+            out = row_blocked_matmul(a, right)
+            assert out.shape == (rows, 16) and out.dtype == np.result_type(a, right)
+            np.testing.assert_array_equal(out, a @ right)
+
+    def test_real_complex_matmul_bits_match_one_product(self):
+        rng = np.random.default_rng(12)
+        a = rng.standard_normal((self.ROWS, 30))[:, :23]
+        z = rng.standard_normal((23, 20)) + 1j * rng.standard_normal((23, 20))
+        pairs = np.stack([z.real, z.imag], axis=-1).reshape(23, 40)
+        np.testing.assert_array_equal(real_complex_matmul(a, z), (a @ pairs).view(complex))
+
+    def test_short_operands_are_one_block(self):
+        a = np.arange(6.0).reshape(3, 2)
+        np.testing.assert_array_equal(row_blocked_matmul(a, np.eye(2)), a)
+        assert row_blocked_matmul(np.ones((0, 2)), np.ones((2, 3))).shape == (0, 3)
+
+
+# Forms the modes of a stock-size tdc model (a 10000x173 view of 10000x200
+# snapshots, 20 columns) and prints how far the peak RSS rose beyond the modes.
+# The peak is VmHWM, not ru_maxrss: a child's ru_maxrss starts at its parent's
+# RSS, so a large test runner would hide the rise.
+_MODES_RISE_PROBE = """
+import re
+import numpy as np
+from delaydmd.dmd import DmdModel
+def peak_kb():
+    with open("/proc/self/status") as status:
+        return int(re.search(r"VmHWM:\\s*(\\d+) kB", status.read()).group(1))
+rng = np.random.default_rng(0)
+data = rng.standard_normal((10000, 200))
+coefficients = rng.standard_normal((173, 20)) + 1j * rng.standard_normal((173, 20))
+one = np.ones(20, dtype=complex)
+model = DmdModel(basis=data[:, :173], eigenvalues_discrete=one, exponents=one, amplitudes=one,
+                 rank=20, q=2, base_m=10000, dt=0.1, coefficients=coefficients)
+data[:64, :173] @ coefficients.real  # starts the BLAS threads
+before = peak_kb()
+modes = model.modes
+print(((peak_kb() - before) * 1024 - modes.nbytes) / 2**20)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads Linux's VmHWM")
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="one BLAS thread keeps no packed copy, so nothing to bound")
+def test_two_thread_modes_keep_no_packed_copy_of_the_snapshots():
+    # As one product on two threads, OpenBLAS 0.3.31 left the peak 13.5 MB above
+    # the 3.1 MB modes; in row blocks it rises about 2 MB above them.
+    src = str(Path(delaydmd.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["OPENBLAS_NUM_THREADS"] = "2"
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", _MODES_RISE_PROBE], env=env, check=True,
+                         capture_output=True, text=True)
+    assert float(out.stdout) < 4.0

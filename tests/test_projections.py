@@ -151,6 +151,14 @@ class TestArnoldi:
         with pytest.raises(InvalidStartVectorError):
             arnoldi(np.eye(3), np.zeros(3), m=2)
 
+    @pytest.mark.parametrize("name", ["a_matrix", "b"])
+    def test_complex_input_is_refused(self, name):
+        # The imaginary part used to be dropped with only a ComplexWarning.
+        args = {"a_matrix": np.diag([1.0, 2.0, 3.0]), "b": np.ones(3)}
+        args[name] = args[name] + 1j
+        with pytest.raises(InvalidParameterError, match=f"{name} must be real"):
+            arnoldi(args["a_matrix"], args["b"], m=2)
+
 
 class TestKrylovOperator:
     def test_rows_orthonormal(self):
@@ -304,6 +312,25 @@ class TestApply:
         op = gaussian_operator(10, 3, seed=0)
         with pytest.raises(ShapeMismatchError, match="must be 2-d"):
             apply(op, np.ones(10))
+
+    @pytest.mark.parametrize("kind", ["sampling", "gaussian"])
+    def test_complex_data_refused(self, kind):
+        # The imaginary part used to be dropped with only a ComplexWarning.
+        op = _operator(kind, 10, 3, 0)
+        with pytest.raises(InvalidParameterError, match="x must be real"):
+            apply(op, np.ones((10, 4), dtype=complex))
+
+    def test_real_data_is_not_copied(self):
+        # The complex test reads the dtype; a float window is used in place.
+        x = np.random.default_rng(2).standard_normal((4000, 50))
+        op = sampling_operator(4000, 3, seed=0)
+        tracemalloc.start()
+        try:
+            apply(op, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < x.nbytes / 10
 
     @settings(deadline=None, max_examples=25)
     @given(seed=st.integers(0, 2**32 - 1),

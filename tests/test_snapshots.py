@@ -622,6 +622,32 @@ class TestOneRuleForTheTimeAxis:
     def test_numpy_numbers_pass(self, owner):
         self.BUILDERS[owner](dt=np.float64(0.05), t0=np.int64(1))
 
+    # An int past the float range used to pass as dt and end in a bare
+    # TypeError from np.isfinite as t0.
+    @pytest.mark.parametrize("axis,message", [
+        ({"dt": 10**400}, "dt must be positive and finite"),
+        ({"t0": 10**400}, "t0 must be finite"),
+        ({"t0": -10**400}, "t0 must be finite"),
+    ], ids=["dt", "t0", "negative-t0"])
+    @pytest.mark.parametrize("owner", BUILDERS)
+    def test_an_int_beyond_the_float_range_is_refused(self, owner, axis, message):
+        with pytest.raises(InvalidParameterError,
+                           match=f"{message}, got a number beyond the float range$"):
+            self.BUILDERS[owner](**axis)
+
+    @pytest.mark.parametrize("axis,shown", [
+        ({"dt": "0.1"}, "dt must be positive and finite, got '0.1'"),
+        ({"dt": None}, "dt must be positive and finite, got None"),
+        ({"dt": np.float64(-0.5)}, "dt must be positive and finite, got -0.5"),
+        ({"dt": 0}, "dt must be positive and finite, got 0.0"),
+        ({"t0": np.float64(np.nan)}, "t0 must be finite, got nan"),
+        ({"t0": "1"}, "t0 must be finite, got '1'"),
+    ], ids=["string-dt", "none-dt", "numpy-dt", "zero-dt", "nan-t0", "string-t0"])
+    def test_a_number_is_shown_as_a_number_and_anything_else_by_repr(self, axis, shown):
+        with pytest.raises(InvalidParameterError) as info:
+            SnapshotMatrix(np.ones((2, 3)), **{"dt": 0.1, **axis})
+        assert str(info.value) == shown
+
 
 class TestCallerArrays:
     """Snapshot data numpy cannot read as a real matrix is a typed error."""
