@@ -108,8 +108,8 @@ def mode_field(model: DmdModel, k: int, grid: GridMeta, part: str) -> np.ndarray
     part. The modes are formed on each call, as in :func:`predict`."""
     if model.basis is None:
         raise InvalidParameterError("model carries no modes")
-    if not 0 <= k < model.rank:
-        raise InvalidParameterError(f"mode index {k} outside 0..{model.rank - 1}")
+    if not (is_integer(k) and 0 <= k < model.rank):
+        raise InvalidParameterError(f"mode index {k!r} is not an integer in 0..{model.rank - 1}")
     if grid.size != model.base_m:
         raise ShapeMismatchError(
             f"grid has nx*ny = {grid.size} but modes have {model.base_m} raw rows"
@@ -135,7 +135,7 @@ class VariantSpec:
     sparsity_s: int = 3
 
     def __post_init__(self):
-        if self.name not in VARIANT_NAMES:
+        if not (isinstance(self.name, str) and self.name in VARIANT_NAMES):
             raise InvalidParameterError(
                 f"unknown variant {self.name!r}; choose from {VARIANT_NAMES}"
             )
@@ -287,6 +287,8 @@ def run_comparison(problem, variant_specs, master_seed: int = 0, *,
     """
     if not variant_specs:
         raise InvalidParameterError("at least one variant is required")
+    if not (isinstance(project_before_augment, bool) and isinstance(strict, bool)):
+        raise InvalidParameterError("project_before_augment and strict must be True or False")
     names = [s.name for s in variant_specs]
     for i, name in enumerate(names):  # each variant has one report entry
         if name in names[:i]:

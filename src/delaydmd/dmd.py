@@ -46,9 +46,9 @@ from .errors import (
 from .numerics import (eig_dense, pseudoinverse_apply, real_complex_matmul, row_blocked_matmul,
                        thin_svd)
 from .projections import ProjectionOperator, apply as apply_operator
-from .snapshots import (DelayEmbedding, SnapshotMatrix, check_time_axis, delay_embed, hankel_block,
-                        integral, is_integer, read_field, read_json, read_matrix, real, real_array,
-                        write_csv, write_json)
+from .snapshots import (DelayEmbedding, SnapshotMatrix, as_array, check_real, check_time_axis,
+                        delay_embed, hankel_block, integral, is_integer, read_field, read_json,
+                        read_matrix, real, real_array, write_csv, write_json)
 
 # Discrete eigenvalues below this modulus cannot be mapped to a finite
 # continuous exponent; they are dropped with a warning.
@@ -70,14 +70,12 @@ class RankPolicy:
     tol: float | None = None
 
     def __post_init__(self):
-        if self.mode == "fixed":
-            if not (is_integer(self.r) and self.r >= 1):
-                raise InvalidParameterError("fixed rank must be >= 1 (an integer)")
-        elif self.mode == "tol":
-            if self.tol is None or not 0.0 < self.tol < 1.0:
-                raise InvalidParameterError("relative threshold must lie in (0, 1)")
-        else:
+        if not (isinstance(self.mode, str) and self.mode in ("fixed", "tol")):
             raise InvalidParameterError(f"unknown rank policy mode {self.mode!r}")
+        if self.mode == "fixed" and not (is_integer(self.r) and self.r >= 1):
+            raise InvalidParameterError("fixed rank must be >= 1 (an integer)")
+        if self.mode == "tol":
+            check_real("tol", self.tol, 0, 1)
 
     @classmethod
     def fixed(cls, r: int) -> "RankPolicy":
@@ -142,18 +140,22 @@ class DmdModel:
     coefficients: np.ndarray | None = None
 
     def __post_init__(self):
-        r = self.eigenvalues_discrete.shape[0]
-        if self.exponents.shape != (r,) or self.amplitudes.shape != (r,):
+        # Each shape is () for None or a ragged or non-numeric value.
+        spectra = [np.shape(as_array(v, copy=None)) for v in
+                   (self.eigenvalues_discrete, self.exponents, self.amplitudes)]
+        r = spectra[0][0] if len(spectra[0]) == 1 else -1
+        if any(s != (r,) for s in spectra):
             raise InvalidParameterError("eigenvalues, exponents and amplitudes must align")
-        shape = np.shape(self.basis)
+        shape, c_given = (np.shape(as_array(v, copy=None)) for v in (self.basis, self.coefficients))
         # Explicit modes are a basis with the identity as its coefficients.
-        c_shape = shape[1:] * 2 if self.coefficients is None else np.shape(self.coefficients)
+        c_shape = shape[1:] * 2 if self.coefficients is None else c_given
         if (self.basis is not None or self.coefficients is not None) and (
-                len(shape) != 2 or shape[0] != self.base_m or c_shape != (shape[1], r)):
+                len(shape) != 2 or not is_integer(self.base_m) or shape[0] != self.base_m
+                or c_shape != (shape[1], r)):
             raise InvalidParameterError(
                 f"modes must be base_m-by-rank, {self.base_m}-by-{r}: got a basis of shape "
-                f"{shape} and coefficients of shape {np.shape(self.coefficients)}")
-        if self.rank != r:
+                f"{shape} and coefficients of shape {c_given}")
+        if not (is_integer(self.rank) and self.rank == r):
             raise InvalidParameterError("rank must equal the number of retained eigenvalues")
         check_time_axis(self.dt, self.t0)
 
@@ -322,7 +324,8 @@ def predict(model: DmdModel, k) -> np.ndarray:
     basis of a copy of the model. Extrapolation beyond the training window is
     permitted; the caller decides how far to trust it.
     """
-    if np.any(np.asarray(k) < 0):
+    steps = as_array(k)
+    if steps is None or not np.all(steps >= 0):  # NaN fails too
         raise InvalidParameterError(f"step index must be nonnegative, got {k}")
     modes = model.modes
     if modes is None:

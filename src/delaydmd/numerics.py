@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateModesError, InvalidParameterError, NumericalFailureError
-from .snapshots import check_finite, real_array
+from .snapshots import as_array, check_finite, real_array
 
 # Relative cutoff below which singular values are treated as exact zeros
 # when solving least-squares systems.
@@ -93,9 +93,10 @@ def eig_dense(a) -> EigResult:
     NumericalFailureError
         If the QR iteration does not converge.
     """
-    a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise InvalidParameterError(f"a must be square, got shape {a.shape}")
+    a = as_array(a, copy=None)  # a real matrix stays real, for LAPACK's real path
+    if a is None or a.ndim != 2 or a.shape[0] != a.shape[1]:
+        got = "a ragged or non-numeric array" if a is None else f"shape {a.shape}"
+        raise InvalidParameterError(f"a must be square, got {got}")
     check_finite("a", a)
     try:
         w, vec = np.linalg.eig(a)
@@ -125,14 +126,13 @@ def pseudoinverse_apply(phi, x) -> np.ndarray:
     DegenerateModesError
         If ``phi`` is zero or empty.
     """
-    phi = np.asarray(phi)
-    x = np.asarray(x)
-    if phi.ndim != 2:
-        raise InvalidParameterError(f"phi must be 2-d, got shape {phi.shape}")
-    if x.shape != (phi.shape[0],):
-        raise InvalidParameterError(
-            f"x must be a vector of length {phi.shape[0]}, got shape {x.shape}"
-        )
+    phi, x = as_array(phi, copy=None), as_array(x, copy=None)
+    if phi is None or phi.ndim != 2:
+        got = "a ragged or non-numeric array" if phi is None else f"shape {phi.shape}"
+        raise InvalidParameterError(f"phi must be 2-d, got {got}")
+    if x is None or x.shape != (phi.shape[0],):
+        got = "a ragged or non-numeric array" if x is None else f"shape {x.shape}"
+        raise InvalidParameterError(f"x must be a vector of length {phi.shape[0]}, got {got}")
     check_finite("phi", phi)
     check_finite("x", x)
     try:

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidGridError, InvalidParameterError, SamplingRateError
-from .snapshots import GridMeta, SnapshotMatrix, check_time_axis
+from .errors import InvalidGridError, SamplingRateError
+from .snapshots import GridMeta, SnapshotMatrix, check_real, check_time_axis
 
 
 @dataclass(frozen=True)
@@ -35,10 +35,9 @@ class DoubleGyreParams:
     t0: float = 0.0
 
     def __post_init__(self):
-        if not (0 < self.amp < math.inf and 0 < self.omega < math.inf):
-            raise InvalidParameterError("amp and omega must be positive and finite")
-        if not 0 <= self.eps < 0.5:
-            raise InvalidParameterError(f"eps must lie in [0, 0.5), got {self.eps}")
+        check_real("amp", self.amp, 0)
+        check_real("omega", self.omega, 0)
+        check_real("eps", self.eps, 0, 0.5, closed=True)
         check_time_axis(self.dt, self.t0, self.nt)
 
 
@@ -62,15 +61,13 @@ class SignalParams:
     t0: float | None = None
 
     def __post_init__(self):
-        if not (0 < self.f1 < math.inf and 0 < self.f2 < math.inf):
-            raise InvalidParameterError("f1 and f2 must be positive and finite")
-        if not 0 <= self.noise_amp < math.inf:
-            raise InvalidParameterError("noise_amp must be nonnegative and finite")
+        check_real("f1", self.f1, 0)
+        check_real("f2", self.f2, 0)
+        check_real("noise_amp", self.noise_amp, 0, closed=True)
         if self.t0 is None:
             object.__setattr__(self, "t0", self.dt)
         check_time_axis(self.dt, self.t0)  # before dt is compared with the Nyquist step
-        if not 0 < self.t_final < math.inf:
-            raise InvalidParameterError(f"t_final must be positive and finite, got {self.t_final}")
+        check_real("t_final", self.t_final, 0)
         nyquist_dt = 1.0 / (2.0 * max(self.f1, self.f2))
         if self.dt > nyquist_dt:
             raise SamplingRateError(

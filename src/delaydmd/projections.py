@@ -92,9 +92,9 @@ class ProjectionOperator:
             raise InvalidParameterError(
                 f"a {kind} operator needs its matrix, or d and what regenerates its rows"
             )
-        if not (is_integer(a) and 1 <= a <= d):
+        if not (is_integer(a) and is_integer(d) and 1 <= a <= d):
             raise InvalidParameterError(
-                f"measurement count {a} must be an integer with 1 <= a <= state dimension {d}"
+                f"measurement count {a} and state dimension {d!r} must be integers, 1 <= a <= d"
             )
         self.d = d
         self.indices = _checked_indices(indices, a, d) if kind == "sampling" else None
@@ -141,9 +141,9 @@ def sampling_operator(d: int, a: int, seed: int) -> ProjectionOperator:
     generator and sorted ascending, so the operator extracts a spatial
     traces in index order. Only the indices are stored.
     """
-    if not (is_integer(a) and 1 <= a <= d):  # before rng.choice's bare errors
+    if not (is_integer(a) and is_integer(d) and 1 <= a <= d):  # before rng.choice's errors
         raise InvalidParameterError(
-            f"measurement count {a} must be an integer with 1 <= a <= state dimension {d}")
+            f"measurement count {a} and state dimension {d!r} must be integers, 1 <= a <= d")
     _check_seed(seed)
     rng = np.random.default_rng(seed)
     indices = np.sort(rng.choice(d, size=a, replace=False))
@@ -197,8 +197,8 @@ def arnoldi(a_matrix, b, m: int) -> ArnoldiResult:
     b = real_array(b, "b")
     if b.shape != (n,):
         raise InvalidParameterError(f"b must have length {n}, got shape {b.shape}")
-    if not 1 <= m <= n:
-        raise InvalidParameterError(f"steps must satisfy 1 <= m <= n = {n}, got {m}")
+    if not (is_integer(m) and 1 <= m <= n):
+        raise InvalidParameterError(f"steps must be an integer 1 <= m <= n = {n}, got {m!r}")
     b_norm = np.linalg.norm(b)
     if b_norm == 0.0:
         raise InvalidStartVectorError("start vector is zero")
@@ -241,9 +241,9 @@ def krylov_operator(d: int, a: int, seed: int) -> ProjectionOperator:
     condition number above 1e7, or if by the second sweep's gram the rows are
     more than 1e-12 from orthonormal. Gaussian blocks that bad are rare.
     """
-    if not (is_integer(a) and 1 <= a <= d - 1):  # a + 1 basis vectors
+    if not (is_integer(a) and is_integer(d) and 1 <= a <= d - 1):  # a + 1 basis vectors
         raise InvalidParameterError(
-            f"subspace dimension {a} must be an integer with 1 <= a <= d - 1 = {d - 1}")
+            f"subspace dimension {a} and state dimension {d!r} must be integers, 1 <= a <= d - 1")
     _check_seed(seed)
     w, step = a + 1, max(1, _PANEL_ENTRIES // (a + 1))
     widths = [min(step, d - start) for start in range(0, d, step)]

@@ -55,6 +55,8 @@ class GridMeta:
     def __post_init__(self):
         if not all(is_integer(k) and k >= 1 for k in (self.nx, self.ny)):
             raise InvalidParameterError("grid needs integer nx >= 1 and ny >= 1")
+        for name in ("x_min", "x_max", "y_min", "y_max"):
+            check_real(name, getattr(self, name))
         if not (self.x_min < self.x_max and self.y_min < self.y_max):
             raise InvalidParameterError("grid extents must satisfy min < max")
 
@@ -313,20 +315,23 @@ def is_integer(value) -> bool:
 
 def as_array(value, **kwargs):
     """``np.array(value, **kwargs)``, or None if ``value`` is ragged, does not
-    convert, or would lose an imaginary part to a real ``dtype``."""
+    convert, is not numeric, or would lose an imaginary part to a real ``dtype``."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # numpy warns as it drops an imaginary part
         try:
-            return np.array(value, **kwargs)
-        except (TypeError, ValueError, Warning):
+            a = np.array(value, **kwargs)
+        except (OverflowError, TypeError, ValueError, Warning):
             return None
+    return a if a.dtype.kind in "biufc" else None
 
 
 def real_array(value, name: str) -> np.ndarray:
-    """``np.asarray(value, dtype=float)``, refusing complex input where numpy would cast it."""
-    if np.iscomplexobj(value):
-        raise InvalidParameterError(f"{name} must be real")
-    return np.asarray(value, dtype=float)
+    """``np.asarray(value, dtype=float)`` through :func:`as_array`, so a float array
+    is not copied and ragged, non-numeric or complex input is refused."""
+    a = as_array(value, dtype=float, copy=None)
+    if a is None:
+        raise InvalidParameterError(f"{name} must be real, not ragged, non-numeric or complex")
+    return a
 
 
 def check_finite(name: str, a) -> None:
@@ -345,14 +350,22 @@ def _read_real(value) -> tuple[float, str]:
         return np.nan, "a number beyond the float range"
 
 
+def check_real(name: str, value, low=-np.inf, high=np.inf, closed=False) -> None:
+    """Refuse ``value`` unless it reads as a float (see :func:`_read_real`) in (low, high),
+    or in [low, high) when ``closed``. An unbounded range starts at -inf or 0."""
+    number, shown = _read_real(value)
+    if not (low < number < high or closed and number == low):
+        sign = "nonnegative and " if closed else "positive and " if low == 0 else ""
+        bounds = f"{'[' if closed else '('}{low:g}, {high:g})"
+        rule = f"lie in {bounds}" if high < np.inf else f"be {sign}finite"
+        raise InvalidParameterError(f"{name} must {rule}, got {shown}")
+
+
 def check_time_axis(dt, t0, nt=None) -> None:
-    """Refuse a time axis t0 + k*dt, k < nt, unless ``dt`` reads as a positive finite float,
-    ``t0`` as a finite float and a given ``nt`` is an integer >= 2 (see :func:`_read_real`)."""
-    (dt_value, dt_shown), (t0_value, t0_shown) = _read_real(dt), _read_real(t0)
-    if not 0 < dt_value < np.inf:
-        raise InvalidParameterError(f"dt must be positive and finite, got {dt_shown}")
-    if not np.isfinite(t0_value):
-        raise InvalidParameterError(f"t0 must be finite, got {t0_shown}")
+    """Refuse a time axis t0 + k*dt, k < nt, unless ``dt`` is a positive finite real,
+    ``t0`` a finite real (see :func:`check_real`) and a given ``nt`` an integer >= 2."""
+    check_real("dt", dt, 0)
+    check_real("t0", t0)
     if nt is not None and not (is_integer(nt) and nt >= 2):
         raise InvalidParameterError(f"nt must be an integer of at least 2, got {_read_real(nt)[1]}")
 
@@ -366,11 +379,12 @@ def integral(value) -> int:
 
 
 def real(value) -> float:
-    """``value`` as a float if it is a finite number, for :func:`read_field`:
-    an int or a float, but never a bool, a string, NaN or an infinity."""
-    if not ((is_integer(value) or isinstance(value, float)) and np.isfinite(float(value))):
-        raise ValueError(f"{value!r} is not a finite number")
-    return float(value)
+    """``value`` as a float if it reads as a finite one (see :func:`_read_real`), for
+    :func:`read_field`: never a bool, a string, NaN, an infinity or an int past the float range."""
+    number, shown = _read_real(value)
+    if not np.isfinite(number):
+        raise ValueError(f"{shown} is not a finite number")
+    return number
 
 
 def save(x: SnapshotMatrix, path) -> None:

@@ -22,6 +22,7 @@ from delaydmd.problems import DoubleGyreParams, SignalParams
 from delaydmd.snapshots import (
     GridMeta,
     SnapshotMatrix,
+    check_real,
     delay_embed,
     hankel_augment,
     hankel_block,
@@ -666,3 +667,40 @@ class TestCallerArrays:
     def test_nested_lists_are_converted(self):
         x = SnapshotMatrix([[1, 2], [3, 4]], dt=1.0)
         assert x.data.dtype == float and not x.data.flags.writeable
+
+
+class TestCheckReal:
+    """``check_real`` is the one rule for a real parameter and its range."""
+
+    @pytest.mark.parametrize("value,bounds,match", [
+        (0, {"low": 0}, "v must be positive and finite, got 0.0"),
+        (-1e-300, {"low": 0, "closed": True}, "v must be nonnegative and finite, got -1e-300"),
+        (np.inf, {}, "v must be finite, got inf"),
+        (0.5, {"low": 0, "high": 0.5, "closed": True}, r"v must lie in \[0, 0.5\), got 0.5"),
+        (1, {"low": 0, "high": 1}, r"v must lie in \(0, 1\), got 1.0"),
+        (np.nan, {"low": 0, "high": 1}, r"v must lie in \(0, 1\), got nan"),
+        (True, {}, "v must be finite, got True"),
+        (1j, {}, r"v must be finite, got 1j"),
+        (10**400, {}, "v must be finite, got a number beyond the float range"),
+        (np.ones(1), {}, r"v must be finite, got array\(\[1.\]\)"),
+    ], ids=["open-zero", "closed-negative", "infinite", "closed-top", "open-top", "nan", "bool",
+            "complex", "huge", "array"])
+    def test_refused_with_its_range(self, value, bounds, match):
+        with pytest.raises(InvalidParameterError, match=match):
+            check_real("v", value, **bounds)
+
+    @pytest.mark.parametrize("value,bounds", [
+        (0, {"low": 0, "closed": True}),
+        (-0.0, {"low": 0, "closed": True}),
+        (np.float32(0.25), {"low": 0, "high": 0.5, "closed": True}),
+        (np.int64(-3), {}),
+        (-(2**1000), {}),
+    ], ids=["closed-zero", "negative-zero", "float32", "numpy-int", "big-int"])
+    def test_accepted(self, value, bounds):
+        check_real("v", value, **bounds)
+
+    def test_parameters_are_kept_as_given(self):
+        amp = np.float32(0.1)
+        assert DoubleGyreParams(amp=amp).amp is amp
+        x_max = GridMeta(3, 3, 0, 2, 0, 1).x_max
+        assert x_max == 2 and type(x_max) is int
