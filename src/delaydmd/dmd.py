@@ -141,12 +141,12 @@ class DmdModel:
 
     def __post_init__(self):
         # Each shape is () for None or a ragged or non-numeric value.
-        spectra = [np.shape(as_array(v, copy=None)) for v in
+        spectra = [np.shape(as_array(v, np.asarray)) for v in
                    (self.eigenvalues_discrete, self.exponents, self.amplitudes)]
         r = spectra[0][0] if len(spectra[0]) == 1 else -1
         if any(s != (r,) for s in spectra):
             raise InvalidParameterError("eigenvalues, exponents and amplitudes must align")
-        shape, c_given = (np.shape(as_array(v, copy=None)) for v in (self.basis, self.coefficients))
+        shape, c_given = (np.shape(as_array(v, np.asarray)) for v in (self.basis, self.coefficients))
         # Explicit modes are a basis with the identity as its coefficients.
         c_shape = shape[1:] * 2 if self.coefficients is None else c_given
         if (self.basis is not None or self.coefficients is not None) and (
@@ -330,11 +330,11 @@ def predict(model: DmdModel, k) -> np.ndarray:
     modes = model.modes
     if modes is None:
         raise InvalidParameterError("model carries no modes; refit or reload with modes")
-    times = np.atleast_1d(k) * model.dt
+    times = np.atleast_1d(steps) * model.dt
     coeff = np.exp(np.outer(model.exponents, times)) * model.amplitudes[:, None]
     # A copy, so the caller does not keep the complex product alive.
     states = row_blocked_matmul(modes, coeff).real.copy()
-    return states if np.ndim(k) else states[:, 0]
+    return states if steps.ndim else states[:, 0]
 
 
 @dataclass(frozen=True)

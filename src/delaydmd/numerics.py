@@ -93,7 +93,7 @@ def eig_dense(a) -> EigResult:
     NumericalFailureError
         If the QR iteration does not converge.
     """
-    a = as_array(a, copy=None)  # a real matrix stays real, for LAPACK's real path
+    a = as_array(a, np.asarray)  # a real matrix stays real, for LAPACK's real path
     if a is None or a.ndim != 2 or a.shape[0] != a.shape[1]:
         got = "a ragged or non-numeric array" if a is None else f"shape {a.shape}"
         raise InvalidParameterError(f"a must be square, got {got}")
@@ -126,7 +126,7 @@ def pseudoinverse_apply(phi, x) -> np.ndarray:
     DegenerateModesError
         If ``phi`` is zero or empty.
     """
-    phi, x = as_array(phi, copy=None), as_array(x, copy=None)
+    phi, x = as_array(phi, np.asarray), as_array(x, np.asarray)
     if phi is None or phi.ndim != 2:
         got = "a ragged or non-numeric array" if phi is None else f"shape {phi.shape}"
         raise InvalidParameterError(f"phi must be 2-d, got {got}")

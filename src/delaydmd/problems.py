@@ -75,6 +75,7 @@ class SignalParams:
                 f"at least twice the maximum frequency, i.e. dt <= {nyquist_dt:.6g}"
             )
         if self.nt is None:
+            check_real("t_final / dt", self.t_final / self.dt)  # an int cannot hold inf
             object.__setattr__(self, "nt", int(math.floor(self.t_final / self.dt + 1e-9)) + 1)
         check_time_axis(self.dt, self.t0, self.nt)
 

@@ -313,13 +313,14 @@ def is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def as_array(value, **kwargs):
-    """``np.array(value, **kwargs)``, or None if ``value`` is ragged, does not
-    convert, is not numeric, or would lose an imaginary part to a real ``dtype``."""
+def as_array(value, convert=np.array, **kwargs):
+    """``convert(value, **kwargs)``, or None if ``value`` is ragged, does not
+    convert, is not numeric, or would lose an imaginary part to a real ``dtype``.
+    ``convert=np.asarray`` leaves an array that needs no conversion uncopied."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # numpy warns as it drops an imaginary part
         try:
-            a = np.array(value, **kwargs)
+            a = convert(value, **kwargs)
         except (OverflowError, TypeError, ValueError, Warning):
             return None
     return a if a.dtype.kind in "biufc" else None
@@ -328,7 +329,7 @@ def as_array(value, **kwargs):
 def real_array(value, name: str) -> np.ndarray:
     """``np.asarray(value, dtype=float)`` through :func:`as_array`, so a float array
     is not copied and ragged, non-numeric or complex input is refused."""
-    a = as_array(value, dtype=float, copy=None)
+    a = as_array(value, np.asarray, dtype=float)
     if a is None:
         raise InvalidParameterError(f"{name} must be real, not ragged, non-numeric or complex")
     return a
@@ -352,12 +353,13 @@ def _read_real(value) -> tuple[float, str]:
 
 def check_real(name: str, value, low=-np.inf, high=np.inf, closed=False) -> None:
     """Refuse ``value`` unless it reads as a float (see :func:`_read_real`) in (low, high),
-    or in [low, high) when ``closed``. An unbounded range starts at -inf or 0."""
+    or in [low, high) when ``closed``. The message words the three common ranges
+    (0, inf), [0, inf) and (-inf, inf) and shows any other as an interval."""
     number, shown = _read_real(value)
     if not (low < number < high or closed and number == low):
-        sign = "nonnegative and " if closed else "positive and " if low == 0 else ""
-        bounds = f"{'[' if closed else '('}{low:g}, {high:g})"
-        rule = f"lie in {bounds}" if high < np.inf else f"be {sign}finite"
+        named = {(0, False): "be positive and finite", (0, True): "be nonnegative and finite",
+                 (-np.inf, False): "be finite"}.get((low, closed)) if high == np.inf else None
+        rule = named or f"lie in {'[' if closed else '('}{low:g}, {high:g})"
         raise InvalidParameterError(f"{name} must {rule}, got {shown}")
 
 

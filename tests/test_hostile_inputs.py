@@ -172,11 +172,12 @@ def test_integer_and_step_arguments_are_refused(call, match):
     (lambda: SignalParams(f2=HUGE), "f2 must be positive and finite, got a number beyond"),
     (lambda: SignalParams(noise_amp=None), "noise_amp must be nonnegative and finite, got None"),
     (lambda: SignalParams(t_final="4"), "t_final must be positive and finite, got '4'"),
+    (lambda: SignalParams(t_final=1e308), r"t_final / dt must be finite, got inf"),
     (lambda: RankPolicy.relative_threshold("0.1"), r"tol must lie in \(0, 1\), got '0.1'"),
     (lambda: GridMeta(3, 3, 0, "2", 0, 1), "x_max must be finite, got '2'"),
     (lambda: GridMeta(3, 3, 0, math.inf, 0, 1), "x_max must be finite, got inf"),
 ], ids=["amp-text", "eps-none", "amp-huge", "f1-text", "f2-huge", "noise-none", "t_final-text",
-        "tol-text", "grid-text", "grid-inf"])
+        "t_final-steps", "tol-text", "grid-text", "grid-inf"])
 def test_real_parameter_is_refused_naming_it(call, match):
     with pytest.raises(InvalidParameterError, match=match):
         call()
@@ -208,6 +209,8 @@ def _flag_rows():
         yield "run", "signal-2d", ["--measurements", f"gaussian={value}"]
     for value in FLOAT_TEXT:
         yield "run", "signal-2d", ["--rank", f"tol:{value}"]
+    # A finite duration whose step count is not: t_final / dt overflows to inf.
+    yield "generate", "signal-2d", ["--t-final", "1e308"]
 
 
 def _config_rows():

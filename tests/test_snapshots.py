@@ -683,8 +683,10 @@ class TestCheckReal:
         (1j, {}, r"v must be finite, got 1j"),
         (10**400, {}, "v must be finite, got a number beyond the float range"),
         (np.ones(1), {}, r"v must be finite, got array\(\[1.\]\)"),
+        (0.5, {"low": 1}, r"v must lie in \(1, inf\), got 0.5"),
+        (np.nan, {"closed": True}, r"v must lie in \[-inf, inf\), got nan"),
     ], ids=["open-zero", "closed-negative", "infinite", "closed-top", "open-top", "nan", "bool",
-            "complex", "huge", "array"])
+            "complex", "huge", "array", "other-low", "closed-unbounded"])
     def test_refused_with_its_range(self, value, bounds, match):
         with pytest.raises(InvalidParameterError, match=match):
             check_real("v", value, **bounds)
