@@ -158,6 +158,19 @@ class DmdModel:
         if not (is_integer(self.rank) and self.rank == r):
             raise InvalidParameterError("rank must equal the number of retained eigenvalues")
         check_time_axis(self.dt, self.t0)
+        # Each field of the model file reads back from its written form as the value held,
+        # so every model saves and reloads as itself.
+        record = self._record()
+        for key, reader in _MODEL_FIELDS.items():
+            back = read_field(record, key, reader, "model", InvalidParameterError)
+            if not np.array_equal(back, getattr(self, key)):
+                raise InvalidParameterError(f"model: field {key!r} reads back as {back!r}")
+
+    def _record(self) -> dict:
+        """The model file's record: each field of :data:`_MODEL_FIELDS`, the arrays
+        through :func:`_complex_list`."""
+        return {key: _complex_list(getattr(self, key)) if reader is _complex_array
+                else getattr(self, key) for key, reader in _MODEL_FIELDS.items()}
 
     @property
     def modes(self) -> np.ndarray | None:
@@ -377,6 +390,16 @@ def _complex_array(items) -> np.ndarray:
     return np.array([complex(real(d["re"]), real(d["im"])) for d in items], dtype=complex)
 
 
+# The model file: each field in the order it is written, with the reader load_model
+# passes it through (``str.__str__`` refuses a non-string). A model holds only what
+# these read back as itself.
+_MODEL_FIELDS = {"variant": str.__str__, "rank": integral, "q": integral, "base_m": integral,
+                 "dt": real, "t0": real,
+                 "measurements": lambda value: None if value is None else integral(value),
+                 "eigenvalues_discrete": _complex_array, "exponents": _complex_array,
+                 "amplitudes": _complex_array}
+
+
 def save_model(model: DmdModel, path, include_modes: bool = False) -> None:
     """Write the model JSON, modes excluded; with ``include_modes`` also write
     ``<path stem>.modes.csv`` holding 2*base_m rows per mode column (real
@@ -384,18 +407,7 @@ def save_model(model: DmdModel, path, include_modes: bool = False) -> None:
     if include_modes and model.basis is None:  # before any file is written
         raise InvalidParameterError("model carries no modes to write")
     path = Path(path)
-    write_json(path, {
-        "variant": model.variant,
-        "rank": model.rank,
-        "q": model.q,
-        "base_m": model.base_m,
-        "dt": model.dt,
-        "t0": model.t0,
-        "measurements": model.measurements,
-        "eigenvalues_discrete": _complex_list(model.eigenvalues_discrete),
-        "exponents": _complex_list(model.exponents),
-        "amplitudes": _complex_list(model.amplitudes),
-    })
+    write_json(path, model._record())
     if include_modes:
         modes = model.modes
         stacked = np.vstack([modes.real, modes.imag])
@@ -416,24 +428,12 @@ def load_model(path) -> DmdModel:
     """
     path = Path(path)
     d = read_json(path, ModelParseError)
-
-    def field(key, convert):
-        return read_field(d, key, convert, path, ModelParseError)
-
+    if isinstance(d, dict):
+        d.setdefault("measurements", None)  # optional
+    fields = {key: read_field(d, key, reader, path, ModelParseError)
+              for key, reader in _MODEL_FIELDS.items()}
     try:
-        model = DmdModel(
-            basis=None,
-            eigenvalues_discrete=field("eigenvalues_discrete", _complex_array),
-            exponents=field("exponents", _complex_array),
-            amplitudes=field("amplitudes", _complex_array),
-            rank=field("rank", integral),
-            q=field("q", integral),
-            base_m=field("base_m", integral),
-            dt=field("dt", real),
-            t0=field("t0", real),
-            variant=field("variant", str),
-            measurements=None if d.get("measurements") is None else field("measurements", integral),
-        )
+        model = DmdModel(basis=None, **fields)
     except InvalidParameterError as exc:
         raise ModelParseError(f"{path}: {exc}") from exc
     modes_path = path.with_suffix(".modes.csv")

@@ -92,10 +92,7 @@ class ProjectionOperator:
             raise InvalidParameterError(
                 f"a {kind} operator needs its matrix, or d and what regenerates its rows"
             )
-        if not (is_integer(a) and is_integer(d) and 1 <= a <= d):
-            raise InvalidParameterError(
-                f"measurement count {a} and state dimension {d!r} must be integers, 1 <= a <= d"
-            )
+        _check_count(a, d)
         self.d = d
         self.indices = _checked_indices(indices, a, d) if kind == "sampling" else None
         self.factors = factors
@@ -141,9 +138,7 @@ def sampling_operator(d: int, a: int, seed: int) -> ProjectionOperator:
     generator and sorted ascending, so the operator extracts a spatial
     traces in index order. Only the indices are stored.
     """
-    if not (is_integer(a) and is_integer(d) and 1 <= a <= d):  # before rng.choice's errors
-        raise InvalidParameterError(
-            f"measurement count {a} and state dimension {d!r} must be integers, 1 <= a <= d")
+    _check_count(a, d)  # before rng.choice's errors
     _check_seed(seed)
     rng = np.random.default_rng(seed)
     indices = np.sort(rng.choice(d, size=a, replace=False))
@@ -241,9 +236,7 @@ def krylov_operator(d: int, a: int, seed: int) -> ProjectionOperator:
     condition number above 1e7, or if by the second sweep's gram the rows are
     more than 1e-12 from orthonormal. Gaussian blocks that bad are rare.
     """
-    if not (is_integer(a) and is_integer(d) and 1 <= a <= d - 1):  # a + 1 basis vectors
-        raise InvalidParameterError(
-            f"subspace dimension {a} and state dimension {d!r} must be integers, 1 <= a <= d - 1")
+    _check_count(a, d, "subspace dimension", "d - 1")  # a + 1 basis vectors
     _check_seed(seed)
     w, step = a + 1, max(1, _PANEL_ENTRIES // (a + 1))
     widths = [min(step, d - start) for start in range(0, d, step)]
@@ -394,6 +387,13 @@ def check_sparsity(s) -> None:
     """Refuse an Achlioptas sparsity s other than the integers 1 and 3."""
     if not (is_integer(s) and s in (1, 3)):
         raise InvalidParameterError(f"sparsity_s must be 1 or 3, got {s}")
+
+
+def _check_count(a, d, name="measurement count", bound="d") -> None:
+    """Refuse ``a`` unless ``a`` and ``d`` are integers with 1 <= a <= bound, "d" or "d - 1"."""
+    if not (is_integer(a) and is_integer(d) and 1 <= a <= d - (bound == "d - 1")):
+        raise InvalidParameterError(
+            f"{name} {a} and state dimension {d!r} must be integers, 1 <= a <= {bound}")
 
 
 def _check_seed(seed) -> None:

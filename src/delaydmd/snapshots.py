@@ -227,12 +227,19 @@ def read_json(path, error):
 
 
 def write_json(path, record) -> None:
-    """Write ``record`` to ``path`` as indented JSON, creating its directory."""
+    """Write ``record`` to ``path`` as indented JSON, creating its directory. NumPy integers
+    and floats are written as the Python numbers they hold; the text is formed first, so
+    any other value JSON cannot hold raises TypeError before the file exists."""
+    text = json.dumps(record, indent=2, default=_python_number) + "\n"
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(record, fh, indent=2)
-        fh.write("\n")
+    path.write_text(text, encoding="utf-8")
+
+
+def _python_number(value):
+    if isinstance(value, (np.integer, np.floating)):
+        return int(value) if isinstance(value, np.integer) else float(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def write_csv(path, header, rows) -> None:

@@ -35,8 +35,10 @@ from delaydmd.snapshots import (
     GridMeta,
     SnapshotMatrix,
     delay_embed,
+    read_json,
     train_test_split,
     write_csv,
+    write_json,
 )
 
 
@@ -463,6 +465,14 @@ class TestReportSerialization:
         spec_lines = (tmp_path / "spec.csv").read_text().splitlines()
         assert spec_lines[0] == "re_mu,im_mu,re_omega,im_omega,amp,circle"
         assert len(spec_lines) == 1 + signal_model.rank
+
+
+    def test_report_with_numpy_counts_saves_and_reloads_equal(self, tmp_path, signal_data):
+        report = run_comparison(signal_data, [VariantSpec("gaussian", np.int64(4))],
+                                q=np.int64(2), n_train=30)
+        record = report.to_dict()
+        write_json(tmp_path / "report.json", record)
+        assert read_json(tmp_path / "report.json", ValueError) == record
 
 
 _SNAPSHOTS = SnapshotMatrix(np.random.default_rng(0).standard_normal((5, 10)), dt=0.1)

@@ -869,3 +869,49 @@ class TestModelSerialization:
         modes_path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ModelParseError, match="model.modes.csv"):
             load_model(path)
+
+
+class TestModelFileReadsBack:
+    """A model holds only what its file reads back, so every model reloads as itself."""
+
+    ONE = np.ones(1, dtype=complex)
+    FIELDS = dict(basis=None, eigenvalues_discrete=ONE, exponents=ONE, amplitudes=ONE,
+                  rank=1, q=1, base_m=1, dt=0.1)
+
+    @pytest.mark.parametrize("key,value", [
+        ("q", "x"), ("measurements", 2.5), ("variant", None), ("variant", 5),
+        ("base_m", True), ("eigenvalues_discrete", np.array([complex("nan")])),
+        ("exponents", np.array([complex(0, float("inf"))])),
+    ], ids=["q-text", "measurements-2.5", "variant-none", "variant-int", "base_m-bool",
+            "eigenvalue-nan", "exponent-inf"])
+    def test_field_that_would_not_reload_is_refused_naming_it(self, key, value):
+        with pytest.raises(InvalidParameterError, match=f"field '{key}'"):
+            DmdModel(**{**self.FIELDS, key: value})
+
+    def test_numpy_scalars_save_and_reload(self, tmp_path):
+        x = snaps(np.random.default_rng(14).standard_normal((4, 12)))
+        model = replace(dmd_tdc(x, 2), q=np.int64(2), dt=np.float32(0.5),
+                        measurements=np.int64(3))
+        path = tmp_path / "model.json"
+        save_model(model, path, include_modes=True)
+        back = load_model(path)
+        for key in ("variant", "rank", "q", "base_m", "dt", "t0", "measurements",
+                    "eigenvalues_discrete", "exponents", "amplitudes", "modes"):
+            assert np.array_equal(getattr(back, key), getattr(model, key)), key
+
+    def test_non_string_variant_in_a_file_is_refused(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(DmdModel(**self.FIELDS), path)
+        record = json.loads(path.read_text())
+        record["variant"] = 5
+        path.write_text(json.dumps(record))
+        with pytest.raises(ModelParseError, match="model.json.*'variant'"):
+            load_model(path)
+
+    def test_missing_measurements_reads_as_none(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(DmdModel(**self.FIELDS, measurements=4), path)
+        record = json.loads(path.read_text())
+        del record["measurements"]
+        path.write_text(json.dumps(record))
+        assert load_model(path).measurements is None

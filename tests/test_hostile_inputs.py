@@ -4,6 +4,9 @@ NumPy exception."""
 
 import json
 import math
+import tempfile
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,13 +14,13 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from delaydmd.analysis import VariantSpec, mode_field, run_comparison
 from delaydmd.cli import EXIT_USAGE, EXIT_VARIANT_FAILURE, main
-from delaydmd.dmd import DmdModel, RankPolicy, dmd_classic, predict
+from delaydmd.dmd import DmdModel, RankPolicy, dmd_classic, load_model, predict, save_model
 from delaydmd.errors import DelayDmdError, InvalidParameterError
 from delaydmd.numerics import eig_dense, pseudoinverse_apply, thin_svd
 from delaydmd.problems import DoubleGyreParams, SignalParams
 from delaydmd.projections import (achlioptas_operator, apply, arnoldi, gaussian_operator,
                                   krylov_operator, sampling_operator)
-from delaydmd.snapshots import GridMeta, SnapshotMatrix
+from delaydmd.snapshots import GridMeta, SnapshotMatrix, load, save
 
 HUGE = 10**400  # past the float range
 
@@ -39,8 +42,8 @@ RUN_SPECS = [VariantSpec("classic"), VariantSpec("gaussian", 4), VariantSpec("sa
 
 
 # name -> (call taking keyword overrides, {parameter: hostile values}). Typed objects
-# (a grid, a rank policy, a problem) are out of scope, and so are the labels a model
-# stores unchecked (q, variant, measurements); every other number and array is driven.
+# (a grid, a rank policy, a problem) are out of scope; every other number, label and
+# array is driven.
 TARGETS = {
     "SnapshotMatrix": (
         lambda **kw: SnapshotMatrix(**{"data": np.ones((2, 3)), "dt": 0.1, **kw}),
@@ -65,7 +68,8 @@ TARGETS = {
                                  "exponents": ONE, "amplitudes": ONE, "rank": 1, "q": 1,
                                  "base_m": 1, "dt": 0.1, **kw}),
         dict.fromkeys(["basis", "eigenvalues_discrete", "exponents", "amplitudes", "rank",
-                       "base_m", "dt", "t0", "coefficients"], HOSTILE)),
+                       "q", "base_m", "dt", "t0", "variant", "measurements", "coefficients"],
+                      HOSTILE)),
     "sampling_operator": (
         lambda **kw: sampling_operator(**{"d": 10, "a": 3, "seed": 0, **kw}),
         {"d": COUNT_HOSTILE, "a": HOSTILE, "seed": HOSTILE}),
@@ -90,12 +94,13 @@ TARGETS = {
 
 
 @st.composite
-def hostile_overrides(draw, target):
-    """One to three of the target's parameters, each set to one of its hostile values."""
+def hostile_overrides(draw, target, extra=()):
+    """One to three of the target's parameters, each set to one of its hostile values
+    or of ``extra``."""
     domains = TARGETS[target][1]
     names = draw(st.lists(st.sampled_from(sorted(domains)), min_size=1, max_size=3,
                           unique=True))
-    return {name: draw(st.sampled_from(domains[name])) for name in names}
+    return {name: draw(st.sampled_from([*domains[name], *extra])) for name in names}
 
 
 @pytest.mark.parametrize("target", TARGETS)
@@ -108,6 +113,45 @@ def test_hostile_values_give_a_typed_error_or_an_object(target, data):
         TARGETS[target][0](**overrides)
     except DelayDmdError:
         pass
+
+
+def _same_model(back, model):
+    return np.array_equal(back.modes, model.modes) and all(
+        np.array_equal(getattr(back, f.name), getattr(model, f.name))
+        for f in fields(DmdModel) if f.name not in ("basis", "coefficients"))
+
+
+def _same_snapshots(back, x):
+    return (np.array_equal(back.data, x.data) and back.dt == x.dt and back.t0 == x.t0
+            and back.grid == x.grid)
+
+
+# NumPy numbers a constructor accepts where a Python number is valid.
+NUMPY_NUMBERS = [np.float32(0.5), np.int64(2)]
+
+# target -> (save to a path, load from it, whether two objects are equal)
+ROUND_TRIPS = {
+    "DmdModel": (lambda m, path: save_model(m, path, include_modes=m.basis is not None),
+                 load_model, _same_model),
+    "SnapshotMatrix": (save, load, _same_snapshots),
+}
+
+
+# More examples than above: most draws refuse the object, so few reach the files.
+@pytest.mark.parametrize("target", ROUND_TRIPS)
+@settings(derandomize=True, max_examples=150, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.differing_executors])
+@given(data=st.data())
+def test_every_built_object_saves_and_reloads_equal(target, data):
+    try:
+        built = TARGETS[target][0](**data.draw(hostile_overrides(target, NUMPY_NUMBERS)))
+    except DelayDmdError:
+        return
+    write, read, same = ROUND_TRIPS[target]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "saved"
+        write(built, path)
+        assert same(read(path), built)
 
 
 RAGGED = [[1.0, 2.0], [3.0]]

@@ -389,6 +389,22 @@ class TestPersistence:
         assert back.grid == grid
         np.testing.assert_array_equal(back.data, x.data)
 
+    @pytest.mark.parametrize("kw", [
+        dict(dt=np.float32(0.5)), dict(t0=np.float32(1.0)),
+        dict(grid=GridMeta(3, np.int64(2), 0.0, np.float32(2.0), 0.0, 1.0)),
+    ], ids=["dt", "t0", "grid"])
+    def test_numpy_scalars_save_and_reload_equal(self, tmp_path, kw):
+        x = snaps(np.random.default_rng(3).standard_normal((6, 4)), **kw)
+        save(x, tmp_path / "demo")
+        back = load(tmp_path / "demo")
+        assert (back.dt, back.t0, back.grid) == (x.dt, x.t0, x.grid)
+        np.testing.assert_array_equal(back.data, x.data)
+
+    def test_value_json_cannot_hold_leaves_no_file(self, tmp_path):
+        with pytest.raises(TypeError, match="complex"):
+            snapshots.write_json(tmp_path / "out" / "record.json", {"n": 1, "z": 1j})
+        assert list(tmp_path.iterdir()) == []
+
     def test_round_trip_through_csv_suffix(self, tmp_path):
         x = snaps(np.ones((2, 3)))
         save(x, tmp_path / "d.csv")
