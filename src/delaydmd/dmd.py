@@ -345,8 +345,8 @@ def predict(model: DmdModel, k) -> np.ndarray:
         raise InvalidParameterError("model carries no modes; refit or reload with modes")
     times = np.atleast_1d(steps) * model.dt
     coeff = np.exp(np.outer(model.exponents, times)) * model.amplitudes[:, None]
-    # A copy, so the caller does not keep the complex product alive.
-    states = row_blocked_matmul(modes, coeff).real.copy()
+    # Only the real part of each row block is kept, so no M-by-k complex product is held.
+    states = row_blocked_matmul(modes, coeff, _real=True)
     return states if steps.ndim else states[:, 0]
 
 

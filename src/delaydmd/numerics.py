@@ -146,16 +146,18 @@ def pseudoinverse_apply(phi, x) -> np.ndarray:
     return vh[keep, :].conj().T @ coeffs
 
 
-def row_blocked_matmul(a, b) -> np.ndarray:
+def row_blocked_matmul(a, b, _real=False) -> np.ndarray:
     """``a @ b`` formed ``_ROW_BLOCK`` rows at a time, for each product with a row per state:
     on two threads OpenBLAS 0.3.31 keeps a packed copy of ``a`` after it returns, 13.3 MB for
     10000 rows at once, 1.8 MB in blocks. Same kernel, same operands: the bits of ``a @ b``.
-    A lone last row, which numpy would give its vector kernel, joins the block before."""
+    A lone last row (numpy's vector kernel) joins the block before. ``_real``: the real part."""
     m = a.shape[0]
-    out = np.empty((m, b.shape[1]), np.result_type(a, b))
+    out = np.empty((m, b.shape[1]), float if _real else np.result_type(a, b))
     for lo in range(0, max(m - 1, 1), _ROW_BLOCK):
         hi = lo + _ROW_BLOCK if lo + _ROW_BLOCK < m - 1 else m
-        np.matmul(a[lo:hi], b, out=out[lo:hi])
+        product = np.matmul(a[lo:hi], b, out=None if _real else out[lo:hi])
+        if _real:
+            out[lo:hi] = product.real
     return out
 
 

@@ -6,19 +6,18 @@ projection, entry variance 1/a), ``achlioptas`` (sparse three-point random
 projection) and ``krylov`` (orthonormal rows spanning the all-ones vector
 plus a random subspace). No reduction is the sampling of every row, which
 :func:`identity_operator` builds. The Krylov rows are a seeded Gaussian
-block orthonormalized by two CholeskyQR passes, which refuse a block with
-condition number above 1e7, their limit; the row span has the same
-distribution as that of an Arnoldi run on a seeded d-by-d Gaussian matrix.
+block orthonormalized by CholeskyQR, which refuses a block with condition
+number above 1e7, its limit; the row span has the same distribution as that
+of an Arnoldi run on a seeded d-by-d Gaussian matrix.
 
-The seeded kinds store only what regenerates their rows, never the a-by-D
-matrix (Tropp, Yurtsever, Udell & Cevher 2017): Krylov its seed and two
-inverse Cholesky factors, the others a seed from which each row's generator
-starts at its first draw, so that their build draws nothing. :func:`apply`
-regenerates the matrix in column panels of at most ``_PANEL_ENTRIES``
-entries, each delay block split evenly, and sums the panel products (Halko,
-Martinsson & Tropp 2011). :func:`gram_deviation` is a diagnostic the run
-never calls: it regenerates the operator's panels afresh on each call and
-keeps nothing. All constructors are pure functions of their arguments.
+The seeded kinds store only a seed, never the a-by-D matrix (Tropp,
+Yurtsever, Udell & Cevher 2017), so that their build draws nothing.
+:func:`apply` regenerates the matrix in column panels of at most
+``_PANEL_ENTRIES`` entries, each delay block split evenly, and sums the panel
+products (Halko, Martinsson & Tropp 2011); Krylov's are orthonormalized
+after the sum. :func:`gram_deviation` is a diagnostic the run never calls: it
+regenerates the operator's panels afresh on each call and keeps nothing. All
+constructors are pure functions of their arguments.
 """
 
 from __future__ import annotations
@@ -54,7 +53,7 @@ class ProjectionOperator:
     - ``achlioptas``: ``seed`` and ``sparsity_s``. Every uniform draw takes
       one 64-bit word, so row r starts at the seeded generator advanced by
       r*D;
-    - ``krylov``: ``seed`` and ``factors``, its 2-by-a-by-a inverse Cholesky factors;
+    - ``krylov``: ``seed``, which draws its block (see :func:`krylov_operator`);
     - any other kind given an explicit ``matrix``: one read-only, C-ordered
       float64 copy of it, so the caller's array stays theirs.
 
@@ -64,7 +63,7 @@ class ProjectionOperator:
 
     def __init__(self, kind: str, matrix, a: int, seed: int | None,
                  sparsity_s: int | None = None, indices=None, *,
-                 d: int | None = None, factors=None):
+                 d: int | None = None):
         if kind not in KINDS:
             raise InvalidParameterError(f"unknown operator kind {kind!r}")
         self.kind, self.a, self.seed, self.sparsity_s = kind, a, seed, sparsity_s
@@ -76,7 +75,6 @@ class ProjectionOperator:
             _check_seed(seed)
             if kind == "achlioptas":
                 check_sparsity(sparsity_s)
-        factors = as_array(factors, dtype=float) if kind == "krylov" and matrix is None else None
         if matrix is not None:
             m = as_array(matrix, dtype=float, order="C")
             if m is None or m.ndim != 2 or m.shape[0] != a:
@@ -85,17 +83,13 @@ class ProjectionOperator:
             check_finite("operator matrix", m)
             m.setflags(write=False)
             self._stored, d = m, m.shape[1]
-        elif d is None or not {
-                "sampling": indices is not None,
-                "krylov": np.shape(factors) == (2, a, a) and np.all(np.isfinite(factors)),
-                }.get(kind, True):
+        elif d is None or kind == "sampling" and indices is None:
             raise InvalidParameterError(
                 f"a {kind} operator needs its matrix, or d and what regenerates its rows"
             )
         _check_count(a, d)
         self.d = d
         self.indices = _checked_indices(indices, a, d) if kind == "sampling" else None
-        self.factors = factors
 
     @property
     def matrix(self) -> np.ndarray:
@@ -226,38 +220,13 @@ def krylov_operator(d: int, a: int, seed: int) -> ProjectionOperator:
     span has the same distribution as the Krylov space K_(a+1)(G, 1) of a
     d-by-d Gaussian G (Q G Q* has the law of G for each orthogonal Q fixing 1).
 
-    Two CholeskyQR passes (Fukaya et al. 2014) give rows L2^-1 L1^-1 B*, with
-    L1 L1* = B* B and L2 L2* the gram of L1^-1 B*: that Q* in exact arithmetic.
-    Each is a sweep that draws B again, in the order ``standard_normal((d, a))``
-    draws it, and sums its panel grams; only the seed and the two inverse
-    factors are stored. The passes reach roundoff-level orthogonality only up
-    to condition number about 1e7 (Yamamoto et al. 2015), so this raises
-    :class:`RankDeficientBasisError` if a Cholesky factor fails or has
-    condition number above 1e7, or if by the second sweep's gram the rows are
-    more than 1e-12 from orthonormal. Gaussian blocks that bad are rare.
+    Only the seed is stored; nothing is drawn here. Each use draws B as ``standard_normal((d, a))``
+    does and orthonormalizes it by CholeskyQR (Fukaya et al. 2014; :func:`_cholesky_qr`): rows
+    L^-1 B* for L L* = B* B, that Q* in exact arithmetic. A block too ill-conditioned for it, which
+    is rare, raises :class:`RankDeficientBasisError` at its first use.
     """
     _check_count(a, d, "subspace dimension", "d - 1")  # a + 1 basis vectors
-    _check_seed(seed)
-    w, step = a + 1, max(1, _PANEL_ENTRIES // (a + 1))
-    widths = [min(step, d - start) for start in range(0, d, step)]
-    factors = []
-    for _ in range(2):
-        gram = sum(p @ p.T for p in _krylov_panels(d, w, seed, factors, widths))
-        try:
-            factor = np.linalg.cholesky(gram)
-            usable = np.linalg.cond(factor) <= 1e7  # past it, a factor can be roundoff
-        except np.linalg.LinAlgError:
-            usable = False
-        if not usable:
-            raise RankDeficientBasisError(
-                "random block too ill-conditioned for CholeskyQR; try another seed")
-        # The inverse is lower triangular; dropping roundoff above its
-        # diagonal keeps row 0 a multiple of the ones vector.
-        factors.append(np.tril(np.linalg.inv(factor)))
-    if not np.max(np.abs(factors[1] @ gram @ factors[1].T - np.eye(w))) <= 1e-12:  # NaN fails too
-        raise RankDeficientBasisError(
-            "CholeskyQR left the rows more than 1e-12 from orthonormal; try another seed")
-    return ProjectionOperator(kind="krylov", matrix=None, a=w, seed=seed, d=d, factors=factors)
+    return ProjectionOperator(kind="krylov", matrix=None, a=a + 1, seed=seed, d=d)
 
 
 def apply(op: ProjectionOperator, x, q: int = 1) -> np.ndarray:
@@ -269,8 +238,8 @@ def apply(op: ProjectionOperator, x, q: int = 1) -> np.ndarray:
     the identity operator gives a copy of the Hankel matrix. The other kinds
     sum the products P_b @ x[:, b:b+N-q+1], each panel P_b = R[:, b*M:(b+1)*M]
     split into equal sub-panels of at most ``_PANEL_ENTRIES`` entries, sliced
-    from a stored matrix or regenerated from the seed. Nothing is written to
-    ``op``. With q = 1 this is the plain product with ``x``.
+    from a stored matrix or regenerated from the seed (Krylov's raw, the sum then orthonormalized
+    by :func:`_cholesky_qr`). Nothing is written to ``op``. With q = 1 it is the plain product.
     """
     x = real_array(x, "x")
     if x.ndim != 2:
@@ -287,12 +256,16 @@ def apply(op: ProjectionOperator, x, q: int = 1) -> np.ndarray:
     if op.kind == "sampling":
         blocks, rows = np.divmod(op.indices, m)
         return x[rows[:, None], blocks[:, None] + np.arange(cols)]
-    out = np.zeros((op.a, cols))
     # Each sub-panel meets one row block of x, in its delay block b.
     parts = np.array_split(x, -(-m // max(1, _PANEL_ENTRIES // op.a)))
-    spans = [(b, part) for b in range(q) for part in parts]
-    for (b, part), panel in zip(spans, _panels(op, [len(part) for _, part in spans])):
-        out += panel @ part[:, b:b + cols]
+    windows = [part[:, b:b + cols] for b in range(q) for part in parts]
+    widths = [len(window) for window in windows]
+    if op.kind == "krylov" and op._stored is None:
+        factors, out = _cholesky_qr(op, widths, lambda i, panel: panel @ windows[i])
+        return factors[-1] @ out
+    out = np.zeros((op.a, cols))
+    for window, panel in zip(windows, _panels(op, widths)):
+        out += panel @ window
     return out
 
 
@@ -305,8 +278,8 @@ def gram_deviation(op: ProjectionOperator) -> float:
     (their normalization targets the column gram instead).
 
     Otherwise each call sums the grams of a panels of about D/a columns,
-    regenerated or sliced from a caller's matrix: one sweep of the operator
-    and about 2a^2 D flops. Nothing is cached on ``op``.
+    regenerated or sliced from a caller's matrix: one sweep of the operator, after a
+    Krylov one's for its factors, and about 2a^2 D flops. Nothing is cached on ``op``.
     """
     if op.kind == "sampling":
         return 0.0
@@ -319,7 +292,7 @@ def _panels(op: ProjectionOperator, widths):
     """Yield the operator's consecutive column panels of the given widths,
     which sum to D, left to right.
 
-    A stored matrix is sliced; :func:`_krylov_panels` regenerates Krylov's.
+    A stored matrix is sliced; Krylov's raw panels are multiplied by :func:`_cholesky_qr`'s factors.
     Otherwise each row gets its own generator at its first draw, and every
     panel draws the next entries of each row into one reused buffer.
     """
@@ -327,7 +300,7 @@ def _panels(op: ProjectionOperator, widths):
         yield from np.split(op._stored, np.cumsum(widths)[:-1], axis=1)
         return
     if op.kind == "krylov":
-        yield from _krylov_panels(op.d, op.a, op.seed, op.factors, widths)
+        yield from _krylov_panels(op, widths, _cholesky_qr(op, widths)[0])
         return
     if op.kind == "gaussian":
         def row_bits(r):
@@ -359,17 +332,48 @@ def _panels(op: ProjectionOperator, widths):
         yield panel
 
 
-def _krylov_panels(d: int, w: int, seed: int, factors, widths):
-    """Yield panels of [1/sqrt(d); G] times each factor, made w columns at a time."""
-    rng = np.random.default_rng(seed)
+def _krylov_panels(op: ProjectionOperator, widths, factors=()):
+    """Yield panels of the raw block [1/sqrt(d); G] times each factor, made a columns at a time."""
+    rng, w = np.random.default_rng(op.seed), op.a
     buffer = np.empty((w, max(widths)))
     for width in widths:
         for block in np.hsplit(buffer[:, :width], range(w, width, w)):
-            block[0] = 1.0 / np.sqrt(d)
+            block[0] = 1.0 / np.sqrt(op.d)
             block[1:] = rng.standard_normal((block.shape[1], w - 1)).T
             for inv_l in factors:
                 block[...] = inv_l @ block
         yield buffer[:, :width]
+
+
+def _cholesky_qr(op: ProjectionOperator, widths, term=lambda i, panel: 0):
+    """CholeskyQR of the Krylov block in panels of ``widths``: its inverse factors L^-1, L L*
+    a sweep's gram, and the last sweep's sum of ``term(i, panel)``. A second sweep, of the rows
+    times the first factor (CholeskyQR2), runs if D^-1 L, D = sqrt(diag gram), has condition
+    number above 30: one pass may then leave the rows 5 cond^2 eps = 1e-12 from orthonormal
+    (Yamamoto et al. 2015). Raises :class:`RankDeficientBasisError` for a factor that fails,
+    has condition number above 1e7 or, if last, leaves its gram over 1e-12 from the identity."""
+    factors = []
+    for _ in range(2):
+        out = gram = 0  # arrays from the first panel on, summed in place
+        for i, panel in enumerate(_krylov_panels(op, widths, factors)):
+            out += term(i, panel)
+            gram += panel @ panel.T
+        try:
+            factor = np.linalg.cholesky(gram)
+            usable = np.linalg.cond(factor) <= 1e7  # past it, a factor can be roundoff
+        except np.linalg.LinAlgError:
+            usable = False
+        if not usable:
+            raise RankDeficientBasisError(
+                "random block too ill-conditioned for CholeskyQR; try another seed")
+        # tril: roundoff above the inverse's diagonal would tilt row 0 off the ones vector.
+        factors.append(np.tril(np.linalg.inv(factor)))
+        if np.linalg.cond(factor / np.sqrt(np.diag(gram))[:, None]) <= 30:
+            break
+    if not np.max(np.abs(factors[-1] @ gram @ factors[-1].T - np.eye(op.a))) <= 1e-12:
+        raise RankDeficientBasisError(  # NaN fails too
+            "CholeskyQR left the rows more than 1e-12 from orthonormal; try another seed")
+    return factors, out
 
 
 def _checked_indices(indices, a: int, d: int) -> np.ndarray:

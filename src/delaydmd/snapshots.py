@@ -55,8 +55,7 @@ class GridMeta:
     def __post_init__(self):
         if not all(is_integer(k) and k >= 1 for k in (self.nx, self.ny)):
             raise InvalidParameterError("grid needs integer nx >= 1 and ny >= 1")
-        for name in ("x_min", "x_max", "y_min", "y_max"):
-            check_real(name, getattr(self, name))
+        check_written(x_min=self.x_min, x_max=self.x_max, y_min=self.y_min, y_max=self.y_max)
         if not (self.x_min < self.x_max and self.y_min < self.y_max):
             raise InvalidParameterError("grid extents must satisfy min < max")
 
@@ -100,6 +99,7 @@ class SnapshotMatrix:
             raise InvalidParameterError(f"data must be at least 1x1, got {data.shape}")
         check_finite("data", data)
         check_time_axis(self.dt, self.t0)
+        check_written(dt=self.dt, t0=self.t0)
         if self.grid is not None and self.grid.size != data.shape[0]:
             raise SnapshotConsistencyError(
                 f"grid has nx*ny = {self.grid.size} but data has {data.shape[0]} rows"
@@ -348,26 +348,26 @@ def check_finite(name: str, a) -> None:
         raise InvalidParameterError(f"{name} contains non-finite entries")
 
 
-def _read_real(value) -> tuple[float, str]:
-    """``value`` as a float and as messages show it; a bool, non-number or overflow reads NaN."""
+def _read_real(value, shown=False):
+    """``value`` as a float (NaN for a bool, non-number or overflow), or as refusals show it."""
     if not (is_integer(value) or isinstance(value, (float, np.floating))):
-        return np.nan, repr(value)
+        return repr(value) if shown else np.nan
     try:
-        return float(value), str(float(value))
+        return str(float(value)) if shown else float(value)
     except OverflowError:
-        return np.nan, "a number beyond the float range"
+        return "a number beyond the float range" if shown else np.nan
 
 
 def check_real(name: str, value, low=-np.inf, high=np.inf, closed=False) -> None:
     """Refuse ``value`` unless it reads as a float (see :func:`_read_real`) in (low, high),
     or in [low, high) when ``closed``. The message words the three common ranges
     (0, inf), [0, inf) and (-inf, inf) and shows any other as an interval."""
-    number, shown = _read_real(value)
+    number = _read_real(value)
     if not (low < number < high or closed and number == low):
         named = {(0, False): "be positive and finite", (0, True): "be nonnegative and finite",
                  (-np.inf, False): "be finite"}.get((low, closed)) if high == np.inf else None
         rule = named or f"lie in {'[' if closed else '('}{low:g}, {high:g})"
-        raise InvalidParameterError(f"{name} must {rule}, got {shown}")
+        raise InvalidParameterError(f"{name} must {rule}, got {_read_real(value, shown=True)}")
 
 
 def check_time_axis(dt, t0, nt=None) -> None:
@@ -376,7 +376,16 @@ def check_time_axis(dt, t0, nt=None) -> None:
     check_real("dt", dt, 0)
     check_real("t0", t0)
     if nt is not None and not (is_integer(nt) and nt >= 2):
-        raise InvalidParameterError(f"nt must be an integer of at least 2, got {_read_real(nt)[1]}")
+        raise InvalidParameterError(
+            f"nt must be an integer of at least 2, got {_read_real(nt, shown=True)}")
+
+
+def check_written(**fields) -> None:
+    """Refuse a field unless :func:`check_real` passes it and its file reloads it equal."""
+    for name, value in fields.items():  # int(value): NumPy compares an int64 as a float
+        check_real(name, value)
+        if real(value) != (int(value) if is_integer(value) else value):
+            raise InvalidParameterError(f"{name} would reload as {real(value)!r}, not {value!r}")
 
 
 def integral(value) -> int:
@@ -390,9 +399,9 @@ def integral(value) -> int:
 def real(value) -> float:
     """``value`` as a float if it reads as a finite one (see :func:`_read_real`), for
     :func:`read_field`: never a bool, a string, NaN, an infinity or an int past the float range."""
-    number, shown = _read_real(value)
+    number = _read_real(value)
     if not np.isfinite(number):
-        raise ValueError(f"{shown} is not a finite number")
+        raise ValueError(f"{_read_real(value, shown=True)} is not a finite number")
     return number
 
 

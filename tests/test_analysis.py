@@ -23,6 +23,7 @@ from delaydmd.errors import (
     InsufficientMeasurementsError,
     InvalidDelayError,
     InvalidParameterError,
+    RankDeficientBasisError,
     ShapeMismatchError,
 )
 from delaydmd.problems import (
@@ -40,6 +41,7 @@ from delaydmd.snapshots import (
     write_csv,
     write_json,
 )
+from test_projections import NearlyRepeatedRow
 
 
 def small_signal_params(nx=16, nt=40, **kw):
@@ -349,6 +351,19 @@ class TestRunComparison:
         ga = report.variant("gaussian")
         assert ga.failed and "InsufficientMeasurements" in ga.error_message
         assert not report.variant("classic").failed
+
+    def test_ill_conditioned_krylov_block_fails_that_variant_alone(self, monkeypatch):
+        # The Krylov operator draws its block in the fit, whose failure the run captures.
+        real_rng, krylov_seed = np.random.default_rng, derive_seed(0, "krylov")
+        monkeypatch.setattr(np.random, "default_rng", lambda seed=None: (
+            NearlyRepeatedRow(0) if seed == krylov_seed else real_rng(seed)))
+        specs = [VariantSpec("classic"), VariantSpec("sampling", 20),
+                 VariantSpec("gaussian", 20), VariantSpec("krylov", 20)]
+        report = run_comparison(small_signal_params(), specs, 0, q=2, n_train=30)
+        assert report.variant("krylov").error_message.startswith("RankDeficientBasisError")
+        assert [v.failed for v in report.variants] == [False, False, False, True]
+        with pytest.raises(RankDeficientBasisError):
+            run_comparison(small_signal_params(), specs, 0, q=2, n_train=30, strict=True)
 
     def test_invalid_q_raises_before_any_fit(self):
         specs = [VariantSpec("classic"), VariantSpec("gaussian", measurements=20)]

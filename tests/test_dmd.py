@@ -366,8 +366,17 @@ class TestDmdProjected:
         op = make_op(x.m)
         block = ProjectionOperator("krylov", np.kron(np.eye(q), op.matrix), q * op.a, None)
         raw, embedded = dmd_projected(x, q, op), dmd_projected(x, q, block)
-        np.testing.assert_array_equal(raw.eigenvalues_discrete, embedded.eigenvalues_discrete)
-        np.testing.assert_array_equal(raw.modes, embedded.modes)
+        if op.kind != "krylov":
+            np.testing.assert_array_equal(raw.eigenvalues_discrete, embedded.eigenvalues_discrete)
+            np.testing.assert_array_equal(raw.modes, embedded.modes)
+            return
+        # A seeded Krylov sketch is orthonormalized after the product, while the
+        # block operator multiplies orthonormal rows: the same to roundoff, on
+        # the scale of the largest mode entry for those that vanish exactly.
+        np.testing.assert_allclose(raw.eigenvalues_discrete, embedded.eigenvalues_discrete,
+                                   rtol=1e-12)
+        np.testing.assert_allclose(raw.modes, embedded.modes, rtol=1e-12,
+                                   atol=1e-12 * np.max(np.abs(embedded.modes)))
 
     def test_zero_initial_column(self):
         # At q = 1 the first embedded column is the (identically zero) t = 0

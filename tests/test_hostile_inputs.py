@@ -126,8 +126,9 @@ def _same_snapshots(back, x):
             and back.grid == x.grid)
 
 
-# NumPy numbers a constructor accepts where a Python number is valid.
-NUMPY_NUMBERS = [np.float32(0.5), np.int64(2)]
+# Numbers a constructor may accept where a Python number is valid: NumPy scalars, and a
+# long double and an int that no double holds, which a file would reload changed.
+OTHER_NUMBERS = [np.float32(0.5), np.int64(2), np.longdouble(1) / 3, 2**60 + 1]
 
 # target -> (save to a path, load from it, whether two objects are equal)
 ROUND_TRIPS = {
@@ -144,7 +145,7 @@ ROUND_TRIPS = {
 @given(data=st.data())
 def test_every_built_object_saves_and_reloads_equal(target, data):
     try:
-        built = TARGETS[target][0](**data.draw(hostile_overrides(target, NUMPY_NUMBERS)))
+        built = TARGETS[target][0](**data.draw(hostile_overrides(target, OTHER_NUMBERS)))
     except DelayDmdError:
         return
     write, read, same = ROUND_TRIPS[target]

@@ -197,14 +197,33 @@ class TestKrylovOperator:
 
     def test_rank_loss_raises(self, monkeypatch):
         # A Gaussian block loses rank with probability zero, so feed one
-        # whose random columns repeat the ones vector.
+        # whose random columns repeat the ones vector. The build draws
+        # nothing, so the first use of the rows raises.
         class OnesGenerator:
             def standard_normal(self, shape):
                 return np.ones(shape)
 
         monkeypatch.setattr(np.random, "default_rng", lambda seed: OnesGenerator())
+        op = krylov_operator(50, 3, seed=0)
         with pytest.raises(RankDeficientBasisError):
-            krylov_operator(50, 3, seed=0)
+            apply(op, np.ones((50, 4)))
+        with pytest.raises(RankDeficientBasisError):
+            op.matrix
+
+
+class NearlyRepeatedRow:
+    """A generator whose random row 2 is random row 1 plus 1e-10 of fresh noise,
+    so a Krylov block drawn from it has condition number about 1e10, past
+    CholeskyQR's limit."""
+
+    def __init__(self, seed):
+        self.draws = np.random.Generator(np.random.PCG64(seed))
+        self.noise = np.random.Generator(np.random.PCG64(seed + 100))
+
+    def standard_normal(self, shape):
+        z = self.draws.standard_normal(shape)
+        z[:, 1] = z[:, 0] + 1e-10 * self.noise.standard_normal(shape[0])
+        return z
 
 
 def householder_krylov(d, a, seed):
@@ -213,6 +232,10 @@ def householder_krylov(d, a, seed):
     block = np.column_stack([np.full(d, 1.0 / np.sqrt(d)), rng.standard_normal((d, a))])
     q, r = np.linalg.qr(block)
     return (q * np.sign(np.diag(r))).T
+
+
+_HOUSEHOLDER_CASES = [(20000, 99, 0), (500, 40, 3), (101, 50, 4), (7, 3, 5), (2, 1, 6),
+                      (10, 9, 7), (300, 299, 8)]
 
 
 class TestKrylovCholeskyBuild:
@@ -225,11 +248,18 @@ class TestKrylovCholeskyBuild:
             tracemalloc.stop()
         assert peak < 1.25 * op.matrix.nbytes
 
-    @pytest.mark.parametrize("d,a,seed", [(20000, 99, 0), (500, 40, 3), (101, 50, 4),
-                                          (7, 3, 5), (2, 1, 6), (10, 9, 7), (300, 299, 8)])
+    @pytest.mark.parametrize("d,a,seed", _HOUSEHOLDER_CASES)
     def test_matches_householder_reference(self, d, a, seed):
         op = krylov_operator(d, a, seed)
         assert np.max(np.abs(op.matrix - householder_krylov(d, a, seed))) < 1e-13
+
+    @pytest.mark.parametrize("d,a,seed", _HOUSEHOLDER_CASES)
+    def test_apply_orthonormalizes_after_the_sum_as_the_rows_do(self, d, a, seed):
+        # apply multiplies the raw sketch by the inverse factors, .matrix the raw rows.
+        op = krylov_operator(d, a, seed)
+        x = np.random.default_rng(seed).standard_normal((d, 7))
+        expected = op.matrix @ x
+        assert np.linalg.norm(apply(op, x) - expected) <= 1e-13 * np.linalg.norm(expected)
 
     @settings(deadline=None, max_examples=60)
     @given(d=st.integers(2, 40), square=st.booleans(), a=st.integers(1, 39),
@@ -242,24 +272,15 @@ class TestKrylovCholeskyBuild:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_ill_conditioned_block_raises(self, monkeypatch, seed):
-        # Random row 2 is random row 1 plus 1e-10 of fresh noise, so the
-        # block's condition number is about 1e10, past CholeskyQR's limit.
-        real_rng = np.random.default_rng
-
-        class NearlyRepeatedRow:
-            def __init__(self):
-                self.draws, self.noise = real_rng(seed), real_rng(seed + 100)
-
-            def standard_normal(self, shape):
-                z = self.draws.standard_normal(shape)
-                z[:, 1] = z[:, 0] + 1e-10 * self.noise.standard_normal(shape[0])
-                return z
-
-        monkeypatch.setattr(np.random, "default_rng", lambda seed: NearlyRepeatedRow())
-        op = None
+        # The build draws nothing; the first use of the rows raises.
+        monkeypatch.setattr(np.random, "default_rng", lambda _: NearlyRepeatedRow(seed))
+        op = krylov_operator(200, 5, seed=0)
+        out = None
         with pytest.raises(RankDeficientBasisError):
-            op = krylov_operator(200, 5, seed=0)
-        assert op is None
+            out = apply(op, np.ones((100, 8)), 2)
+        assert out is None
+        with pytest.raises(RankDeficientBasisError):
+            op.matrix
 
     def test_read_only_c_contiguous_matrix_is_copied(self):
         # Every explicit matrix is copied once, even one that could be kept as it is.
@@ -657,7 +678,7 @@ class TestStoredStateValidation:
             ProjectionOperator(kind="achlioptas", matrix=None, a=3, seed=0,
                                sparsity_s=2, d=6)
         with pytest.raises(InvalidParameterError):
-            ProjectionOperator(kind="krylov", matrix=None, a=3, seed=0, d=6)
+            ProjectionOperator(kind="krylov", matrix=None, a=3, seed=None, d=6)
 
     def test_achlioptas_seed_checked_at_build(self):
         with pytest.raises(InvalidParameterError):
@@ -706,7 +727,7 @@ class TestStoredStateValidation:
 
 
 class TestKrylovFromItsSeed:
-    """A Krylov operator stores its seed and two (a+1)-by-(a+1) factors, not its rows."""
+    """A Krylov operator stores its seed, not its rows, and draws its block on use."""
 
     @pytest.fixture(scope="class")
     def deep(self):
@@ -727,7 +748,10 @@ class TestKrylovFromItsSeed:
         assert out.shape == (100, 159)
         assert max(build_peak, apply_peak) < 2 * 4 * 2**20 + out.nbytes
 
-    def test_two_sweeps_at_build_and_one_per_apply(self, monkeypatch):
+    @pytest.mark.parametrize("d,a,draws", [(3000, 29, 1), (300, 299, 2)],
+                             ids=["one-pass", "near-square"])
+    def test_no_draw_at_build_and_one_sweep_per_pass(self, monkeypatch, d, a, draws):
+        # A near-square block needs CholeskyQR's second pass, which sweeps it again.
         real_rng, seeds = np.random.default_rng, []
 
         def counted(seed):
@@ -735,38 +759,16 @@ class TestKrylovFromItsSeed:
             return real_rng(seed)
 
         monkeypatch.setattr(np.random, "default_rng", counted)
-        op = krylov_operator(3000, 29, seed=5)
-        assert seeds == [5, 5]
-        apply(op, np.ones((1500, 10)), 2)
-        assert seeds == [5, 5, 5]
+        op = krylov_operator(d, a, seed=5)
+        assert seeds == [] and not any(isinstance(v, np.ndarray) for v in vars(op).values())
+        apply(op, np.ones((d // 2, 10)), 2)
+        assert seeds == [5] * draws
 
-    def test_seed_and_factors_regenerate_the_rows(self):
+    def test_seed_regenerates_the_rows(self):
         op = krylov_operator(500, 40, seed=17)
-        again = ProjectionOperator("krylov", None, op.a, op.seed, d=op.d, factors=op.factors)
+        again = ProjectionOperator("krylov", None, op.a, op.seed, d=op.d)
         np.testing.assert_array_equal(again.matrix, op.matrix)
-        np.testing.assert_array_equal(apply(again, np.eye(500)), op.matrix)
-
-    @pytest.mark.parametrize("factors", [
-        None,
-        np.eye(3),
-        np.stack([np.eye(3)]),
-        np.stack([np.eye(3)] * 3),
-        np.stack([np.eye(4)] * 2),
-        np.stack([np.eye(3), np.diag([1.0, np.nan, 1.0])]),
-        np.stack([np.diag([1.0, np.inf, 1.0]), np.eye(3)]),
-    ], ids=["none", "one 2-d array", "one factor", "three factors", "4-by-4", "nan", "inf"])
-    def test_factors_checked(self, factors):
-        with pytest.raises(InvalidParameterError):
-            ProjectionOperator("krylov", None, 3, 0, d=6, factors=factors)
-
-    @pytest.mark.parametrize("factors", [
-        [np.eye(3), np.eye(4)],
-        np.full((2, 3, 3), "x"),
-        np.full((2, 3, 3), None),
-    ], ids=["ragged", "strings", "objects"])
-    def test_malformed_factors_are_a_typed_error(self, factors):
-        with pytest.raises(InvalidParameterError, match="what regenerates its rows"):
-            ProjectionOperator("krylov", None, 3, 0, d=6, factors=factors)
+        np.testing.assert_allclose(apply(again, np.eye(500)), op.matrix, rtol=0, atol=1e-14)
 
     def test_ragged_matrix_is_a_typed_error(self):
         with pytest.raises(InvalidParameterError, match="must be 2-by-D"):
@@ -798,11 +800,6 @@ class TestComplexInputIsRefused:
     def test_complex_matrix(self):
         with pytest.raises(InvalidParameterError, match="ragged, non-numeric or complex"):
             ProjectionOperator("gaussian", np.ones((2, 3)) + 1j, 2, None)
-
-    def test_complex_factors(self):
-        factors = np.stack([np.eye(3)] * 2).astype(complex)
-        with pytest.raises(InvalidParameterError, match="what regenerates its rows"):
-            ProjectionOperator("krylov", None, 3, 0, d=6, factors=factors)
 
 
 class TestArnoldiArguments:

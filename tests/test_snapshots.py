@@ -400,6 +400,17 @@ class TestPersistence:
         assert (back.dt, back.t0, back.grid) == (x.dt, x.t0, x.grid)
         np.testing.assert_array_equal(back.data, x.data)
 
+    @pytest.mark.parametrize("build,name", [
+        (lambda: snaps(np.ones((2, 3)), dt=np.longdouble(1) / 3), "dt"),
+        (lambda: snaps(np.ones((2, 3)), t0=2**60 + 1), "t0"),
+        (lambda: snaps(np.ones((2, 3)), t0=np.int64(2**60 + 1)), "t0"),
+        (lambda: GridMeta(3, 2, 0.0, np.longdouble(2) / 3, 0.0, 1.0), "x_max"),
+    ], ids=["dt-longdouble", "t0-int", "t0-int64", "x_max-longdouble"])
+    def test_real_no_double_holds_is_refused_naming_it(self, build, name):
+        # Its file would hold the nearest double and reload unequal.
+        with pytest.raises(InvalidParameterError, match=f"^{name} would reload as"):
+            build()
+
     def test_value_json_cannot_hold_leaves_no_file(self, tmp_path):
         with pytest.raises(TypeError, match="complex"):
             snapshots.write_json(tmp_path / "out" / "record.json", {"n": 1, "z": 1j})
