@@ -21,7 +21,7 @@ from .dmd import (
 )
 from .errors import DelayDmdError, InvalidParameterError, ShapeMismatchError
 from .problems import DoubleGyreParams, SignalParams, generate_double_gyre, generate_signal
-from .snapshots import GridMeta, SnapshotMatrix, delay_embed, is_integer, train_test_split
+from .snapshots import GridMeta, SnapshotMatrix, check_count, delay_embed, train_test_split
 
 # Norms below this floor count as zero when normalizing per-snapshot errors,
 # so an identically-zero snapshot cannot divide by zero.
@@ -108,8 +108,7 @@ def mode_field(model: DmdModel, k: int, grid: GridMeta, part: str) -> np.ndarray
     part. The modes are formed on each call, as in :func:`predict`."""
     if model.basis is None:
         raise InvalidParameterError("model carries no modes")
-    if not (is_integer(k) and 0 <= k < model.rank):
-        raise InvalidParameterError(f"mode index {k!r} is not an integer in 0..{model.rank - 1}")
+    check_count("mode index k", k, 0, model.rank - 1)
     if grid.size != model.base_m:
         raise ShapeMismatchError(
             f"grid has nx*ny = {grid.size} but modes have {model.base_m} raw rows"
@@ -139,13 +138,11 @@ class VariantSpec:
             raise InvalidParameterError(
                 f"unknown variant {self.name!r}; choose from {VARIANT_NAMES}"
             )
-        least = 2 if self.name == "krylov" else 1  # Krylov: the ones row and a random one
         if self.name == "classic" and self.measurements is not None:
             raise InvalidParameterError("no count for variant 'classic'; it measures every row")
-        if self.name != "classic" and not (is_integer(self.measurements)
-                                           and self.measurements >= least):
-            raise InvalidParameterError(
-                f"variant {self.name} needs measurements >= {least} (an integer)")
+        if self.name != "classic":  # Krylov: the ones row and a random one
+            check_count(f"{self.name} measurements", self.measurements,
+                        2 if self.name == "krylov" else 1)
         projections.check_sparsity(self.sparsity_s)
 
 

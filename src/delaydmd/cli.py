@@ -125,7 +125,8 @@ class RunConfig:
     """Fully resolved settings for one generate/run invocation.
 
     Each field is one setting, and their names are the only keys a config
-    file may hold. Without ``n_train`` a run trains on 80% of the columns.
+    file may hold; one given to ``generate`` holds only those it has flags for,
+    and ``overrides``. Without ``n_train`` a run trains on 80% of the columns.
     """
 
     problem: str = _setting(_text)
@@ -147,13 +148,13 @@ class RunConfig:
 _SETTINGS = {f.name: f.metadata["parse"] for f in fields(RunConfig)}
 
 
-def _parse(source: str, raw) -> dict:
-    """Parse one layer of raw settings; errors name the layer's source."""
+def _parse(source: str, raw, keys=_SETTINGS) -> dict:
+    """Parse one layer of raw settings, each one of ``keys``; errors name the layer's source."""
     parsed = {}
     for key, value in _of(dict, "a JSON object")(source, raw).items():
-        if key not in _SETTINGS:
+        if key not in keys:
             raise InvalidParameterError(
-                f"{source}: unknown setting {key!r}; use one of {', '.join(_SETTINGS)}"
+                f"{source}: unknown setting {key!r}; use one of {', '.join(keys)}"
             )
         try:
             parsed[key] = _SETTINGS[key](key, value)
@@ -176,8 +177,9 @@ def _merge(*layers: dict) -> dict:
 def build_config(args) -> RunConfig:
     """Resolve every setting by the layered merge of the module docstring."""
     path = getattr(args, "config", None)
-    file_layer = (_parse(f"config file {path}", snapshots.read_json(path, InvalidParameterError))
-                  if path else {})
+    keys = [key for key in _SETTINGS if key in vars(args) or key == "overrides"]
+    file_layer = (_parse(f"config file {path}", snapshots.read_json(path, InvalidParameterError),
+                         keys) if path else {})
     flags = {key: value for key, value in vars(args).items() if value is not None}
     flag_layer = {key: value for key, value in flags.items() if key in _SETTINGS}
     flag_layer["overrides"] = {key: value for key, value in flags.items()
@@ -244,10 +246,9 @@ def cmd_run(args) -> int:
     report.config["seed"] = cfg.seed
     report.config["overrides"] = cfg.overrides
     for result in report.variants:  # refused here, before anything is written
-        bad = [k for k in cfg.emit_modes if not (result.failed or 0 <= k < result.model.rank)]
-        if bad:
-            raise InvalidParameterError(f"--emit-modes: mode index {bad[0]} outside "
-                                        f"0..{result.model.rank - 1} of variant {result.variant}")
+        for k in [] if result.failed else cfg.emit_modes:
+            snapshots.check_count(f"--emit-modes of variant {result.variant}: mode index k",
+                                  k, 0, result.model.rank - 1)
 
     out = cfg.out
     record = report.to_dict()

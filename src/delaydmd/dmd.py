@@ -46,9 +46,10 @@ from .errors import (
 from .numerics import (eig_dense, pseudoinverse_apply, real_complex_matmul, row_blocked_matmul,
                        thin_svd)
 from .projections import ProjectionOperator, apply as apply_operator
-from .snapshots import (DelayEmbedding, SnapshotMatrix, as_array, check_real, check_time_axis,
-                        delay_embed, hankel_block, integral, is_integer, read_field, read_json,
-                        read_matrix, real, real_array, write_csv, write_json)
+from .snapshots import (DelayEmbedding, SnapshotMatrix, as_array, check_count, check_finite,
+                        check_real, check_time_axis, delay_embed, hankel_block, integral,
+                        is_integer, read_field, read_json, read_matrix, real, real_array,
+                        write_csv, write_json)
 
 # Discrete eigenvalues below this modulus cannot be mapped to a finite
 # continuous exponent; they are dropped with a warning.
@@ -72,8 +73,8 @@ class RankPolicy:
     def __post_init__(self):
         if not (isinstance(self.mode, str) and self.mode in ("fixed", "tol")):
             raise InvalidParameterError(f"unknown rank policy mode {self.mode!r}")
-        if self.mode == "fixed" and not (is_integer(self.r) and self.r >= 1):
-            raise InvalidParameterError("fixed rank must be >= 1 (an integer)")
+        if self.mode == "fixed":
+            check_count("fixed rank r", self.r, 1)
         if self.mode == "tol":
             check_real("tol", self.tol, 0, 1)
 
@@ -404,14 +405,15 @@ def save_model(model: DmdModel, path, include_modes: bool = False) -> None:
     """Write the model JSON, modes excluded; with ``include_modes`` also write
     ``<path stem>.modes.csv`` holding 2*base_m rows per mode column (real
     block stacked on imaginary block)."""
-    if include_modes and model.basis is None:  # before any file is written
-        raise InvalidParameterError("model carries no modes to write")
+    if include_modes:  # formed and checked before any file is written
+        if model.basis is None:
+            raise InvalidParameterError("model carries no modes to write")
+        modes = model.modes
+        check_finite("modes", modes)  # load_model would refuse them
     path = Path(path)
     write_json(path, model._record())
     if include_modes:
-        modes = model.modes
-        stacked = np.vstack([modes.real, modes.imag])
-        write_csv(path.with_suffix(".modes.csv"), None, stacked)
+        write_csv(path.with_suffix(".modes.csv"), None, np.vstack([modes.real, modes.imag]))
 
 
 def load_model(path) -> DmdModel:

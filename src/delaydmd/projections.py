@@ -27,12 +27,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    InvalidDelayError,
     InvalidParameterError,
     InvalidStartVectorError,
     RankDeficientBasisError,
     ShapeMismatchError,
 )
-from .snapshots import as_array, check_depth, check_finite, is_integer, real_array
+from .snapshots import as_array, check_count, check_finite, is_integer, real_array
 
 KINDS = ("sampling", "gaussian", "achlioptas", "krylov")
 
@@ -72,7 +73,7 @@ class ProjectionOperator:
             raise InvalidParameterError("the sampling operator takes no matrix; "
                                         "its indices define it")
         if matrix is None and kind != "sampling":
-            _check_seed(seed)
+            check_count("seed", seed, 0, np.inf)
             if kind == "achlioptas":
                 check_sparsity(sparsity_s)
         if matrix is not None:
@@ -87,7 +88,8 @@ class ProjectionOperator:
             raise InvalidParameterError(
                 f"a {kind} operator needs its matrix, or d and what regenerates its rows"
             )
-        _check_count(a, d)
+        check_count("state dimension d", d, 1)
+        check_count("measurement count a", a, 1, d)
         self.d = d
         self.indices = _checked_indices(indices, a, d) if kind == "sampling" else None
 
@@ -132,8 +134,9 @@ def sampling_operator(d: int, a: int, seed: int) -> ProjectionOperator:
     generator and sorted ascending, so the operator extracts a spatial
     traces in index order. Only the indices are stored.
     """
-    _check_count(a, d)  # before rng.choice's errors
-    _check_seed(seed)
+    check_count("state dimension d", d, 1)  # before rng.choice's errors
+    check_count("measurement count a", a, 1, d)
+    check_count("seed", seed, 0, np.inf)
     rng = np.random.default_rng(seed)
     indices = np.sort(rng.choice(d, size=a, replace=False))
     return ProjectionOperator(kind="sampling", matrix=None, a=a, seed=seed,
@@ -186,8 +189,7 @@ def arnoldi(a_matrix, b, m: int) -> ArnoldiResult:
     b = real_array(b, "b")
     if b.shape != (n,):
         raise InvalidParameterError(f"b must have length {n}, got shape {b.shape}")
-    if not (is_integer(m) and 1 <= m <= n):
-        raise InvalidParameterError(f"steps must be an integer 1 <= m <= n = {n}, got {m!r}")
+    check_count("steps m", m, 1, n)
     b_norm = np.linalg.norm(b)
     if b_norm == 0.0:
         raise InvalidStartVectorError("start vector is zero")
@@ -225,7 +227,8 @@ def krylov_operator(d: int, a: int, seed: int) -> ProjectionOperator:
     L^-1 B* for L L* = B* B, that Q* in exact arithmetic. A block too ill-conditioned for it, which
     is rare, raises :class:`RankDeficientBasisError` at its first use.
     """
-    _check_count(a, d, "subspace dimension", "d - 1")  # a + 1 basis vectors
+    check_count("state dimension d", d, 1)
+    check_count("subspace dimension a", a, 1, d - 1)  # a + 1 basis vectors
     return ProjectionOperator(kind="krylov", matrix=None, a=a + 1, seed=seed, d=d)
 
 
@@ -245,8 +248,7 @@ def apply(op: ProjectionOperator, x, q: int = 1) -> np.ndarray:
     if x.ndim != 2:
         raise ShapeMismatchError(f"x must be 2-d, got shape {x.shape}")
     m, n = x.shape
-    if q != 1 or not is_integer(q):  # q = 1 is the plain product, one column included
-        check_depth(q, n)
+    check_count("q", q, 1, max(n - 1, 1), InvalidDelayError)  # q = 1 on one column too
     if q * m != op.d:
         raise ShapeMismatchError(
             f"operator expects {op.d} rows, the depth-{q} Hankel matrix of the data "
@@ -391,15 +393,3 @@ def check_sparsity(s) -> None:
     """Refuse an Achlioptas sparsity s other than the integers 1 and 3."""
     if not (is_integer(s) and s in (1, 3)):
         raise InvalidParameterError(f"sparsity_s must be 1 or 3, got {s}")
-
-
-def _check_count(a, d, name="measurement count", bound="d") -> None:
-    """Refuse ``a`` unless ``a`` and ``d`` are integers with 1 <= a <= bound, "d" or "d - 1"."""
-    if not (is_integer(a) and is_integer(d) and 1 <= a <= d - (bound == "d - 1")):
-        raise InvalidParameterError(
-            f"{name} {a} and state dimension {d!r} must be integers, 1 <= a <= {bound}")
-
-
-def _check_seed(seed) -> None:
-    if not is_integer(seed) or seed < 0:
-        raise InvalidParameterError(f"seed must be a nonnegative integer, got {seed!r}")

@@ -18,6 +18,7 @@ training window (:func:`train_test_split`) is a view.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import asdict, dataclass
 from functools import cached_property
@@ -53,8 +54,9 @@ class GridMeta:
     y_max: float
 
     def __post_init__(self):
-        if not all(is_integer(k) and k >= 1 for k in (self.nx, self.ny)):
-            raise InvalidParameterError("grid needs integer nx >= 1 and ny >= 1")
+        check_count("grid nx", self.nx, 1)
+        check_count("grid ny", self.ny, 1)
+        check_count("grid size nx*ny", int(self.nx) * int(self.ny), 1)
         check_written(x_min=self.x_min, x_max=self.x_max, y_min=self.y_min, y_max=self.y_max)
         if not (self.x_min < self.x_max and self.y_min < self.y_max):
             raise InvalidParameterError("grid extents must satisfy min < max")
@@ -140,7 +142,7 @@ def hankel_block(data: np.ndarray, q: int) -> np.ndarray:
     is column j+b of the data. Its first N-q columns are the ``x1`` of a
     :class:`DelayEmbedding` and its last N-q are the ``x2``."""
     n = data.shape[1]
-    check_depth(q, n)
+    check_count("q", q, 1, n - 1, InvalidDelayError)
     return np.vstack([data[:, b:b + n - q + 1] for b in range(q)])
 
 
@@ -183,24 +185,16 @@ def hankel_augment(x: SnapshotMatrix, q: int) -> DelayEmbedding:
 
 def delay_embed(x: SnapshotMatrix, q: int) -> DelayEmbedding:
     """Embed the snapshots to depth q through the R of the raw data, by row blocks."""
-    check_depth(q, x.n)  # before the QR
+    check_count("q", q, 1, x.n - 1, InvalidDelayError)  # before the QR
     r = np.linalg.qr(x.data[:_QR_ROWS], mode="r")
     for start in range(_QR_ROWS, x.m, _QR_ROWS):
         r = np.linalg.qr(np.vstack([r, x.data[start:start + _QR_ROWS]]), mode="r")
     return DelayEmbedding(snapshots=x, q=q, compressed=hankel_block(r, q))
 
 
-def check_depth(q: int, n: int) -> None:
-    """Refuse a delay depth q that is not an integer in 1..N-1 for N snapshots."""
-    if not (is_integer(q) and 1 <= q <= n - 1):
-        raise InvalidDelayError(f"q must be an integer with 1 <= q <= N-1 = {n - 1}, got {q}")
-
-
 def train_test_split(x: SnapshotMatrix, n_train: int):
     """First ``n_train`` columns for training, the rest (with advanced t0) for testing."""
-    if not (is_integer(n_train) and 2 <= n_train < x.n):
-        raise InvalidSplitError(
-            f"n_train must be an integer with 2 <= n_train < N = {x.n}, got {n_train}")
+    check_count("n_train", n_train, 2, x.n - 1, InvalidSplitError)
     train = SnapshotMatrix(x.data[:, :n_train], dt=x.dt, grid=x.grid, t0=x.t0)
     test = SnapshotMatrix(x.data[:, n_train:], dt=x.dt, grid=x.grid,
                           t0=x.t0 + n_train * x.dt)
@@ -320,6 +314,18 @@ def is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def check_count(name: str, value, low: int, high=np.iinfo(np.intp).max,
+                error=InvalidParameterError) -> None:
+    """Refuse ``value`` with ``error`` unless it is an integer, never a bool, in [low, high].
+    The default ``high`` is the largest array size, so a count that passes is one NumPy can
+    hold; an infinite ``high`` sets no ceiling. The last word of ``name`` stands for the value."""
+    if not (is_integer(value) and low <= int(value) <= high):
+        symbol = name.split()[-1]
+        bounds = f"{low} <= {symbol} <= {high}" if high < math.inf else f"{symbol} >= {low}"
+        shown = int(value) if is_integer(value) else repr(value)
+        raise error(f"{name} must be an integer with {bounds}, got {shown}")
+
+
 def as_array(value, convert=np.array, **kwargs):
     """``convert(value, **kwargs)``, or None if ``value`` is ragged, does not
     convert, is not numeric, or would lose an imaginary part to a real ``dtype``.
@@ -372,12 +378,11 @@ def check_real(name: str, value, low=-np.inf, high=np.inf, closed=False) -> None
 
 def check_time_axis(dt, t0, nt=None) -> None:
     """Refuse a time axis t0 + k*dt, k < nt, unless ``dt`` is a positive finite real,
-    ``t0`` a finite real (see :func:`check_real`) and a given ``nt`` an integer >= 2."""
+    ``t0`` a finite real (see :func:`check_real`) and a given ``nt`` a count of at least 2."""
     check_real("dt", dt, 0)
     check_real("t0", t0)
-    if nt is not None and not (is_integer(nt) and nt >= 2):
-        raise InvalidParameterError(
-            f"nt must be an integer of at least 2, got {_read_real(nt, shown=True)}")
+    if nt is not None:
+        check_count("nt", nt, 2)
 
 
 def check_written(**fields) -> None:
@@ -400,7 +405,7 @@ def real(value) -> float:
     """``value`` as a float if it reads as a finite one (see :func:`_read_real`), for
     :func:`read_field`: never a bool, a string, NaN, an infinity or an int past the float range."""
     number = _read_real(value)
-    if not np.isfinite(number):
+    if not math.isfinite(number):
         raise ValueError(f"{_read_real(value, shown=True)} is not a finite number")
     return number
 

@@ -280,12 +280,12 @@ class TestDefaultVariantSpecs:
 class TestVariantSpec:
     @pytest.mark.parametrize("kwargs,match", [
         ({"name": "svd"}, "unknown variant"),
-        ({"name": "gaussian"}, "needs measurements"),
-        ({"name": "krylov", "measurements": 0}, "needs measurements"),
-        ({"name": "krylov", "measurements": 1}, "krylov needs measurements >= 2"),
+        ({"name": "gaussian"}, "gaussian measurements must be an integer"),
+        ({"name": "krylov", "measurements": 0}, "krylov measurements must be an integer"),
+        ({"name": "krylov", "measurements": 1}, "2 <= measurements <= .*, got 1"),
         ({"name": "achlioptas", "measurements": 10, "sparsity_s": 2}, "sparsity_s"),
         ({"name": "classic", "measurements": 5}, "no count for variant 'classic'"),
-        ({"name": "gaussian", "measurements": 2.5}, "needs measurements >= 1 \\(an integer\\)"),
+        ({"name": "gaussian", "measurements": 2.5}, "1 <= measurements <= .*, got 2.5"),
     ], ids=["unknown", "no budget", "zero budget", "krylov one row", "sparsity 2",
             "classic count", "gaussian 2.5"])
     def test_invalid_specs_refused(self, kwargs, match):

@@ -66,6 +66,28 @@ class TestGenerate:
                        "--out", str(tmp_path))
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("entries,named", [
+        ({"q": 3, "strict": True}, "unknown setting 'q'; use one of problem, seed, out, overrides"),
+        ({"emit_modes": [0]}, "unknown setting 'emit_modes'"),
+        ({"overrides": {"nt": 10**30}},
+         f"nt must be an integer with 2 <= nt <= {np.iinfo(np.intp).max}, got {10**30}"),
+    ], ids=["run-only-keys", "emit-modes", "nt-past-intp"])
+    def test_config_file_refusal_writes_nothing(self, tmp_path, capsys, entries, named):
+        cfg = tmp_path / "gen.json"
+        cfg.write_text(json.dumps({"problem": "signal-2d", **entries}))
+        out = tmp_path / "out"
+        assert run_cli("generate", "--config", str(cfg), "--out", str(out)) == EXIT_USAGE
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_file_gives_every_setting_generate_reads(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = tmp_path / "gen.json"
+        cfg.write_text(json.dumps({"problem": "signal-2d", "seed": 3, "out": str(out),
+                                   "overrides": {"nx": 12, "ny": 12, "nt": 5}}))
+        assert run_cli("generate", "--config", str(cfg)) == EXIT_OK
+        assert load(out / "signal-2d").data.shape == (144, 5)
+
 
 class TestRun:
     def test_small_run_writes_artifacts(self, tmp_path):
@@ -161,8 +183,8 @@ class TestRun:
         assert code == EXIT_USAGE
         assert not out.exists() or not any(out.iterdir())
 
-    @pytest.mark.parametrize("modes,named", [("0,9", "mode index 9 outside 0..3"),
-                                             ("-1", "mode index -1 outside 0..3")],
+    @pytest.mark.parametrize("modes,named", [("0,9", "0 <= k <= 3, got 9"),
+                                             ("-1", "0 <= k <= 3, got -1")],
                              ids=["above-rank", "negative"])
     def test_emit_modes_out_of_range_writes_nothing(self, tmp_path, capsys, modes, named):
         # Refused after the fits and before the first file of any variant.
@@ -404,7 +426,7 @@ class TestProblemParameters:
         ("run", "signal-2d", ["--nx", "12", "--ny", "12", "--variants", "classic,classic"],
          "classic is listed twice"),
         ("run", "signal-2d", ["--nx", "12", "--ny", "12", "--measurements", "krylov=1"],
-         "krylov needs measurements >= 2"),
+         "krylov measurements must be an integer with 2 <= measurements"),
         ("run", "signal-2d", ["--nx", "12", "--ny", "12", "--measurements", "classic=5"],
          "no count for variant 'classic'"),
         ("run", "signal-2d", ["--nx", "12", "--ny", "12", "--sparsity", "2"],

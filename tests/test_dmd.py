@@ -690,6 +690,15 @@ class TestModelSerialization:
             save_model(model, tmp_path / "model.json", include_modes=True)
         assert list(tmp_path.iterdir()) == []
 
+    def test_non_finite_modes_are_refused_before_any_file(self, tmp_path):
+        # load_model would refuse the modes file, so neither file is written.
+        one = np.ones(1, dtype=complex)
+        model = DmdModel(basis=np.array([[np.nan]]), eigenvalues_discrete=one,
+                         exponents=0 * one, amplitudes=one, rank=1, q=1, base_m=1, dt=0.1)
+        with pytest.raises(InvalidParameterError, match="modes contains non-finite entries"):
+            save_model(model, tmp_path / "model.json", include_modes=True)
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("keep_rows,keep_cols", [(-1, None), (-2, None), (None, -1)])
     def test_truncated_modes_file_raises(self, tmp_path, keep_rows, keep_cols):
         x = snaps(np.random.default_rng(12).standard_normal((4, 12)))

@@ -15,12 +15,14 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from delaydmd.analysis import VariantSpec, mode_field, run_comparison
 from delaydmd.cli import EXIT_USAGE, EXIT_VARIANT_FAILURE, main
 from delaydmd.dmd import DmdModel, RankPolicy, dmd_classic, load_model, predict, save_model
-from delaydmd.errors import DelayDmdError, InvalidParameterError
+from delaydmd.errors import (DelayDmdError, InvalidDelayError, InvalidParameterError,
+                             InvalidSplitError)
 from delaydmd.numerics import eig_dense, pseudoinverse_apply, thin_svd
 from delaydmd.problems import DoubleGyreParams, SignalParams
-from delaydmd.projections import (achlioptas_operator, apply, arnoldi, gaussian_operator,
-                                  krylov_operator, sampling_operator)
-from delaydmd.snapshots import GridMeta, SnapshotMatrix, load, save
+from delaydmd.projections import (ProjectionOperator, achlioptas_operator, apply, arnoldi,
+                                  gaussian_operator, krylov_operator, sampling_operator)
+from delaydmd.snapshots import (GridMeta, SnapshotMatrix, delay_embed, hankel_block, load, save,
+                                train_test_split)
 
 HUGE = 10**400  # past the float range
 
@@ -31,9 +33,9 @@ HOSTILE = [
     np.float64(math.nan), np.int64(-3),
 ]
 
-# A state dimension that large is a valid integer: the operators that draw or
-# sample d rows would try to, so d is driven with every other hostile value.
-COUNT_HOSTILE = [v for v in HOSTILE if v is not HUGE and v is not -HUGE]
+# Counts past what NumPy holds: 2**63 is past np.intp, and 2**62 fits it, but as
+# a grid's nx not times the default ny = 3.
+COUNT_HOSTILE = [2**62, 2**63, *HOSTILE]
 
 ONE = np.ones(1, dtype=complex)
 RUN_DATA = SnapshotMatrix(np.random.default_rng(0).standard_normal((6, 30)), dt=0.1)
@@ -51,12 +53,15 @@ TARGETS = {
     "GridMeta": (
         lambda **kw: GridMeta(**{"nx": 3, "ny": 3, "x_min": 0.0, "x_max": 2.0,
                                  "y_min": 0.0, "y_max": 1.0, **kw}),
-        dict.fromkeys(["nx", "ny", "x_min", "x_max", "y_min", "y_max"], HOSTILE)),
+        {**dict.fromkeys(["x_min", "x_max", "y_min", "y_max"], HOSTILE),
+         "nx": COUNT_HOSTILE, "ny": COUNT_HOSTILE}),
     "DoubleGyreParams": (
-        DoubleGyreParams, dict.fromkeys(["amp", "omega", "eps", "nt", "dt", "t0"], HOSTILE)),
+        DoubleGyreParams,
+        {**dict.fromkeys(["amp", "omega", "eps", "dt", "t0"], HOSTILE), "nt": COUNT_HOSTILE}),
     "SignalParams": (
         SignalParams,
-        dict.fromkeys(["f1", "f2", "noise_amp", "dt", "t_final", "nt", "t0"], HOSTILE)),
+        {**dict.fromkeys(["f1", "f2", "noise_amp", "dt", "t_final", "t0"], HOSTILE),
+         "nt": COUNT_HOSTILE}),
     "RankPolicy fixed": (
         lambda **kw: RankPolicy(**{"mode": "fixed", "r": 2, **kw}),
         dict.fromkeys(["mode", "r"], HOSTILE)),
@@ -193,12 +198,12 @@ def _model():
 
 
 @pytest.mark.parametrize("call,match", [
-    (lambda: arnoldi(np.eye(3), np.ones(3), 2.5), "an integer 1 <= m <= n = 3, got 2.5"),
-    (lambda: arnoldi(np.eye(3), np.ones(3), "2"), "steps must be an integer .*, got '2'"),
+    (lambda: arnoldi(np.eye(3), np.ones(3), 2.5), "an integer with 1 <= m <= 3, got 2.5"),
+    (lambda: arnoldi(np.eye(3), np.ones(3), "2"), "steps m must be an integer .*, got '2'"),
     (lambda: mode_field(_model(), 1.5, GridMeta(2, 2, 0, 1, 0, 1), "real"),
-     "mode index 1.5 is not an integer in 0..1"),
+     "mode index k must be an integer with 0 <= k <= 1, got 1.5"),
     (lambda: mode_field(_model(), True, GridMeta(2, 2, 0, 1, 0, 1), "real"),
-     "mode index True is not an integer in 0..1"),
+     "mode index k must be an integer with 0 <= k <= 1, got True"),
     (lambda: predict(_model(), "1"), "step index must be nonnegative, got 1"),
     (lambda: predict(_model(), math.nan), "step index must be nonnegative, got nan"),
     (lambda: predict(_model(), [0, math.nan]), "step index must be nonnegative"),
@@ -207,6 +212,100 @@ def _model():
 def test_integer_and_step_arguments_are_refused(call, match):
     with pytest.raises(InvalidParameterError, match=match):
         call()
+
+
+INTP = np.iinfo(np.intp).max
+FIVE = SnapshotMatrix(np.ones((2, 5)), dt=0.1)
+
+
+# One row per place a count is checked: the call, the error it raises, and its message,
+# which names the count, its range and the refused value. Unless an array bounds a count,
+# its ceiling is np.intp's largest value, so no count reaches NumPy that it cannot hold.
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: GridMeta(0, 3, 0, 1, 0, 1), InvalidParameterError,
+     f"grid nx must be an integer with 1 <= nx <= {INTP}, got 0"),
+    (lambda: GridMeta(3, 2.0, 0, 1, 0, 1), InvalidParameterError,
+     f"grid ny must be an integer with 1 <= ny <= {INTP}, got 2.0"),
+    (lambda: GridMeta(10**10, 10**10, 0., 1., 0., 1.), InvalidParameterError,
+     f"grid size nx*ny must be an integer with 1 <= nx*ny <= {INTP}, got {10**20}"),
+    (lambda: DoubleGyreParams(nt=1), InvalidParameterError,
+     f"nt must be an integer with 2 <= nt <= {INTP}, got 1"),
+    (lambda: SignalParams(nt=10**30), InvalidParameterError,
+     f"nt must be an integer with 2 <= nt <= {INTP}, got {10**30}"),
+    (lambda: hankel_block(FIVE.data, 5), InvalidDelayError,
+     "q must be an integer with 1 <= q <= 4, got 5"),
+    (lambda: delay_embed(FIVE, 0), InvalidDelayError,
+     "q must be an integer with 1 <= q <= 4, got 0"),
+    (lambda: apply(gaussian_operator(2, 1, 0), FIVE.data, True), InvalidDelayError,
+     "q must be an integer with 1 <= q <= 4, got True"),
+    (lambda: train_test_split(FIVE, 5), InvalidSplitError,
+     "n_train must be an integer with 2 <= n_train <= 4, got 5"),
+    (lambda: RankPolicy.fixed(0), InvalidParameterError,
+     f"fixed rank r must be an integer with 1 <= r <= {INTP}, got 0"),
+    (lambda: VariantSpec("krylov", 1), InvalidParameterError,
+     f"krylov measurements must be an integer with 2 <= measurements <= {INTP}, got 1"),
+    (lambda: ProjectionOperator("gaussian", None, 1, 0, d=2**63), InvalidParameterError,
+     f"state dimension d must be an integer with 1 <= d <= {INTP}, got {2**63}"),
+    (lambda: ProjectionOperator("gaussian", None, 3, 0, d=2), InvalidParameterError,
+     "measurement count a must be an integer with 1 <= a <= 2, got 3"),
+    (lambda: ProjectionOperator("achlioptas", None, 1, -1, 3, d=2), InvalidParameterError,
+     "seed must be an integer with seed >= 0, got -1"),
+    (lambda: sampling_operator(10**400, 1, 0), InvalidParameterError,
+     f"state dimension d must be an integer with 1 <= d <= {INTP}, got {10**400}"),
+    (lambda: sampling_operator(3, 4, 0), InvalidParameterError,
+     "measurement count a must be an integer with 1 <= a <= 3, got 4"),
+    (lambda: sampling_operator(3, 1, 0.5), InvalidParameterError,
+     "seed must be an integer with seed >= 0, got 0.5"),
+    (lambda: krylov_operator(10**30, 3, 0), InvalidParameterError,
+     f"state dimension d must be an integer with 1 <= d <= {INTP}, got {10**30}"),
+    (lambda: krylov_operator(3, 3, 0), InvalidParameterError,
+     "subspace dimension a must be an integer with 1 <= a <= 2, got 3"),
+    (lambda: arnoldi(np.eye(3), np.ones(3), 4), InvalidParameterError,
+     "steps m must be an integer with 1 <= m <= 3, got 4"),
+    (lambda: mode_field(_model(), 2, GridMeta(2, 2, 0, 1, 0, 1), "real"), InvalidParameterError,
+     "mode index k must be an integer with 0 <= k <= 1, got 2"),
+], ids=["grid-nx", "grid-ny", "grid-size", "gyre-nt", "signal-nt-past-intp", "hankel_block-q",
+        "delay_embed-q", "apply-q", "train_test_split-n_train", "rank-r", "variant-budget",
+        "operator-d-past-intp", "operator-a", "operator-seed", "sampling-d-past-float",
+        "sampling-a", "sampling-seed", "krylov-d-past-intp", "krylov-a", "arnoldi-m",
+        "mode_field-k"])
+def test_count_is_refused_naming_it_its_range_and_the_value(call, error, message):
+    with pytest.raises(InvalidParameterError) as refused:
+        call()
+    assert type(refused.value) is error
+    assert str(refused.value) == message
+
+
+# (target, count) -> the largest value the count may take with the target's other arguments
+# as in TARGETS: np.intp's largest, or for a grid's nx or ny a third of it, as ny = nx = 3.
+COUNT_CEILINGS = {**{(f"{kind}_operator", "d"): INTP
+                     for kind in ("sampling", "gaussian", "achlioptas", "krylov")},
+                  ("GridMeta", "nx"): INTP // 3, ("GridMeta", "ny"): INTP // 3,
+                  ("DoubleGyreParams", "nt"): INTP, ("SignalParams", "nt"): INTP}
+
+
+@pytest.mark.parametrize("target,name", COUNT_CEILINGS)
+@settings(derandomize=True, max_examples=25, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.differing_executors])
+@given(value=st.integers(2**60, 2**66))
+def test_a_count_is_accepted_exactly_up_to_what_numpy_holds(target, name, value):
+    call = TARGETS[target][0]
+    if value <= COUNT_CEILINGS[target, name]:
+        call(**{name: value})
+    else:
+        with pytest.raises(InvalidParameterError, match=name):
+            call(**{name: value})
+
+
+@pytest.mark.parametrize("build", [
+    lambda seed: sampling_operator(5, 2, seed),
+    lambda seed: gaussian_operator(5, 2, seed),
+    lambda seed: achlioptas_operator(5, 2, 3, seed),
+    lambda seed: krylov_operator(5, 1, seed),
+], ids=["sampling", "gaussian", "achlioptas", "krylov"])
+def test_a_seed_has_no_ceiling(build):
+    # derive_seed gives seeds up to 2**64 - 1, past np.intp; NumPy's seeding takes any.
+    assert build(2**64 - 1).matrix.shape == (2, 5)
 
 
 @pytest.mark.parametrize("call,match", [
@@ -233,7 +332,7 @@ FLOAT_TEXT = ["nan", "inf", "-inf", "1e400", "x", "1j", ""]
 INT_TEXT = ["nan", "2.5", "x", "1e400", "True"]
 NOT_NUMBERS = [math.nan, math.inf, -math.inf, True, "x", None, [1], {"re": 1}]
 JSON_NON_REALS = [*NOT_NUMBERS, HUGE]
-# A count or a seed past the float range is still an integer: counts have no upper limit.
+# A seed past the float range is still an integer, and seeds have no upper limit.
 JSON_NON_INTEGERS = [*NOT_NUMBERS, 2.5]
 FLOAT_PARAMS = {"double-gyre": ["amp", "omega", "eps", "dt", "t0"],
                 "signal-2d": ["f1", "f2", "noise_amp", "dt", "t_final", "t0"]}

@@ -691,7 +691,7 @@ class TestStoredStateValidation:
         lambda seed: krylov_operator(10, 2, seed),
     ], ids=["sampling", "gaussian", "achlioptas", "krylov"])
     def test_negative_seed_raises(self, factory):
-        with pytest.raises(InvalidParameterError, match="seed must be a nonnegative integer"):
+        with pytest.raises(InvalidParameterError, match="seed must be an integer with seed >= 0"):
             factory(-1)
 
     def test_sampling_refuses_a_matrix(self):
@@ -704,7 +704,7 @@ class TestStoredStateValidation:
             ProjectionOperator("identity", np.ones((2, 3)), 2, None)
 
     def test_sampling_count_above_dimension_raises(self):
-        with pytest.raises(InvalidParameterError, match="measurement count 4"):
+        with pytest.raises(InvalidParameterError, match="count a must be an integer .* got 4"):
             ProjectionOperator(kind="sampling", matrix=None, a=4, seed=None,
                                indices=np.arange(4), d=3)
 
@@ -806,8 +806,8 @@ class TestArnoldiArguments:
     @pytest.mark.parametrize("a_matrix,b,m,match", [
         (np.ones((3, 4)), np.ones(3), 2, "a_matrix must be square"),
         (np.eye(3), np.ones(4), 2, "b must have length 3"),
-        (np.eye(3), np.ones(3), 0, "1 <= m <= n = 3, got 0"),
-        (np.eye(3), np.ones(3), 4, "1 <= m <= n = 3, got 4"),
+        (np.eye(3), np.ones(3), 0, "1 <= m <= 3, got 0"),
+        (np.eye(3), np.ones(3), 4, "1 <= m <= 3, got 4"),
     ], ids=["not-square", "b-length", "m-0", "m-past-n"])
     def test_refused(self, a_matrix, b, m, match):
         with pytest.raises(InvalidParameterError, match=match):

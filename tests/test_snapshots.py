@@ -248,7 +248,7 @@ class TestDelayEmbedding:
 
         x = snaps(np.random.default_rng(5).standard_normal((6, 9)))
         monkeypatch.setattr(np.linalg, "qr", no_qr)
-        with pytest.raises(InvalidDelayError, match="1 <= q <= N-1 = 8"):
+        with pytest.raises(InvalidDelayError, match="1 <= q <= 8"):
             delay_embed(x, x.n if past else 0)
 
 
