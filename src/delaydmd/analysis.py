@@ -21,7 +21,8 @@ from .dmd import (
 )
 from .errors import DelayDmdError, InvalidParameterError, ShapeMismatchError
 from .problems import DoubleGyreParams, SignalParams, generate_double_gyre, generate_signal
-from .snapshots import GridMeta, SnapshotMatrix, check_count, delay_embed, train_test_split
+from .snapshots import (GridMeta, SnapshotMatrix, check_count, delay_embed, is_integer,
+                        train_test_split)
 
 # Norms below this floor count as zero when normalizing per-snapshot errors,
 # so an identically-zero snapshot cannot divide by zero.
@@ -272,8 +273,8 @@ def run_comparison(problem, variant_specs, master_seed: int = 0, *,
                    rank_policy: RankPolicy = DEFAULT_RANK_POLICY,
                    project_before_augment: bool = False,
                    strict: bool = False) -> ExperimentReport:
-    """Refuse a repeated variant, generate the data once, fit every variant on
-    the training window, and score each model against the full window.
+    """Refuse a repeated variant or a non-integer ``master_seed``, generate the data once,
+    fit every variant on the training window, and score each model against the full window.
 
     Without ``n_train`` the first max(2, min(N - 1, int(0.8 * N))) of the N
     columns train. The delay embedding is built once, before any fit, so an
@@ -284,6 +285,8 @@ def run_comparison(problem, variant_specs, master_seed: int = 0, *,
     """
     if not variant_specs:
         raise InvalidParameterError("at least one variant is required")
+    if not is_integer(master_seed):  # negative too, as the CLI's --seed -3
+        raise InvalidParameterError(f"master_seed must be an integer, got {master_seed!r}")
     if not (isinstance(project_before_augment, bool) and isinstance(strict, bool)):
         raise InvalidParameterError("project_before_augment and strict must be True or False")
     names = [s.name for s in variant_specs]

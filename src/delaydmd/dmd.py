@@ -46,10 +46,10 @@ from .errors import (
 from .numerics import (eig_dense, pseudoinverse_apply, real_complex_matmul, row_blocked_matmul,
                        thin_svd)
 from .projections import ProjectionOperator, apply as apply_operator
-from .snapshots import (DelayEmbedding, SnapshotMatrix, as_array, check_count, check_finite,
+from .snapshots import (DelayEmbedding, SnapshotMatrix, as_array, check_array, check_count,
                         check_real, check_time_axis, delay_embed, hankel_block, integral,
-                        is_integer, read_field, read_json, read_matrix, real, real_array,
-                        write_csv, write_json)
+                        is_integer, read_field, read_json, read_matrix, real, write_csv,
+                        write_json)
 
 # Discrete eigenvalues below this modulus cannot be mapped to a finite
 # continuous exponent; they are dropped with a warning.
@@ -271,12 +271,9 @@ def dmd_classic(x1, x2, dt: float, policy: RankPolicy = DEFAULT_RANK_POLICY,
     eigenvectors; amplitudes solve the least-squares projection of the first
     column of x1 onto the modes.
     """
-    x1 = real_array(x1, "x1")
-    x2 = real_array(x2, "x2")
+    x1, x2 = check_array("x1", x1, (None, None)), check_array("x2", x2, (None, None))
     if x1.shape != x2.shape:
         raise ShapeMismatchError(f"x1 {x1.shape} and x2 {x2.shape} must match")
-    if x1.ndim != 2 or x1.shape[1] < 1:
-        raise ShapeMismatchError("x1 must be a matrix with at least one column")
     return _fit(x1, x2, policy,
                 q=1, base_m=x1.shape[0], dt=dt, t0=t0, variant="classic")
 
@@ -409,7 +406,7 @@ def save_model(model: DmdModel, path, include_modes: bool = False) -> None:
         if model.basis is None:
             raise InvalidParameterError("model carries no modes to write")
         modes = model.modes
-        check_finite("modes", modes)  # load_model would refuse them
+        check_array("modes", modes, (None, None), None)  # load_model would refuse them
     path = Path(path)
     write_json(path, model._record())
     if include_modes:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateModesError, InvalidParameterError, NumericalFailureError
-from .snapshots import as_array, check_finite, real_array
+from .snapshots import check_array
 
 # Relative cutoff below which singular values are treated as exact zeros
 # when solving least-squares systems.
@@ -47,14 +47,6 @@ class EigResult:
     eigenvectors: np.ndarray
 
 
-def _as_finite_matrix(a, name):
-    a = real_array(a, name)
-    if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
-        raise InvalidParameterError(f"{name} must be a 2-d matrix, got shape {a.shape}")
-    check_finite(name, a)
-    return a
-
-
 def thin_svd(a) -> SvdResult:
     """Thin SVD of a real matrix with a deterministic sign convention.
 
@@ -67,7 +59,7 @@ def thin_svd(a) -> SvdResult:
     NumericalFailureError
         If the underlying iteration does not converge.
     """
-    a = _as_finite_matrix(a, "a")
+    a = check_array("a", a, (None, None))
     try:
         u, s, vh = np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:
@@ -93,11 +85,9 @@ def eig_dense(a) -> EigResult:
     NumericalFailureError
         If the QR iteration does not converge.
     """
-    a = as_array(a, np.asarray)  # a real matrix stays real, for LAPACK's real path
-    if a is None or a.ndim != 2 or a.shape[0] != a.shape[1]:
-        got = "a ragged or non-numeric array" if a is None else f"shape {a.shape}"
-        raise InvalidParameterError(f"a must be square, got {got}")
-    check_finite("a", a)
+    a = check_array("a", a, (None, None), None)  # real stays real, for LAPACK's real path
+    if a.shape[0] != a.shape[1]:
+        raise InvalidParameterError(f"a must be square, got shape {a.shape}")
     try:
         w, vec = np.linalg.eig(a)
     except np.linalg.LinAlgError as exc:
@@ -122,24 +112,17 @@ def pseudoinverse_apply(phi, x) -> np.ndarray:
     Raises
     ------
     InvalidParameterError
-        If ``phi`` or ``x`` holds a NaN or an infinity.
+        If :func:`~delaydmd.snapshots.check_array` refuses ``phi`` or ``x``.
     DegenerateModesError
-        If ``phi`` is zero or empty.
+        If ``phi`` is zero.
     """
-    phi, x = as_array(phi, np.asarray), as_array(x, np.asarray)
-    if phi is None or phi.ndim != 2:
-        got = "a ragged or non-numeric array" if phi is None else f"shape {phi.shape}"
-        raise InvalidParameterError(f"phi must be 2-d, got {got}")
-    if x is None or x.shape != (phi.shape[0],):
-        got = "a ragged or non-numeric array" if x is None else f"shape {x.shape}"
-        raise InvalidParameterError(f"x must be a vector of length {phi.shape[0]}, got {got}")
-    check_finite("phi", phi)
-    check_finite("x", x)
+    phi = check_array("phi", phi, (None, None), None)
+    x = check_array("x", x, (phi.shape[0],), None)
     try:
         u, s, vh = np.linalg.svd(phi, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError("svd", phi.shape[0], phi.shape[1]) from exc
-    if s.size == 0 or s[0] <= 0.0:
+    if s[0] <= 0.0:
         raise DegenerateModesError("mode matrix is numerically zero")
     keep = s > PINV_CUTOFF * s[0]
     coeffs = (u[:, keep].conj().T @ x) / s[keep]

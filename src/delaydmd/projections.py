@@ -33,7 +33,7 @@ from .errors import (
     RankDeficientBasisError,
     ShapeMismatchError,
 )
-from .snapshots import as_array, check_count, check_finite, is_integer, real_array
+from .snapshots import as_array, check_array, check_count, is_integer
 
 KINDS = ("sampling", "gaussian", "achlioptas", "krylov")
 
@@ -77,11 +77,7 @@ class ProjectionOperator:
             if kind == "achlioptas":
                 check_sparsity(sparsity_s)
         if matrix is not None:
-            m = as_array(matrix, dtype=float, order="C")
-            if m is None or m.ndim != 2 or m.shape[0] != a:
-                got = "a ragged, non-numeric or complex array" if m is None else f"shape {m.shape}"
-                raise InvalidParameterError(f"matrix must be {a}-by-D, got {got}")
-            check_finite("operator matrix", m)
+            m = check_array("matrix", matrix, (a, None)).copy()  # C-ordered
             m.setflags(write=False)
             self._stored, d = m, m.shape[1]
         elif d is None or kind == "sampling" and indices is None:
@@ -182,13 +178,9 @@ def arnoldi(a_matrix, b, m: int) -> ArnoldiResult:
     Frobenius norm of ``a_matrix`` or below, the subspace is invariant and the
     iteration stops early with ``breakdown = True``.
     """
-    a_matrix = real_array(a_matrix, "a_matrix")
-    if a_matrix.ndim != 2 or a_matrix.shape[0] != a_matrix.shape[1]:
-        raise InvalidParameterError(f"a_matrix must be square, got shape {a_matrix.shape}")
-    n = a_matrix.shape[0]
-    b = real_array(b, "b")
-    if b.shape != (n,):
-        raise InvalidParameterError(f"b must have length {n}, got shape {b.shape}")
+    b = check_array("b", b, (None,))
+    n = b.size
+    a_matrix = check_array("a_matrix", a_matrix, (n, n))
     check_count("steps m", m, 1, n)
     b_norm = np.linalg.norm(b)
     if b_norm == 0.0:
@@ -244,9 +236,7 @@ def apply(op: ProjectionOperator, x, q: int = 1) -> np.ndarray:
     from a stored matrix or regenerated from the seed (Krylov's raw, the sum then orthonormalized
     by :func:`_cholesky_qr`). Nothing is written to ``op``. With q = 1 it is the plain product.
     """
-    x = real_array(x, "x")
-    if x.ndim != 2:
-        raise ShapeMismatchError(f"x must be 2-d, got shape {x.shape}")
+    x = check_array("x", x, (None, None))
     m, n = x.shape
     check_count("q", q, 1, max(n - 1, 1), InvalidDelayError)  # q = 1 on one column too
     if q * m != op.d:

@@ -93,13 +93,8 @@ class SnapshotMatrix:
     def __post_init__(self):
         data = self.data
         if not (type(data) is np.ndarray and data.dtype == float and not data.flags.writeable):
-            data = as_array(data, dtype=float)
-        if data is None or data.ndim != 2:
-            got = "a ragged, non-numeric or complex array" if data is None else data.shape
-            raise InvalidParameterError(f"data must be 2-d and real, got {got}")
-        if data.shape[0] < 1 or data.shape[1] < 1:
-            raise InvalidParameterError(f"data must be at least 1x1, got {data.shape}")
-        check_finite("data", data)
+            data = as_array(data, dtype=float)  # a copy, or None for check_array to refuse
+        data = check_array("data", self.data if data is None else data, (None, None))
         check_time_axis(self.dt, self.t0)
         check_written(dt=self.dt, t0=self.t0)
         if self.grid is not None and self.grid.size != data.shape[0]:
@@ -339,19 +334,25 @@ def as_array(value, convert=np.array, **kwargs):
     return a if a.dtype.kind in "biufc" else None
 
 
-def real_array(value, name: str) -> np.ndarray:
-    """``np.asarray(value, dtype=float)`` through :func:`as_array`, so a float array
-    is not copied and ragged, non-numeric or complex input is refused."""
-    a = as_array(value, np.asarray, dtype=float)
+def check_array(name: str, value, shape, dtype=float) -> np.ndarray:
+    """``np.asarray(value, dtype)`` by :func:`as_array`, with no copy if none is needed; under
+    ``dtype=None`` real stays real and complex complex. Refused, naming ``name``, if it is ragged,
+    non-numeric or complex for a real ``dtype``, its axes miss ``shape`` (a length each, None for
+    any >= 1), or the min or max of it, or of its real or imaginary part, is not finite."""
+    a = as_array(value, np.asarray, dtype=dtype)
+    parts = (a.real, a.imag) if a is not None and a.dtype.kind == "c" else (a,)  # views
     if a is None:
-        raise InvalidParameterError(f"{name} must be real, not ragged, non-numeric or complex")
-    return a
-
-
-def check_finite(name: str, a) -> None:
-    """Refuse an array ``a`` that holds a NaN or an infinity, naming it ``name``."""
-    if not np.all(np.isfinite(a)):
-        raise InvalidParameterError(f"{name} contains non-finite entries")
+        got = f"a ragged, non-numeric{'' if dtype is None else ' or complex'} value"
+    elif a.ndim != len(shape) or any(n < 1 if k is None else n != k
+                                     for n, k in zip(a.shape, shape)):
+        got = f"shape {a.shape}"
+    elif a.size and not np.isfinite([f(p) for p in parts for f in (np.min, np.max)]).all():
+        got = "a NaN or an infinity"
+    else:
+        return a
+    wanted = str(tuple(">=1" if k is None else k for k in shape)).replace("'", "")
+    raise InvalidParameterError(f"{name} must be a finite {'numeric' if dtype is None else 'real'}"
+                                f" array of shape {wanted}, got {got}")
 
 
 def _read_real(value, shown=False):

@@ -1,6 +1,7 @@
 """Error metrics, mode fields, comparison runs and report serialization."""
 
 import dataclasses
+import re
 import time
 import tracemalloc
 
@@ -409,6 +410,23 @@ class TestRunComparison:
                  for i, name in enumerate(names)]
         with pytest.raises(InvalidParameterError, match=f"variants: {names[-1]} is listed twice"):
             run_comparison(small_signal_params(), specs, 0, q=2, n_train=30)
+
+    @pytest.mark.parametrize("seed", [None, 2.5, "x", True, np.float64(3.0)])
+    def test_master_seed_that_is_not_an_integer_refused_before_any_data(self, monkeypatch,
+                                                                        seed):
+        def no_data(*args):
+            raise AssertionError("data generated before the seed was checked")
+
+        monkeypatch.setattr(analysis, "generate_problem", no_data)
+        with pytest.raises(InvalidParameterError,
+                           match=f"master_seed must be an integer, got {re.escape(repr(seed))}"):
+            run_comparison(small_signal_params(), [VariantSpec("classic")], seed, n_train=30)
+
+    @pytest.mark.parametrize("seed", [-3, np.int64(-3), 2**70])
+    def test_any_integer_master_seed_runs(self, seed):
+        report = run_comparison(small_signal_params(), [VariantSpec("gaussian", 20)], seed,
+                                n_train=30)
+        assert report.seeds["master"] == seed and not report.variant("gaussian").failed
 
     def test_each_variant_seed_is_derived_once(self, monkeypatch):
         components = []

@@ -71,7 +71,14 @@ class TestGenerate:
         ({"emit_modes": [0]}, "unknown setting 'emit_modes'"),
         ({"overrides": {"nt": 10**30}},
          f"nt must be an integer with 2 <= nt <= {np.iinfo(np.intp).max}, got {10**30}"),
-    ], ids=["run-only-keys", "emit-modes", "nt-past-intp"])
+        ({"overrides": {"nt": 10**400}},
+         f"nt must be an integer with 2 <= nt <= {np.iinfo(np.intp).max}, got {10**400}"),
+        ({"overrides": {"nx": 10**400}},
+         f"grid nx must be an integer with 1 <= nx <= {np.iinfo(np.intp).max}, got {10**400}"),
+        ({"overrides": {"ny": 10**400}},
+         f"grid ny must be an integer with 1 <= ny <= {np.iinfo(np.intp).max}, got {10**400}"),
+    ], ids=["run-only-keys", "emit-modes", "nt-past-intp", "nt-past-float", "nx-past-float",
+            "ny-past-float"])
     def test_config_file_refusal_writes_nothing(self, tmp_path, capsys, entries, named):
         cfg = tmp_path / "gen.json"
         cfg.write_text(json.dumps({"problem": "signal-2d", **entries}))

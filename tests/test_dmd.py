@@ -209,12 +209,13 @@ class TestDmdClassic:
             model = dmd_classic(x[:, :3], x[:, 1:], dt=1.0, policy=RankPolicy.fixed(10))
         assert model.rank == 3
 
-    @pytest.mark.parametrize("x1,x2,match", [
-        (np.ones((3, 4)), np.ones((3, 5)), "must match"),
-        (np.ones(4), np.ones(4), "at least one column"),
+    @pytest.mark.parametrize("x1,x2,error,match", [
+        (np.ones((3, 4)), np.ones((3, 5)), ShapeMismatchError, "must match"),
+        (np.ones(4), np.ones(4), InvalidParameterError,
+         r"x1 must be a finite real array of shape \(>=1, >=1\), got shape \(4,\)"),
     ], ids=["mismatched", "1-d"])
-    def test_pair_shapes_checked(self, x1, x2, match):
-        with pytest.raises(ShapeMismatchError, match=match):
+    def test_pair_shapes_checked(self, x1, x2, error, match):
+        with pytest.raises(error, match=match):
             dmd_classic(x1, x2, dt=1.0)
 
     @pytest.mark.parametrize("side", ["x1", "x2"])
@@ -222,7 +223,8 @@ class TestDmdClassic:
         # The imaginary part used to be dropped with only a ComplexWarning.
         pair = {"x1": np.eye(3, 4), "x2": np.eye(3, 4)}
         pair[side] = pair[side] + 1j
-        with pytest.raises(InvalidParameterError, match=f"{side} must be real"):
+        with pytest.raises(InvalidParameterError,
+                           match=f"{side} must be a finite real array.*non-numeric or complex"):
             dmd_classic(pair["x1"], pair["x2"], dt=1.0)
 
 
@@ -695,7 +697,8 @@ class TestModelSerialization:
         one = np.ones(1, dtype=complex)
         model = DmdModel(basis=np.array([[np.nan]]), eigenvalues_discrete=one,
                          exponents=0 * one, amplitudes=one, rank=1, q=1, base_m=1, dt=0.1)
-        with pytest.raises(InvalidParameterError, match="modes contains non-finite entries"):
+        with pytest.raises(InvalidParameterError,
+                           match="modes must be a finite numeric array.*a NaN or an infinity"):
             save_model(model, tmp_path / "model.json", include_modes=True)
         assert list(tmp_path.iterdir()) == []
 

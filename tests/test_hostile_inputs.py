@@ -164,22 +164,100 @@ RAGGED = [[1.0, 2.0], [3.0]]
 
 
 @pytest.mark.parametrize("call,match", [
-    (lambda: dmd_classic(RAGGED, RAGGED, dt=1.0), "x1 must be real"),
-    (lambda: apply(gaussian_operator(2, 1, 0), RAGGED), "x must be real"),
-    (lambda: thin_svd([["a", "b"]]), "a must be real"),
-    (lambda: arnoldi(np.eye(2), [[1.0], [2.0, 3.0]], 1), "b must be real"),
-    (lambda: eig_dense([["a"]]), "a must be square, got a ragged or non-numeric"),
-    (lambda: eig_dense([[1.0], [2.0, 3.0]]), "a must be square, got a ragged or non-numeric"),
+    (lambda: dmd_classic(RAGGED, RAGGED, dt=1.0), "x1 must be a finite real .*got a ragged"),
+    (lambda: apply(gaussian_operator(2, 1, 0), RAGGED), "x must be a finite real .*got a ragged"),
+    (lambda: thin_svd([["a", "b"]]), "a must be a finite real .*got a ragged"),
+    (lambda: arnoldi(np.eye(2), [[1.0], [2.0, 3.0]], 1), "b must be a finite real .*got a ragged"),
+    (lambda: eig_dense([["a"]]), "a must be a finite numeric array.*got a ragged, non-numeric"),
+    (lambda: eig_dense([[1.0], [2.0, 3.0]]),
+     "a must be a finite numeric array.*got a ragged, non-numeric"),
     (lambda: pseudoinverse_apply([[1.0], [2.0, 3.0]], [1.0, 2.0]),
-     "phi must be 2-d, got a ragged or non-numeric"),
-    (lambda: pseudoinverse_apply([["a"]], ["b"]), "phi must be 2-d, got a ragged or non-numeric"),
+     "phi must be a finite numeric array.*got a ragged, non-numeric"),
+    (lambda: pseudoinverse_apply([["a"]], ["b"]),
+     "phi must be a finite numeric array.*got a ragged, non-numeric"),
     (lambda: pseudoinverse_apply(np.eye(2), ["a", "b"]),
-     "x must be a vector of length 2, got a ragged or non-numeric"),
+     r"x must be a finite numeric array of shape \(2,\), got a ragged, non-numeric"),
 ], ids=["dmd_classic", "apply", "thin_svd", "arnoldi", "eig_dense-text", "eig_dense-ragged",
         "pseudoinverse_apply-ragged", "pseudoinverse_apply-text", "pseudoinverse_apply-x"])
 def test_ragged_or_non_numeric_array_is_refused(call, match):
     with pytest.raises(InvalidParameterError, match=match):
         call()
+
+
+def _ones(shape, bad=None):
+    """Ones of ``shape``, with the middle entry ``bad`` if given: a NaN, an infinity or a
+    complex number with an infinite imaginary part."""
+    a = np.ones(shape, dtype=complex if isinstance(bad, complex) else float)
+    if bad is not None:
+        a.flat[a.size // 2] = bad
+    return a
+
+
+NAN, INF, IMAG_INF = math.nan, -math.inf, complex(0.0, math.inf)
+NAN_MODES = DmdModel(basis=_ones((2, 1), NAN), eigenvalues_discrete=ONE, exponents=0 * ONE,
+                     amplitudes=ONE, rank=1, q=1, base_m=2, dt=0.1)
+
+
+# One row per place an array argument is checked: the call, the argument its refusal names
+# and the fault it reports. Each is an InvalidParameterError whose message starts with the
+# argument's name; a NaN passed arnoldi, apply and dmd_classic's x1 unnamed before.
+@pytest.mark.parametrize("call,name,fault", [
+    (lambda: SnapshotMatrix(RAGGED, dt=1.0), "data", "a ragged"),
+    (lambda: SnapshotMatrix(np.ones(3), dt=1.0), "data", "shape (3,)"),
+    (lambda: SnapshotMatrix(np.ones((2, 0)), dt=1.0), "data", "shape (2, 0)"),
+    (lambda: SnapshotMatrix(_ones((2, 3), NAN), dt=1.0), "data", "a NaN"),
+    (lambda: ProjectionOperator("gaussian", RAGGED, 2, None), "matrix", "a ragged"),
+    (lambda: ProjectionOperator("krylov", np.ones((3, 4)), 2, None), "matrix", "shape (3, 4)"),
+    (lambda: ProjectionOperator("krylov", _ones((2, 3), INF), 2, None), "matrix", "a NaN"),
+    (lambda: arnoldi(np.eye(3) + 1j, np.ones(3), 2), "a_matrix", "a ragged"),
+    (lambda: arnoldi(np.ones((3, 4)), np.ones(3), 2), "a_matrix", "shape (3, 4)"),
+    (lambda: arnoldi(_ones((3, 3), NAN), np.ones(3), 2), "a_matrix", "a NaN"),
+    (lambda: arnoldi(_ones((3, 3), INF), np.ones(3), 2), "a_matrix", "a NaN"),
+    (lambda: arnoldi(np.eye(3), np.ones(3) + 1j, 2), "b", "a ragged"),
+    (lambda: arnoldi(np.eye(3), np.ones((3, 1)), 2), "b", "shape (3, 1)"),
+    (lambda: arnoldi(np.eye(3), _ones(3, NAN), 2), "b", "a NaN"),
+    (lambda: arnoldi(np.eye(3), _ones(3, INF), 2), "b", "a NaN"),
+    (lambda: apply(gaussian_operator(4, 2, 0), RAGGED), "x", "a ragged"),
+    (lambda: apply(gaussian_operator(4, 2, 0), np.ones(4)), "x", "shape (4,)"),
+    (lambda: apply(sampling_operator(4, 2, 0), _ones((4, 3), NAN)), "x", "a NaN"),
+    (lambda: apply(gaussian_operator(4, 2, 0), _ones((4, 3), NAN)), "x", "a NaN"),
+    (lambda: apply(krylov_operator(4, 2, 0), _ones((4, 3), NAN)), "x", "a NaN"),
+    (lambda: thin_svd(np.eye(2) + 1j), "a", "a ragged"),
+    (lambda: thin_svd(np.ones(3)), "a", "shape (3,)"),
+    (lambda: thin_svd(_ones((2, 2), NAN)), "a", "a NaN"),
+    (lambda: eig_dense([["a"]]), "a", "a ragged"),
+    (lambda: eig_dense(np.ones(3)), "a", "shape (3,)"),
+    (lambda: eig_dense(_ones((2, 2), INF)), "a", "a NaN"),
+    (lambda: eig_dense(_ones((2, 2), IMAG_INF)), "a", "a NaN"),
+    (lambda: pseudoinverse_apply(RAGGED, np.ones(2)), "phi", "a ragged"),
+    (lambda: pseudoinverse_apply(np.ones(3), np.ones(3)), "phi", "shape (3,)"),
+    (lambda: pseudoinverse_apply(_ones((3, 2), IMAG_INF), np.ones(3)), "phi", "a NaN"),
+    (lambda: pseudoinverse_apply(np.ones((3, 2)), ["a", "b", "c"]), "x", "a ragged"),
+    (lambda: pseudoinverse_apply(np.ones((3, 2)), np.ones(4)), "x", "shape (4,)"),
+    (lambda: pseudoinverse_apply(np.ones((3, 2)), _ones(3, NAN)), "x", "a NaN"),
+    (lambda: dmd_classic(np.eye(3, 4) + 1j, np.eye(3, 4), dt=1.0), "x1", "a ragged"),
+    (lambda: dmd_classic(np.ones(4), np.ones(4), dt=1.0), "x1", "shape (4,)"),
+    (lambda: dmd_classic(_ones((3, 4), NAN), np.eye(3, 4), dt=1.0), "x1", "a NaN"),
+    (lambda: dmd_classic(np.eye(3, 4), np.eye(3, 4) + 1j, dt=1.0), "x2", "a ragged"),
+    (lambda: dmd_classic(np.eye(3, 4), _ones((3, 4), NAN), dt=1.0), "x2", "a NaN"),
+    (lambda: save_model(NAN_MODES, "model.json", include_modes=True), "modes", "a NaN"),
+], ids=["data-ragged", "data-1-d", "data-empty", "data-nan", "matrix-ragged", "matrix-rows",
+        "matrix-inf", "a_matrix-complex", "a_matrix-not-square", "a_matrix-nan", "a_matrix-inf",
+        "b-complex", "b-2-d", "b-nan", "b-inf", "apply-ragged", "apply-1-d", "apply-nan-sampling",
+        "apply-nan-gaussian", "apply-nan-krylov", "thin_svd-complex", "thin_svd-1-d",
+        "thin_svd-nan", "eig_dense-text", "eig_dense-1-d", "eig_dense-inf",
+        "eig_dense-imaginary-inf", "pinv-phi-ragged", "pinv-phi-1-d", "pinv-phi-imaginary-inf",
+        "pinv-x-text", "pinv-x-length", "pinv-x-nan", "dmd_classic-x1-complex",
+        "dmd_classic-x1-1-d", "dmd_classic-x1-nan", "dmd_classic-x2-complex",
+        "dmd_classic-x2-nan", "save_model-modes-nan"])
+def test_array_refusal_names_the_argument(monkeypatch, tmp_path, call, name, fault):
+    monkeypatch.chdir(tmp_path)  # where save_model's row would write, were it not refused
+    with pytest.raises(InvalidParameterError) as refused:
+        call()
+    assert type(refused.value) is InvalidParameterError
+    message = str(refused.value)
+    assert message.startswith(f"{name} must be a finite ") and f", got {fault}" in message
+    assert not any(tmp_path.iterdir())
 
 
 def test_a_real_matrix_stays_real_for_the_eigensolver(monkeypatch):

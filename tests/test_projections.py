@@ -156,7 +156,7 @@ class TestArnoldi:
         # The imaginary part used to be dropped with only a ComplexWarning.
         args = {"a_matrix": np.diag([1.0, 2.0, 3.0]), "b": np.ones(3)}
         args[name] = args[name] + 1j
-        with pytest.raises(InvalidParameterError, match=f"{name} must be real"):
+        with pytest.raises(InvalidParameterError, match=f"{name} must be a finite real .*complex"):
             arnoldi(args["a_matrix"], args["b"], m=2)
 
 
@@ -331,14 +331,14 @@ class TestApply:
 
     def test_one_dimensional_data_refused(self):
         op = gaussian_operator(10, 3, seed=0)
-        with pytest.raises(ShapeMismatchError, match="must be 2-d"):
+        with pytest.raises(InvalidParameterError, match=r"x must be .*, got shape \(10,\)"):
             apply(op, np.ones(10))
 
     @pytest.mark.parametrize("kind", ["sampling", "gaussian"])
     def test_complex_data_refused(self, kind):
         # The imaginary part used to be dropped with only a ComplexWarning.
         op = _operator(kind, 10, 3, 0)
-        with pytest.raises(InvalidParameterError, match="x must be real"):
+        with pytest.raises(InvalidParameterError, match="x must be a finite real .*complex value"):
             apply(op, np.ones((10, 4), dtype=complex))
 
     def test_real_data_is_not_copied(self):
@@ -717,9 +717,9 @@ class TestStoredStateValidation:
         assert op.matrix.flags.c_contiguous and not op.matrix.flags.writeable
 
     @pytest.mark.parametrize("matrix,match", [
-        (np.ones((3, 4)), "must be 2-by-D"),
-        (np.ones(4), "must be 2-by-D"),
-        (np.array([[1.0, np.nan], [0.0, 1.0]]), "non-finite"),
+        (np.ones((3, 4)), r"matrix must be .* of shape \(2, >=1\), got shape \(3, 4\)"),
+        (np.ones(4), r"matrix must be .* of shape \(2, >=1\), got shape \(4,\)"),
+        (np.array([[1.0, np.nan], [0.0, 1.0]]), "matrix must be .*got a NaN or an infinity"),
     ], ids=["wrong rows", "1-d", "nan"])
     def test_matrix_shape_and_values_checked(self, matrix, match):
         with pytest.raises(InvalidParameterError, match=match):
@@ -771,7 +771,7 @@ class TestKrylovFromItsSeed:
         np.testing.assert_allclose(apply(again, np.eye(500)), op.matrix, rtol=0, atol=1e-14)
 
     def test_ragged_matrix_is_a_typed_error(self):
-        with pytest.raises(InvalidParameterError, match="must be 2-by-D"):
+        with pytest.raises(InvalidParameterError, match="matrix must be .*got a ragged"):
             ProjectionOperator("gaussian", [[1.0, 2.0], [3.0]], 2, None)
 
     def test_ragged_indices_are_a_typed_error(self):
@@ -804,8 +804,8 @@ class TestComplexInputIsRefused:
 
 class TestArnoldiArguments:
     @pytest.mark.parametrize("a_matrix,b,m,match", [
-        (np.ones((3, 4)), np.ones(3), 2, "a_matrix must be square"),
-        (np.eye(3), np.ones(4), 2, "b must have length 3"),
+        (np.ones((3, 4)), np.ones(3), 2, r"a_matrix must be .* \(3, 3\), got shape \(3, 4\)"),
+        (np.eye(3), np.ones(4), 2, r"a_matrix must be .* \(4, 4\), got shape \(3, 3\)"),
         (np.eye(3), np.ones(3), 0, "1 <= m <= 3, got 0"),
         (np.eye(3), np.ones(3), 4, "1 <= m <= 3, got 4"),
     ], ids=["not-square", "b-length", "m-0", "m-past-n"])

@@ -22,6 +22,7 @@ from delaydmd.problems import DoubleGyreParams, SignalParams
 from delaydmd.snapshots import (
     GridMeta,
     SnapshotMatrix,
+    check_array,
     check_real,
     delay_embed,
     hankel_augment,
@@ -89,9 +90,9 @@ class TestSnapshotMatrix:
             snaps(np.ones((2, 3)), t0=t0)
 
     @pytest.mark.parametrize("data,match", [
-        (np.ones(3), "must be 2-d"),
-        (np.ones((0, 3)), "at least 1x1"),
-        (np.ones((2, 0)), "at least 1x1"),
+        (np.ones(3), r"data must be .* of shape \(>=1, >=1\), got shape \(3,\)"),
+        (np.ones((0, 3)), r"data must be .*, got shape \(0, 3\)"),
+        (np.ones((2, 0)), r"data must be .*, got shape \(2, 0\)"),
     ], ids=["1-d", "no rows", "no columns"])
     def test_one_dimensional_or_empty_data_refused(self, data, match):
         with pytest.raises(InvalidParameterError, match=match):
@@ -688,12 +689,95 @@ class TestCallerArrays:
     ], ids=["ragged", "strings", "complex", "complex-zero-imaginary"])
     def test_unreadable_data_is_refused(self, data):
         with pytest.raises(InvalidParameterError,
-                           match="data must be 2-d and real, got a ragged, non-numeric or complex"):
+                           match="data must be a finite real .*non-numeric or complex"):
             SnapshotMatrix(data, dt=1.0)
 
     def test_nested_lists_are_converted(self):
         x = SnapshotMatrix([[1, 2], [3, 4]], dt=1.0)
         assert x.data.dtype == float and not x.data.flags.writeable
+
+    @pytest.mark.parametrize("make", [
+        lambda base: base.view(np.matrix),
+        lambda base: base.view(type("Sub", (np.ndarray,), {})),
+        lambda base: base[:, ::2],
+    ], ids=["matrix-subclass", "ndarray-subclass", "strided-view"])
+    def test_writeable_arrays_are_copied(self, make):
+        # np.asarray passes each of these through as a view, so only a copy keeps them apart.
+        given = make(np.arange(24.0).reshape(4, 6))
+        x = SnapshotMatrix(given, dt=1.0)
+        assert not np.shares_memory(x.data, given) and type(x.data) is np.ndarray
+        np.testing.assert_array_equal(x.data, np.asarray(given))
+
+    @pytest.mark.parametrize("make", [
+        lambda: np.ones((1000, 200)),
+        lambda: np.ones((1000, 200), dtype=np.int64),
+        lambda: np.ones((1000, 200)).view(type("Sub", (np.ndarray,), {})),
+    ], ids=["float", "int", "subclass"])
+    def test_other_arrays_are_copied_once(self, make):
+        given = make()
+        tracemalloc.start()
+        try:
+            SnapshotMatrix(given, dt=1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * given.size * 8
+
+
+class TestCheckArray:
+    """``check_array`` is the one rule for an array argument: its conversion, axes and values."""
+
+    @pytest.mark.parametrize("value,shape,dtype,message", [
+        ([[1.0], [2.0, 3.0]], (None, None), float,
+         "v must be a finite real array of shape (>=1, >=1), got a ragged, non-numeric or "
+         "complex value"),
+        ([["a"]], (None, None), None,
+         "v must be a finite numeric array of shape (>=1, >=1), got a ragged, non-numeric value"),
+        (np.ones((3, 4)), (2, None), float,
+         "v must be a finite real array of shape (2, >=1), got shape (3, 4)"),
+        (np.ones((2, 0)), (2, None), float,
+         "v must be a finite real array of shape (2, >=1), got shape (2, 0)"),
+        (np.ones(3), (4,), None, "v must be a finite numeric array of shape (4,), got shape (3,)"),
+        (np.ones((2, 2, 1)), (None, None), float,
+         "v must be a finite real array of shape (>=1, >=1), got shape (2, 2, 1)"),
+        (np.array([1.0, -np.inf]), (2,), float,
+         "v must be a finite real array of shape (2,), got a NaN or an infinity"),
+        (np.array([0, complex(1, np.inf), 2]), (3,), None,
+         "v must be a finite numeric array of shape (3,), got a NaN or an infinity"),
+        (np.array([0, complex(np.nan, 0), 2]), (3,), None,
+         "v must be a finite numeric array of shape (3,), got a NaN or an infinity"),
+    ], ids=["ragged", "text", "rows", "no-columns", "length", "axes", "inf", "imaginary-inf",
+            "complex-nan"])
+    def test_refused_naming_it(self, value, shape, dtype, message):
+        with pytest.raises(InvalidParameterError) as refused:
+            check_array("v", value, shape, dtype)
+        assert type(refused.value) is InvalidParameterError and str(refused.value) == message
+
+    @pytest.mark.parametrize("value", [np.ones((2, 3)), np.ones((2, 3), dtype=complex),
+                                       np.ones((2, 3), dtype=np.int64)],
+                             ids=["float", "complex", "int"])
+    def test_none_dtype_keeps_the_array(self, value):
+        assert check_array("v", value, (2, 3), None) is value
+
+    def test_float_dtype_converts_only_what_needs_it(self):
+        x = np.ones((2, 3))
+        assert check_array("v", x, (None, 3)) is x
+        assert check_array("v", [[1, 2]], (1, 2)).dtype == float
+
+    def test_a_fixed_zero_length_is_a_length(self):
+        assert check_array("v", np.ones((0, 3)), (0, None)).shape == (0, 3)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_no_mask_the_size_of_the_value(self, dtype):
+        x = np.ones((1000, 200), dtype=dtype)
+        x[500, 100] = 2.0
+        tracemalloc.start()
+        try:
+            check_array("v", x, (None, None), None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < x.nbytes / 100
 
 
 class TestCheckReal:
