@@ -104,6 +104,16 @@ def relative_error_series(model: DmdModel, x_true: SnapshotMatrix,
     return ErrorSeries(times=x_true.times(), rel_error=errors, n_train=n_train)
 
 
+def _training_errors(model: DmdModel, r: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """:func:`relative_error_series` for the first ``norms.size`` columns of a delay fit's
+    snapshots Q R, in the coordinates ``r`` = R: its basis is columns s..s+n-1 (s = 1 if
+    sketched), so column j's error is ||R[:, j] - R[:, s:s+n] Re(C mu^j b)|| for orthonormal Q."""
+    n, s, steps = model.coefficients.shape[0], int(model.variant != "tdc"), np.arange(norms.size)
+    coeff = np.exp(np.outer(model.exponents, steps * model.dt)) * model.amplitudes[:, None]
+    diff = r[:, s:s + n] @ (model.coefficients @ coeff).real - r[:, :norms.size]
+    return np.linalg.norm(diff, axis=0) / np.maximum(norms, ERROR_NORM_FLOOR)
+
+
 def mode_field(model: DmdModel, k: int, grid: GridMeta, part: str) -> np.ndarray:
     """Reshape mode column k to the grid as a (ny, nx) array of the chosen
     part. The modes are formed on each call, as in :func:`predict`."""
@@ -202,9 +212,11 @@ class ExperimentReport:
         raise KeyError(name)
 
     def to_dict(self) -> dict:
-        out_variants = []
-        for v in self.variants:
-            entry = {
+        return {
+            "problem": self.problem,
+            "config": self.config,
+            "seeds": self.seeds,
+            "variants": [{
                 "variant": v.variant,
                 "measurements": v.measurements,
                 "wall_time": v.wall_time,
@@ -222,13 +234,7 @@ class ExperimentReport:
                     "rel_error": v.errors.rel_error.tolist(),
                     "n_train": v.errors.n_train,
                 },
-            }
-            out_variants.append(entry)
-        return {
-            "problem": self.problem,
-            "config": self.config,
-            "seeds": self.seeds,
-            "variants": out_variants,
+            } for v in self.variants],
         }
 
 
@@ -246,6 +252,8 @@ def derive_seed(master_seed: int, component: str) -> int:
 def generate_problem(problem, master_seed: int):
     """The problem's name, its snapshots and the sub-seeds they were drawn
     with: ``{"data": ...}`` for the signal's noise, none for the others."""
+    if not is_integer(master_seed):  # negative too, as the CLI's --seed -3
+        raise InvalidParameterError(f"master_seed must be an integer, got {master_seed!r}")
     if isinstance(problem, DoubleGyreParams):
         return "double-gyre", generate_double_gyre(problem), {}
     if isinstance(problem, SignalParams):
@@ -281,7 +289,8 @@ def run_comparison(problem, variant_specs, master_seed: int = 0, *,
     invalid ``q`` raises even without ``strict``; ``wall_time`` excludes it.
     ``project_before_augment`` only sizes each operator: M columns instead of
     q*M. Per-variant failures are captured in the report unless ``strict``,
-    in which case the first failure propagates.
+    in which case the first failure propagates. Scores are :func:`relative_error_series`'s:
+    bit for bit from the training window's last 16-column block edge; before it, in R to roundoff.
     """
     if not variant_specs:
         raise InvalidParameterError("at least one variant is required")
@@ -298,10 +307,13 @@ def run_comparison(problem, variant_specs, master_seed: int = 0, *,
         n_train = max(2, min(data.n - 1, int(0.8 * data.n)))
     train, _ = train_test_split(data, n_train)
     embedding = delay_embed(train, q)
+    # R (embedding.r) is formed per variant, so it is not alive during a fit, where a deep run
+    # peaks. The tail and its model start at 0, so the tail's step offset is exact for any t0.
+    start = min(n_train, data.n - 2) // _SCORE_BLOCK * _SCORE_BLOCK
+    tail = SnapshotMatrix(data.data[:, start:], data.dt, t0=start * data.dt)
     state_dim = data.m if project_before_augment else q * data.m
-    seeds = {"master": master_seed}
-    seeds.update({name: derive_seed(master_seed, name) for name in names if name != "classic"})
-    seeds.update(data_seeds)
+    seeds = {"master": master_seed, **{name: derive_seed(master_seed, name)
+                                       for name in names if name != "classic"}, **data_seeds}
 
     results = []
     for spec in variant_specs:
@@ -320,7 +332,9 @@ def run_comparison(problem, variant_specs, master_seed: int = 0, *,
             result.wall_time = time.perf_counter() - started
             result.model = model
             result.spectrum = spectrum(model)
-            result.errors = relative_error_series(model, data, n_train=n_train)
+            errors = [_training_errors(model, embedding.r, data.column_norms[:start]),
+                      relative_error_series(replace(model, t0=0.0), tail).rel_error]
+            result.errors = ErrorSeries(data.times(), np.concatenate(errors), n_train)
         except DelayDmdError as exc:
             if strict:
                 raise

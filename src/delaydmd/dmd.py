@@ -316,10 +316,10 @@ def dmd_projected(x: SnapshotMatrix | DelayEmbedding, q: int, op: ProjectionOper
     s = emb.snapshots
     if q > 1 and op.d == s.m:
         # Sketching each delay block equals embedding the sketched snapshots.
-        sketch = hankel_block(apply_operator(op, s.data), q)
+        sketch = hankel_block(apply_operator(op, s), q)
         rank_limit = (op.a * q, "measurements*q")
     else:
-        sketch = apply_operator(op, s.data, q)
+        sketch = apply_operator(op, s, q)
         rank_limit = (op.a, "measurements")
     return _fit(emb.x1, emb.x2, policy, sketch=sketch, rank_limit=rank_limit,
                 raw=s.data, q=q, base_m=s.m, dt=s.dt, t0=s.t0,

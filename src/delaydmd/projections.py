@@ -33,7 +33,7 @@ from .errors import (
     RankDeficientBasisError,
     ShapeMismatchError,
 )
-from .snapshots import as_array, check_array, check_count, is_integer
+from .snapshots import SnapshotMatrix, as_array, check_array, check_count, is_integer
 
 KINDS = ("sampling", "gaussian", "achlioptas", "krylov")
 
@@ -225,8 +225,8 @@ def krylov_operator(d: int, a: int, seed: int) -> ProjectionOperator:
 
 
 def apply(op: ProjectionOperator, x, q: int = 1) -> np.ndarray:
-    """Project the columns of the depth-q Hankel matrix of ``x`` down to
-    measurement space, without forming that matrix.
+    """Project the columns of the depth-q Hankel matrix of ``x``, an array or a checked
+    :class:`~delaydmd.snapshots.SnapshotMatrix`, to measurement space, without forming it.
 
     Row b*M + i of the (q*M)-by-(N-q+1) Hankel matrix of the M-by-N data is
     row i of ``x[:, b:b+N-q+1]``. Sampling gathers those entries directly, so
@@ -236,7 +236,7 @@ def apply(op: ProjectionOperator, x, q: int = 1) -> np.ndarray:
     from a stored matrix or regenerated from the seed (Krylov's raw, the sum then orthonormalized
     by :func:`_cholesky_qr`). Nothing is written to ``op``. With q = 1 it is the plain product.
     """
-    x = check_array("x", x, (None, None))
+    x = x.data if isinstance(x, SnapshotMatrix) else check_array("x", x, (None, None))
     m, n = x.shape
     check_count("q", q, 1, max(n - 1, 1), InvalidDelayError)  # q = 1 on one column too
     if q * m != op.d:

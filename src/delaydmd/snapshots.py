@@ -168,6 +168,12 @@ class DelayEmbedding:
         """Columns 1..N-q of ``compressed``: the same states one step later."""
         return self.compressed[:, 1:]
 
+    @property
+    def r(self) -> np.ndarray:
+        """Q_x.T @ the snapshots: ``compressed``'s block 0, then each later block's last column."""
+        k = self.compressed.shape[0] // self.q
+        return np.hstack([self.compressed[:k], self.compressed[k:, -1].reshape(-1, k).T])
+
 
 def hankel_augment(x: SnapshotMatrix, q: int) -> DelayEmbedding:
     """Embed the snapshots to depth q in the identity basis.

@@ -7,9 +7,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from delaydmd import analysis, projections
 from delaydmd.analysis import (
+    VARIANT_NAMES,
     ErrorSeries,
     ExperimentReport,
     VariantSpec,
@@ -37,6 +39,8 @@ from delaydmd.snapshots import (
     GridMeta,
     SnapshotMatrix,
     delay_embed,
+    hankel_augment,
+    hankel_block,
     read_json,
     train_test_split,
     write_csv,
@@ -205,6 +209,117 @@ class TestBlockedScoring:
         finally:
             tracemalloc.stop()
         assert peak < truth.data.nbytes
+
+
+def scored_as_relative_error_series(report, data):
+    """Each variant's errors are relative_error_series's: to 1e-13 on the training window,
+    which the run scores in R coordinates, and bit for bit after it."""
+    n_train = report.config["n_train"]
+    for v in report.variants:
+        assert not v.failed, v.error_message
+        expected = relative_error_series(v.model, data, n_train=n_train)
+        np.testing.assert_allclose(v.errors.rel_error[:n_train], expected.rel_error[:n_train],
+                                   rtol=0, atol=1e-13)
+        np.testing.assert_array_equal(v.errors.rel_error[n_train:], expected.rel_error[n_train:])
+        np.testing.assert_array_equal(v.errors.times, expected.times)
+        assert v.errors.n_train == n_train
+
+
+def oscillations(seed, m, n, t0=0.0):
+    """m-by-n snapshots of two decaying or steady oscillations: rank min(m, 4)."""
+    rng = np.random.default_rng(seed)
+    steps, rates = np.arange(n), rng.uniform(0.0, 0.05, 2)[:, None]
+    phases = rng.uniform(0.2, 1.2, 2)[:, None] * steps
+    waves = np.exp(-rates * steps) * np.vstack([np.cos(phases), np.sin(phases)]).reshape(2, 2, n)
+    return SnapshotMatrix(rng.standard_normal((m, 4)) @ waves.reshape(4, n), dt=0.1, t0=t0)
+
+
+class TestTrainingWindowInR:
+    """run_comparison scores training columns in the embedding's R coordinates and the
+    rest through relative_error_series, and both agree with scoring every column there."""
+
+    @pytest.fixture(scope="class")
+    def gyre(self):
+        return generate_double_gyre(DoubleGyreParams())
+
+    @pytest.mark.parametrize("q", [2, 16])
+    def test_stock_gyre(self, gyre, q):
+        report = run_comparison(gyre, default_variant_specs("double-gyre"), 0, q=q,
+                                n_train=174, rank_policy=RankPolicy.fixed(20))
+        scored_as_relative_error_series(report, gyre)
+
+    def test_stock_signal(self):
+        data = generate_signal(SignalParams())
+        scored_as_relative_error_series(
+            run_comparison(data, default_variant_specs("signal-2d"), 0, q=2, n_train=64), data)
+
+    @pytest.mark.parametrize("n, n_train, start", [(40, 32, 32), (40, 30, 16), (12, 10, 0),
+                                                    (33, 32, 16)])
+    def test_relative_error_series_scores_from_a_block_edge(self, monkeypatch, n, n_train,
+                                                            start):
+        # The tail starts on the block grid of a whole-window score. At (33, 32) a tail from
+        # 32 would be one lone column, summed pairwise where the whole window sums it in a block.
+        tails = []
+
+        def recorded(model, x_true, n_train=0):
+            tails.append((x_true.n, x_true.t0))
+            return relative_error_series(model, x_true, n_train)
+
+        monkeypatch.setattr(analysis, "relative_error_series", recorded)
+        data = oscillations(0, 30, n)
+        report = run_comparison(data, [VariantSpec("classic"), VariantSpec("gaussian", 8)], 0,
+                                q=3, n_train=n_train)
+        assert tails == [(n - start, start * data.dt)] * 2
+        monkeypatch.undo()
+        scored_as_relative_error_series(report, data)
+
+    def test_a_late_origin_scores_as_from_zero(self):
+        # 1e9 + 16 * 0.1 - 1e9 is not 16 steps to 1e-9; the tail is scored from origin 0.
+        data = oscillations(1, 30, 40, t0=1e9)
+        report = run_comparison(data, [VariantSpec("classic"), VariantSpec("sampling", 8)], 0,
+                                q=2, n_train=32)
+        scored_as_relative_error_series(report, data)
+
+    @settings(deadline=None, max_examples=40)
+    @given(seed=st.integers(0, 2**32 - 1), tall=st.booleans(), n=st.integers(8, 60),
+           draw=st.data())
+    def test_random_windows(self, seed, tall, n, draw):
+        n_train = draw.draw(st.integers(7, n - 1), "n_train")
+        m = draw.draw(st.integers(n + 1, 70) if tall else st.integers(2, n - 1), "m")
+        q = draw.draw(st.integers(-(-4 // m), max(-(-4 // m), n_train - 5)), "q")
+        assume(n_train - q >= 5)  # q*M rows and n_train - q columns hold the four modes
+        name = draw.draw(st.sampled_from(VARIANT_NAMES), "variant")
+        before = draw.draw(st.booleans(), "project_before_augment") and q > 1
+        width = m if before else q * m
+        a = None if name == "classic" else min(width, draw.draw(st.integers(4, 12), "a"))
+        t0 = draw.draw(st.sampled_from([0.0, -3.7, 1e9]), "t0")
+        data = oscillations(seed, m, n, t0)
+        report = run_comparison(data, [VariantSpec(name, a)], seed, q=q, n_train=n_train,
+                                project_before_augment=before)
+        assume(not report.variants[0].failed)  # too few measurements for rank 4
+        scored_as_relative_error_series(report, data)
+
+
+class TestEmbeddingR:
+    """DelayEmbedding.r: the snapshots in the embedding's Q coordinates."""
+
+    @pytest.mark.parametrize("m, n, q", [(6, 20, 1), (6, 20, 3), (30, 12, 4), (5, 9, 8)])
+    def test_explicit_embedding_gives_the_data(self, m, n, q):
+        x = oscillations(2, m, n)
+        np.testing.assert_array_equal(hankel_augment(x, q).r, x.data)
+
+    @pytest.mark.parametrize("m, n, q", [(6, 20, 1), (6, 20, 3), (30, 12, 4), (5, 9, 8)])
+    def test_compressed_is_the_hankel_matrix_of_r(self, m, n, q):
+        emb = delay_embed(SnapshotMatrix(np.random.default_rng(3).standard_normal((m, n)), 0.1), q)
+        assert emb.r.shape == (min(m, n), n)
+        np.testing.assert_array_equal(hankel_block(emb.r, q), emb.compressed)
+
+    def test_r_is_the_snapshots_in_q_coordinates(self):
+        x = SnapshotMatrix(np.random.default_rng(4).standard_normal((40, 12)), 0.1)
+        r = delay_embed(x, 3).r
+        q_x = x.data @ np.linalg.pinv(r)  # X = Q_x R with orthonormal Q_x
+        np.testing.assert_allclose(q_x.T @ q_x, np.eye(12), atol=1e-12)
+        np.testing.assert_allclose(q_x @ r, x.data, atol=1e-12)
 
 
 class TestModeField:
@@ -588,6 +703,15 @@ class TestTypedRefusals:
         series = ErrorSeries(times=np.arange(3.0), rel_error=np.zeros(3), n_train=3)
         with pytest.raises(InvalidParameterError, match="no test window beyond n_train"):
             series.mean_test_error()
+
+    @pytest.mark.parametrize("problem, seed", [(small_signal_params(), 2.5),
+                                               (DoubleGyreParams(), None),
+                                               (small_signal_params(), True),
+                                               (small_signal_params(), np.float64(3.0))])
+    def test_generate_problem_refuses_a_seed_that_is_not_an_integer(self, problem, seed):
+        with pytest.raises(InvalidParameterError,
+                           match=f"master_seed must be an integer, got {re.escape(repr(seed))}"):
+            analysis.generate_problem(problem, seed)
 
     def test_unsupported_problem_object(self):
         with pytest.raises(InvalidParameterError, match="unsupported problem object object"):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from delaydmd import projections
 from delaydmd.errors import (
     InvalidDelayError,
     InvalidParameterError,
@@ -24,7 +25,7 @@ from delaydmd.projections import (
     krylov_operator,
     sampling_operator,
 )
-from delaydmd.snapshots import hankel_block
+from delaydmd.snapshots import SnapshotMatrix, hankel_block
 
 
 class TestSamplingOperator:
@@ -352,6 +353,19 @@ class TestApply:
         finally:
             tracemalloc.stop()
         assert peak < x.nbytes / 10
+
+    @pytest.mark.parametrize("kind", ["sampling", "gaussian", "achlioptas", "krylov"])
+    @pytest.mark.parametrize("q", [1, 3])
+    def test_snapshot_matrix_is_its_data_read_once(self, monkeypatch, kind, q):
+        # Its data was checked when the matrix was made, so apply does not read it again.
+        x = SnapshotMatrix(np.random.default_rng(3).standard_normal((40, 12)), dt=0.1)
+        op = _operator(kind, 40 * q, 6, 5)
+        expected = apply(op, x.data, q)
+        monkeypatch.setattr(projections, "check_array", None)  # any call would fail
+        np.testing.assert_array_equal(apply(op, x, q), expected)
+        monkeypatch.undo()
+        with pytest.raises(InvalidParameterError, match="x must be a finite real .*a NaN"):
+            apply(op, np.where(np.arange(12) == 7, np.nan, x.data), q)
 
     @settings(deadline=None, max_examples=25)
     @given(seed=st.integers(0, 2**32 - 1),
