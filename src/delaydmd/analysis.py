@@ -35,9 +35,9 @@ ERROR_NORM_FLOOR = 1e-12
 # as with 32 columns, while 50-column blocks moved their last bits.
 _SCORE_BLOCK = 16
 
-# A truth window may start this many steps off a whole-step offset from the
-# model's origin (float roundoff in t0 arithmetic) before it counts as
-# misaligned.
+# A truth window may start this many steps off a whole-step offset from the model's origin,
+# plus a few eps * (|t0_truth| + |t0_model|) / dt for the roundoff the two origins carry
+# (4.8e-7 steps at t0 = 1e9, dt = 0.1), before it counts as misaligned.
 OFFSET_STEP_TOL = 1e-9
 
 VARIANT_NAMES = ("classic", *projections.KINDS)
@@ -70,9 +70,11 @@ def relative_error_series(model: DmdModel, x_true: SnapshotMatrix,
     window may start later than the model's origin as long as the offset is
     a whole number of steps. The model's modes are formed once per call,
     and the columns predicted from them and compared in blocks of
-    ``_SCORE_BLOCK``, against the truth norms cached on ``x_true``, so no
-    full-window prediction is ever held.
+    ``_SCORE_BLOCK``, each block's truth norms formed in its prediction's
+    buffer, so no full-window array is ever held. The norms are numpy's bit
+    for bit for a C-ordered truth; a Fortran-ordered one's may differ in a last bit.
     """
+    check_count("n_train", n_train, 0, x_true.n)
     if model.base_m != x_true.m:
         raise ShapeMismatchError(
             f"model predicts {model.base_m}-dim states, truth has {x_true.m} rows"
@@ -81,7 +83,8 @@ def relative_error_series(model: DmdModel, x_true: SnapshotMatrix,
         raise ShapeMismatchError(f"time steps differ: {model.dt} vs {x_true.dt}")
     steps = (x_true.t0 - model.t0) / model.dt
     offset = round(steps)
-    if abs(steps - offset) > OFFSET_STEP_TOL:
+    roundoff = 4 * np.finfo(float).eps * (abs(x_true.t0) + abs(model.t0)) / model.dt
+    if abs(steps - offset) > OFFSET_STEP_TOL + roundoff:
         raise ShapeMismatchError(
             f"truth starts at t0 = {x_true.t0!r} and the model at t0 = {model.t0!r}, "
             f"{steps:.12g} steps apart; the offset must be a whole number of steps"
@@ -96,22 +99,24 @@ def relative_error_series(model: DmdModel, x_true: SnapshotMatrix,
     # A lone last column would be summed pairwise; it joins the block before.
     for lo in range(0, max(x_true.n - 1, 1), _SCORE_BLOCK):
         hi = x_true.n if x_true.n - lo <= _SCORE_BLOCK + 1 else lo + _SCORE_BLOCK
-        diff = predict(model, offset + np.arange(lo, hi))  # owned, so squared in place
-        diff -= x_true.data[:, lo:hi]
-        diff *= diff
-        errors[lo:hi] = np.sqrt(np.add.reduce(diff, axis=0))
-    errors /= np.maximum(x_true.column_norms, ERROR_NORM_FLOOR)
+        diff, truth = predict(model, offset + np.arange(lo, hi)), x_true.data[:, lo:hi]
+        diff -= truth  # the prediction is owned, so squared in place, then the truth in it
+        errors[lo:hi] = np.sqrt(np.add.reduce(np.multiply(diff, diff, out=diff), axis=0))
+        norms = np.sqrt(np.add.reduce(np.multiply(truth, truth, out=diff), axis=0))
+        errors[lo:hi] /= np.maximum(norms, ERROR_NORM_FLOOR)
     return ErrorSeries(times=x_true.times(), rel_error=errors, n_train=n_train)
 
 
-def _training_errors(model: DmdModel, r: np.ndarray, norms: np.ndarray) -> np.ndarray:
-    """:func:`relative_error_series` for the first ``norms.size`` columns of a delay fit's
-    snapshots Q R, in the coordinates ``r`` = R: its basis is columns s..s+n-1 (s = 1 if
-    sketched), so column j's error is ||R[:, j] - R[:, s:s+n] Re(C mu^j b)|| for orthonormal Q."""
-    n, s, steps = model.coefficients.shape[0], int(model.variant != "tdc"), np.arange(norms.size)
+def _training_errors(model: DmdModel, r: np.ndarray, start: int) -> np.ndarray:
+    """:func:`relative_error_series` for the first ``start`` columns of a delay fit's snapshots
+    Q R, in the coordinates ``r`` = R: its basis is columns s..s+n-1 (s = 1 if sketched), so
+    column j's error is ||R[:, j] - R[:, s:s+n] Re(C mu^j b)|| / ||R[:, j]|| for orthonormal Q."""
+    n, s, steps = model.coefficients.shape[0], int(model.variant != "tdc"), np.arange(start)
     coeff = np.exp(np.outer(model.exponents, steps * model.dt)) * model.amplitudes[:, None]
-    diff = r[:, s:s + n] @ (model.coefficients @ coeff).real - r[:, :norms.size]
-    return np.linalg.norm(diff, axis=0) / np.maximum(norms, ERROR_NORM_FLOOR)
+    diff = r[:, s:s + n] @ (model.coefficients @ coeff).real - r[:, :start]
+    errors = np.sqrt(np.add.reduce(np.multiply(diff, diff, out=diff), axis=0))
+    norms = np.sqrt(np.add.reduce(np.multiply(r[:, :start], r[:, :start], out=diff), axis=0))
+    return errors / np.maximum(norms, ERROR_NORM_FLOOR)
 
 
 def mode_field(model: DmdModel, k: int, grid: GridMeta, part: str) -> np.ndarray:
@@ -290,7 +295,8 @@ def run_comparison(problem, variant_specs, master_seed: int = 0, *,
     ``project_before_augment`` only sizes each operator: M columns instead of
     q*M. Per-variant failures are captured in the report unless ``strict``,
     in which case the first failure propagates. Scores are :func:`relative_error_series`'s:
-    bit for bit from the training window's last 16-column block edge; before it, in R to roundoff.
+    bit for bit from the training window's last 16-column block edge; before it, to roundoff,
+    with errors and truth norms alike formed in R.
     """
     if not variant_specs:
         raise InvalidParameterError("at least one variant is required")
@@ -308,9 +314,9 @@ def run_comparison(problem, variant_specs, master_seed: int = 0, *,
     train, _ = train_test_split(data, n_train)
     embedding = delay_embed(train, q)
     # R (embedding.r) is formed per variant, so it is not alive during a fit, where a deep run
-    # peaks. The tail and its model start at 0, so the tail's step offset is exact for any t0.
+    # peaks.
     start = min(n_train, data.n - 2) // _SCORE_BLOCK * _SCORE_BLOCK
-    tail = SnapshotMatrix(data.data[:, start:], data.dt, t0=start * data.dt)
+    tail = SnapshotMatrix(data.data[:, start:], data.dt, t0=data.t0 + start * data.dt)
     state_dim = data.m if project_before_augment else q * data.m
     seeds = {"master": master_seed, **{name: derive_seed(master_seed, name)
                                        for name in names if name != "classic"}, **data_seeds}
@@ -332,8 +338,8 @@ def run_comparison(problem, variant_specs, master_seed: int = 0, *,
             result.wall_time = time.perf_counter() - started
             result.model = model
             result.spectrum = spectrum(model)
-            errors = [_training_errors(model, embedding.r, data.column_norms[:start]),
-                      relative_error_series(replace(model, t0=0.0), tail).rel_error]
+            errors = [_training_errors(model, embedding.r, start),
+                      relative_error_series(model, tail).rel_error]
             result.errors = ErrorSeries(data.times(), np.concatenate(errors), n_train)
         except DelayDmdError as exc:
             if strict:

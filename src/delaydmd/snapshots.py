@@ -21,7 +21,6 @@ import json
 import math
 import warnings
 from dataclasses import asdict, dataclass
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -114,15 +113,6 @@ class SnapshotMatrix:
 
     def times(self) -> np.ndarray:
         return self.t0 + self.dt * np.arange(self.n)
-
-    @cached_property
-    def column_norms(self) -> np.ndarray:
-        """``np.linalg.norm(data, axis=0)`` bit for bit, formed once by blocks
-        of 16 to 31 columns, so without its two window-sized temporaries."""
-        blocks = np.array_split(self.data, max(1, self.n // 16), axis=1)
-        norms = np.sqrt(np.concatenate([np.add.reduce(b * b, axis=0) for b in blocks]))
-        norms.setflags(write=False)
-        return norms
 
 
 def split(x: SnapshotMatrix):

@@ -143,6 +143,21 @@ class TestRelativeErrorSeries:
         with pytest.raises(ShapeMismatchError, match="time steps differ"):
             relative_error_series(signal_model, other)
 
+    def test_a_late_origin_scores_as_the_same_data_at_zero(self):
+        # The test half of data at t0 = 1e9 starts 32.0000004768 steps after the model's
+        # origin: roundoff in the origins, not a misaligned window.
+        scores = []
+        for t0 in (0.0, 1e9):
+            train, test = train_test_split(oscillations(1, 30, 40, t0=t0), 32)
+            scores.append(relative_error_series(dmd_tdc(train, 2), test).rel_error)
+        np.testing.assert_array_equal(scores[1], scores[0])
+
+    def test_a_half_step_offset_at_a_late_origin_raises(self):
+        train, test = train_test_split(oscillations(1, 30, 40, t0=1e9), 32)
+        shifted = SnapshotMatrix(test.data, dt=test.dt, t0=test.t0 + 0.5 * test.dt)
+        with pytest.raises(ShapeMismatchError, match="32.5 steps apart"):
+            relative_error_series(dmd_tdc(train, 2), shifted)
+
 
 class TestBlockedScoring:
     """Scoring predicts and compares the truth one block of columns at a time."""
@@ -177,8 +192,11 @@ class TestBlockedScoring:
         assert np.min(expected) > 1e-3
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
 
-    @pytest.mark.parametrize("n", [1, 2, B + 1, 2 * B + 1, 2 * B + 2])
-    def test_lone_last_column_sums_as_the_unblocked_formula(self, n):
+    # 47 and 49 columns: a last block of 15 columns, or one lone column. With ``wider`` the
+    # truth is the training view that train_test_split takes of n + wider columns.
+    @pytest.mark.parametrize("n, wider", [(1, 0), (2, 0), (B + 1, 0), (2 * B + 1, 0),
+                                          (2 * B + 2, 0), (47, 0), (49, 0), (49, 5)])
+    def test_lone_last_column_sums_as_the_unblocked_formula(self, n, wider):
         # Rank one with real factors: each predicted entry is one exact
         # product, so only the order of the norm's sums can move a bit, and a
         # lone column would be summed pairwise instead of row by row.
@@ -188,7 +206,9 @@ class TestBlockedScoring:
         model = DmdModel(basis=rng.standard_normal((m, 1)) + 0j, eigenvalues_discrete=mu,
                          exponents=np.log(mu), amplitudes=np.ones(1, dtype=complex),
                          rank=1, q=1, base_m=m, dt=1.0)
-        truth = SnapshotMatrix(rng.standard_normal((m, n)), dt=1.0)
+        truth = SnapshotMatrix(rng.standard_normal((m, n + wider)), dt=1.0)
+        if wider:
+            truth, _ = train_test_split(truth, n)
         expected = (np.linalg.norm(truth.data - predict(model, np.arange(n)), axis=0)
                     / np.maximum(np.linalg.norm(truth.data, axis=0),
                                  analysis.ERROR_NORM_FLOOR))
@@ -273,8 +293,9 @@ class TestTrainingWindowInR:
         monkeypatch.undo()
         scored_as_relative_error_series(report, data)
 
-    def test_a_late_origin_scores_as_from_zero(self):
-        # 1e9 + 16 * 0.1 - 1e9 is not 16 steps to 1e-9; the tail is scored from origin 0.
+    def test_a_late_origin_scores_the_tail_at_its_own_origin(self):
+        # 1e9 + 16 * 0.1 - 1e9 is not 16 steps to 1e-9; the tail starts at 1e9 + 16 * 0.1 and
+        # each model at 1e9, and relative_error_series allows the origins' roundoff.
         data = oscillations(1, 30, 40, t0=1e9)
         report = run_comparison(data, [VariantSpec("classic"), VariantSpec("sampling", 8)], 0,
                                 q=2, n_train=32)

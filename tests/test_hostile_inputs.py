@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from delaydmd.analysis import VariantSpec, mode_field, run_comparison
+from delaydmd.analysis import VariantSpec, mode_field, relative_error_series, run_comparison
 from delaydmd.cli import EXIT_USAGE, EXIT_VARIANT_FAILURE, main
 from delaydmd.dmd import DmdModel, RankPolicy, dmd_classic, load_model, predict, save_model
 from delaydmd.errors import (DelayDmdError, InvalidDelayError, InvalidParameterError,
@@ -294,6 +294,7 @@ def test_integer_and_step_arguments_are_refused(call, match):
 
 INTP = np.iinfo(np.intp).max
 FIVE = SnapshotMatrix(np.ones((2, 5)), dt=0.1)
+TRUTH = SnapshotMatrix(np.ones((4, 5)), dt=0.1)  # five states of _model()'s four rows
 
 
 # One row per place a count is checked: the call, the error it raises, and its message,
@@ -342,11 +343,21 @@ FIVE = SnapshotMatrix(np.ones((2, 5)), dt=0.1)
      "steps m must be an integer with 1 <= m <= 3, got 4"),
     (lambda: mode_field(_model(), 2, GridMeta(2, 2, 0, 1, 0, 1), "real"), InvalidParameterError,
      "mode index k must be an integer with 0 <= k <= 1, got 2"),
+    (lambda: relative_error_series(_model(), TRUTH, -3), InvalidParameterError,
+     "n_train must be an integer with 0 <= n_train <= 5, got -3"),
+    (lambda: relative_error_series(_model(), TRUTH, 2.5), InvalidParameterError,
+     "n_train must be an integer with 0 <= n_train <= 5, got 2.5"),
+    (lambda: relative_error_series(_model(), TRUTH, True), InvalidParameterError,
+     "n_train must be an integer with 0 <= n_train <= 5, got True"),
+    (lambda: relative_error_series(_model(), TRUTH, TRUTH.n + 1), InvalidParameterError,
+     "n_train must be an integer with 0 <= n_train <= 5, got 6"),
 ], ids=["grid-nx", "grid-ny", "grid-size", "gyre-nt", "signal-nt-past-intp", "hankel_block-q",
         "delay_embed-q", "apply-q", "train_test_split-n_train", "rank-r", "variant-budget",
         "operator-d-past-intp", "operator-a", "operator-seed", "sampling-d-past-float",
         "sampling-a", "sampling-seed", "krylov-d-past-intp", "krylov-a", "arnoldi-m",
-        "mode_field-k"])
+        "mode_field-k", "relative_error_series-n_train-negative",
+        "relative_error_series-n_train-2.5", "relative_error_series-n_train-bool",
+        "relative_error_series-n_train-past-n"])
 def test_count_is_refused_naming_it_its_range_and_the_value(call, error, message):
     with pytest.raises(InvalidParameterError) as refused:
         call()

@@ -324,31 +324,6 @@ class TestRowBlockedEmbedding:
         assert peak < 0.3 * x.data.nbytes
 
 
-class TestColumnNorms:
-    # 33 and 49 columns: a last 16-column block would hold one lone column.
-    @pytest.mark.parametrize("shape", [(1, 1), (7, 5), (300, 16), (301, 47), (64, 33),
-                                       (500, 49), (40, 1)])
-    def test_match_numpy_norm_bit_for_bit(self, shape):
-        data = np.random.default_rng(shape[1]).standard_normal(shape) * 1e3
-        x = snaps(data)
-        np.testing.assert_array_equal(x.column_norms, np.linalg.norm(x.data, axis=0))
-
-    def test_views_and_fortran_order_match_too(self):
-        data = np.asfortranarray(np.random.default_rng(2).standard_normal((90, 70)))
-        data.setflags(write=False)
-        x = SnapshotMatrix(data, dt=0.1)
-        assert x.data is data
-        train, test = train_test_split(x, 37)
-        for part in (x, train, test):
-            np.testing.assert_array_equal(part.column_norms,
-                                          np.linalg.norm(part.data, axis=0))
-
-    def test_computed_once_and_read_only(self):
-        x = snaps(np.random.default_rng(4).standard_normal((20, 40)))
-        assert x.column_norms is x.column_norms
-        assert not x.column_norms.flags.writeable
-
-
 class TestTrainTestSplit:
     def test_gyre_style_split(self):
         x = snaps(np.random.default_rng(1).standard_normal((3, 200)), dt=0.05)
